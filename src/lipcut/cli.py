@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--start", default=None, help="comma-separated start point (local oracle)")
     solve.add_argument("--normalize", action="store_true",
                        help="rescale constraints by 1/(rho(domain)*L) before solving")
-    solve.add_argument("--threads", type=int, default=1)
     solve.set_defaults(handler=_cmd_solve)
 
     bnd = sub.add_parser("bounds", help="termination and complexity bounds")
@@ -136,7 +135,7 @@ def _cmd_solve(args) -> int:
         print("warning: solving with heuristic (sampling-based) Lipschitz constants", file=sys.stderr)
 
     problem = normalized_problem(built.problem) if args.normalize else built.problem
-    oracle_config = OracleConfig(tolerance=args.oracle_tol, threads=args.threads)
+    oracle_config = OracleConfig(tolerance=args.oracle_tol)
     if args.oracle == "global":
         oracle = GlobalOracle(oracle_config, problem.domain_norm)
     else:

@@ -1,20 +1,24 @@
 """Core geometry: box domains, monotone norms, and norm-ball exclusion cuts.
 
-All types here are immutable after construction and safe for concurrent
-reads.  User-supplied evaluators stored in the problem types are expected
-to be safe to call from multiple threads (documented contract, not
-enforced).
+All types here are immutable after construction.  A ``RelaxedRegion``
+stacks its cuts into per-(norm, mask) arrays once, and one chunked kernel
+tests points (membership) and boxes (exclusion) against all of them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 INTEGRALITY_TOL = 1e-9
+
+# Elements in one (rows, cuts) temporary of the stacked cut kernel; bounds
+# its memory whatever the number of points and cuts.
+_CHUNK_ELEMENTS = 1 << 14
 
 
 class NormKind(enum.Enum):
@@ -133,22 +137,25 @@ class BoxDomain:
         x = np.asarray(x, dtype=float)
         if x.shape != self.lower.shape:
             raise ValueError("dimension mismatch")
-        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
-            return False
-        if self.integral.any():
-            xi = x[self.integral]
-            if np.any(np.abs(xi - np.round(xi)) > INTEGRALITY_TOL):
-                return False
-        return True
+        return bool(self.contains_mask(x[None, :], tol)[0])
 
     def contains_mask(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
         """Vectorized ``contains`` for an (N, n) array of points."""
         points = np.asarray(points, dtype=float)
-        ok = np.all(points >= self.lower - tol, axis=1) & np.all(points <= self.upper + tol, axis=1)
+        ok = (points >= self.lower - tol).all(axis=1) & (points <= self.upper + tol).all(axis=1)
         if self.integral.any():
             xi = points[:, self.integral]
-            ok &= np.all(np.abs(xi - np.round(xi)) <= INTEGRALITY_TOL, axis=1)
+            ok &= (np.abs(xi - np.round(xi)) <= INTEGRALITY_TOL).all(axis=1)
         return ok
+
+
+@functools.lru_cache(maxsize=None)
+def _all_true_mask(n: int) -> np.ndarray:
+    """The read-only all-true mask of dimension n, shared by every cut made
+    without a mask, so a region of K such cuts holds one mask, not K."""
+    mask = np.ones(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -167,10 +174,12 @@ class Cut:
     def __init__(self, center, radius: float, mask=None, norm: NormKind = NormKind.Two):
         center = np.atleast_1d(np.asarray(center, dtype=float))
         radius = float(radius)
+        if not (np.isfinite(center).all() and np.isfinite(radius)):
+            raise ValueError(f"cut center and radius must be finite, got {center} and {radius}")
         if radius < 0:
             raise ValueError(f"cut radius must be nonnegative, got {radius}")
         if mask is None:
-            mask = np.ones(center.shape, dtype=bool)
+            mask = _all_true_mask(center.size)
         else:
             mask = np.atleast_1d(np.asarray(mask, dtype=bool))
             if mask.shape != center.shape:
@@ -200,38 +209,95 @@ def cut_satisfied(cut: Cut, x) -> bool:
     return norm_eval(cut.norm, d) >= cut.radius
 
 
-def cut_satisfied_mask(cut: Cut, points: np.ndarray) -> np.ndarray:
-    """Vectorized ``cut_satisfied`` for an (N, n) array of points."""
-    if cut.radius == 0.0:
-        return np.ones(points.shape[0], dtype=bool)
-    d = points[:, cut.mask] - cut.center[cut.mask]
-    return norm_eval_rows(cut.norm, d) >= cut.radius
-
-
 @dataclass(frozen=True)
 class RelaxedRegion:
-    """A box domain minus the accumulated exclusion balls."""
+    """A box domain minus the accumulated exclusion balls.
+
+    ``cuts`` is the public tuple of ``Cut``.  Construction also stacks the
+    cuts of positive radius into one group per (norm, mask): the masked
+    column indices, the centers restricted to them as a (columns, cuts)
+    array, and the radii.  ``membership_mask`` and ``excluded_mask`` run
+    the same chunked kernel over those groups.
+    """
 
     domain: BoxDomain
     cuts: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "cuts", tuple(self.cuts))
+        groups: dict = {}
         for c in self.cuts:
             if c.dimension != self.domain.dimension:
                 raise ValueError("cut dimension does not match domain")
+            if c.radius > 0.0:
+                groups.setdefault((c.norm, c.mask.tobytes()), []).append(c)
+        stacked = []
+        for (norm, _), members in groups.items():
+            cols = [int(j) for j in np.flatnonzero(members[0].mask)]
+            centers = np.array([c.center[cols] for c in members]).T.copy()
+            radii = np.array([c.radius for c in members])
+            centers.setflags(write=False)
+            radii.setflags(write=False)
+            stacked.append((norm, cols, centers, radii))
+        object.__setattr__(self, "_groups", tuple(stacked))
 
     def with_cut(self, cut: Cut) -> "RelaxedRegion":
         return RelaxedRegion(self.domain, self.cuts + (cut,))
 
     def membership_mask(self, points: np.ndarray) -> np.ndarray:
+        """True for the (N, n) points in the box that satisfy every cut."""
         points = np.asarray(points, dtype=float)
-        ok = self.domain.contains_mask(points)
-        for c in self.cuts:
-            if not ok.any():
+        return self._cut_kernel(points, None, self.domain.contains_mask(points))
+
+    def excluded_mask(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """True for the boxes [los[i], his[i]] lying strictly inside some
+        exclusion ball: the farthest box point is closer to the cut center
+        than the radius."""
+        return self._cut_kernel(los, his, np.zeros(len(los), dtype=bool))
+
+    def _cut_kernel(self, a: np.ndarray, b: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        """Membership when ``b`` is None (``out &=`` distance >= radius for
+        every cut), else box exclusion (``out |=`` farthest distance <
+        radius for some cut), in blocks of at most _CHUNK_ELEMENTS."""
+        membership = b is None
+        for norm, cols, centers, radii in self._groups:
+            if (not out.any()) if membership else out.all():
                 break
-            ok &= cut_satisfied_mask(c, points)
-        return ok
+            step = max(1, _CHUNK_ELEMENTS // radii.size)
+            for s in range(0, len(a), step):
+                e = s + step
+                dist = _cut_distances(norm, cols, centers, a[s:e], None if membership else b[s:e])
+                if membership:
+                    out[s:e] &= (dist >= radii).all(axis=1)
+                else:
+                    out[s:e] |= (dist < radii).any(axis=1)
+        return out
+
+
+def _cut_distances(norm: NormKind, cols: list, centers: np.ndarray, a: np.ndarray, b: np.ndarray | None):
+    """(rows, cuts) masked distances from each row of ``a`` to each center,
+    or, given ``b``, from the farthest point of each box [a, b].
+
+    One (rows, cuts) slice per masked column, so every numpy loop runs
+    along the cuts.  Each offset is a difference taken first, and the
+    columns are summed in index order: the bits of ``norm_eval_rows`` on
+    the column-major (rows, columns) array that fancy indexing
+    ``points[:, mask]`` returns, which is what the per-cut loop computed.
+    """
+    acc = None
+    for j, c in zip(cols, centers):
+        t = np.abs(a[:, j, None] - c)
+        if b is not None:
+            np.maximum(t, np.abs(b[:, j, None] - c), out=t)
+        if norm is NormKind.Two:
+            t *= t
+        if acc is None:
+            acc = t
+        elif norm is NormKind.Inf:
+            np.maximum(acc, t, out=acc)
+        else:
+            acc += t
+    return np.sqrt(acc) if norm is NormKind.Two else acc
 
 
 def region_membership(region: RelaxedRegion, x) -> bool:
@@ -240,9 +306,7 @@ def region_membership(region: RelaxedRegion, x) -> bool:
     x = np.asarray(x, dtype=float)
     if x.shape != region.domain.lower.shape:
         raise ValueError("dimension mismatch")
-    if not region.domain.contains(x):
-        return False
-    return all(cut_satisfied(c, x) for c in region.cuts)
+    return bool(region.membership_mask(x[None, :])[0])
 
 
 @dataclass(frozen=True)

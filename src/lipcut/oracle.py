@@ -14,10 +14,10 @@ local subproblem oracle.  It deliberately has no restart mechanism, so it
 can exhibit convergence to poor feasible points when used inside the
 cutting driver.
 
-The node queue is processed in waves and candidate evaluations may be
-batched or spread over threads; the incumbent reduction (value, then
-lexicographic point) and the global-bound termination test make results
-independent of that scheduling.  ``solve_local`` is single-threaded.
+The node queue is processed in waves and candidate evaluations are
+batched; the incumbent reduction (value, then lexicographic point) and the
+global-bound termination test make results independent of the order
+within a wave.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import enum
 import heapq
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +60,9 @@ class OracleConfig:
     tolerance: float = 1e-6
     node_limit: int = 10_000_000
     box_min_width: float = 1e-10
-    threads: int = 1
 
     def __post_init__(self):
-        if not (self.tolerance > 0 and self.node_limit > 0 and self.box_min_width > 0 and self.threads >= 1):
+        if not (self.tolerance > 0 and self.node_limit > 0 and self.box_min_width > 0):
             raise ValueError("oracle configuration values must be positive")
 
 
@@ -132,15 +130,8 @@ class _Search:
         else:
             self.corner_pattern = None
         self.samples = _halton(_MAX_SAMPLES, self.n)
-        self.pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
 
     # -- evaluation -----------------------------------------------------
-
-    def f_batch(self, points: np.ndarray) -> np.ndarray:
-        if self.pool is not None and self.objective.batch_evaluator is None and len(points) > 1:
-            chunks = [c for c in np.array_split(points, self.config.threads) if len(c)]
-            return np.concatenate(list(self.pool.map(self.objective.evaluate_batch, chunks)))
-        return self.objective.evaluate_batch(points)
 
     def offer(self, points: np.ndarray, values: np.ndarray) -> None:
         """Order-independent incumbent update: min value, ties broken by the
@@ -170,20 +161,6 @@ class _Search:
         his[:, cols] = np.floor(his[:, cols] + INTEGRALITY_TOL)
         alive = np.all(los <= his, axis=1)
         return los, his, alive
-
-    def excluded_mask(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """True for boxes lying strictly inside some exclusion ball (the
-        farthest box point is closer to the cut center than the radius)."""
-        out = np.zeros(len(los), dtype=bool)
-        for cut in self.region.cuts:
-            if cut.radius <= 0:
-                continue
-            c = cut.center[cut.mask]
-            far = np.maximum(np.abs(los[:, cut.mask] - c), np.abs(his[:, cut.mask] - c))
-            out |= norm_eval_rows(cut.norm, far) < cut.radius
-            if out.all():
-                break
-        return out
 
     def snap(self, points: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Round integral coordinates to the nearest lattice point inside
@@ -260,14 +237,14 @@ class _Search:
             los, his = los[alive], his[alive]
         if len(los) == 0:
             return
-        dead = self.excluded_mask(los, his)
+        dead = self.region.excluded_mask(los, his)
         if dead.any():
             los, his = los[~dead], his[~dead]
         if len(los) == 0:
             return
 
         centers = 0.5 * (los + his)
-        f_centers = self.f_batch(centers)
+        f_centers = self.objective.evaluate_batch(centers)
         lbs = f_centers - self.objective.lipschitz_f * self.rho(los, his)
         if self.best_point is not None:
             keep = lbs < self.best_value - self.config.tolerance
@@ -316,7 +293,7 @@ class _Search:
         ok = self.region.membership_mask(pts)
         if ok.any():
             feasible = pts[ok]
-            self.offer(feasible, self.f_batch(feasible))
+            self.offer(feasible, self.objective.evaluate_batch(feasible))
 
     def snap_blocks(self, pts3, los, his) -> np.ndarray:
         if not self.has_integral:
@@ -324,10 +301,6 @@ class _Search:
         k = pts3.shape[1]
         flat = pts3.reshape(-1, self.n)
         return self.snap(flat, np.repeat(los, k, axis=0), np.repeat(his, k, axis=0))
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown(wait=False)
 
 
 def solve_global(
@@ -346,11 +319,7 @@ def solve_global(
     ResourceLimitError past ``node_limit`` processed nodes.
     """
     config = config or OracleConfig()
-    search = _Search(objective, region, config, domain_norm)
-    try:
-        return search.run()
-    finally:
-        search.close()
+    return _Search(objective, region, config, domain_norm).run()
 
 
 def solve_local(

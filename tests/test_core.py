@@ -114,6 +114,13 @@ class TestCutSatisfied:
         with pytest.raises(ValueError):
             cut_satisfied(Cut((0.0, 0.0), 1.0), (1.0,))
 
+    def test_non_finite_center_or_radius_rejected(self):
+        # a NaN radius would otherwise reach the cut kernel, where it
+        # excludes no box and admits no point
+        for center, radius in (((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf), ((math.nan, 0.0), 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                Cut(center, radius)
+
     def test_masked_distance(self):
         # distance measured over the first coordinate only
         cut = Cut((0.0, 0.0), 1.0, mask=(True, False), norm=NormKind.Two)

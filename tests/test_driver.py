@@ -345,6 +345,27 @@ class TestResourceError:
         assert info.value.cause.nodes > 0
 
 
+class TestNonFiniteConstraint:
+    def test_nan_violation_raises_before_a_second_solve(self):
+        problem = Problem(
+            domain=BoxDomain((-1.0,), (1.0,)),
+            objective=ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0]),
+            constraint=ConstraintSpec(components=(lambda x: math.nan,), global_L=1.0),
+            domain_norm=NormKind.Two,
+        )
+        oracle = GlobalOracle(OracleConfig(tolerance=1e-6, node_limit=20_000), NormKind.Two)
+        calls = []
+
+        class Counting:
+            def solve(self, objective, region, start=None):
+                calls.append(len(region.cuts))
+                return oracle.solve(objective, region, start)
+
+        with pytest.raises(ValueError, match="finite"):
+            run(problem, Counting(), DriverConfig(cut_mode=CutMode.Vector))
+        assert calls == [0]
+
+
 class TestTraceCsv:
     def test_format_and_determinism(self):
         built = build(get_builtin("sin-example"))

@@ -179,8 +179,12 @@ class TestCliSolve:
         assert main(["solve", "--builtin", "sin-example", "--normalize",
                      "--eps", "5e-5"]) == 0
 
-    def test_threads_flag(self):
-        assert main(["solve", "--builtin", "bad-local", "--threads", "2"]) == 0
+    def test_threads_flag(self, capsys):
+        # the oracle thread pool is gone: argparse rejects the old flag
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--builtin", "bad-local", "--threads", "2"])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestCliBounds:
