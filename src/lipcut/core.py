@@ -1,8 +1,18 @@
 """Core geometry: box domains, monotone norms, and norm-ball exclusion cuts.
 
-All types here are immutable after construction.  A ``RelaxedRegion``
-stacks its cuts into per-(norm, mask) arrays once, and one chunked kernel
-tests points (membership) and boxes (exclusion) against all of them.
+All types here are immutable after construction and own their arrays.  A
+``RelaxedRegion`` stacks its cuts into per-(norm, mask) arrays once, and
+three chunked passes over the stacked cuts share one norm accumulation
+routine:
+
+* ``membership_mask``: every (point, cut) pair of a batch of points;
+* ``box_relations``: every (box, cut) pair of a batch of boxes, in one
+  pass: is the box inside the ball (exclusion), does the ball touch the
+  box widened by a few ulps, and does the ball hold a given point of the
+  box;
+* ``pairs_satisfied``: only the listed (point, cut) pairs.  The branch
+  and bound tests each point it harvests from a box only against the
+  cuts that touch that box; every other cut is provably satisfied there.
 """
 
 from __future__ import annotations
@@ -16,8 +26,9 @@ import numpy as np
 
 INTEGRALITY_TOL = 1e-9
 
-# Elements in one (rows, cuts) temporary of the stacked cut kernel; bounds
-# its memory whatever the number of points and cuts.
+# Bounds the rows of one chunk of a stacked cut pass: rows x cuts, times
+# the masked columns in the box pass, stays within this many elements, so
+# memory is bounded whatever the number of points, boxes and cuts.
 _CHUNK_ELEMENTS = 1 << 14
 
 
@@ -95,8 +106,9 @@ class BoxDomain:
     integral: np.ndarray
 
     def __init__(self, lower, upper, integral=None):
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
+        # copies: the arrays are frozen below, and the caller's must not be
+        lower = np.atleast_1d(np.array(lower, dtype=float))
+        upper = np.atleast_1d(np.array(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower/upper must be 1-D vectors of equal length")
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
@@ -106,7 +118,7 @@ class BoxDomain:
         if integral is None:
             integral = np.zeros(lower.shape, dtype=bool)
         else:
-            integral = np.atleast_1d(np.asarray(integral, dtype=bool))
+            integral = np.atleast_1d(np.array(integral, dtype=bool))
             if integral.shape != lower.shape:
                 raise ValueError("integral mask length mismatch")
         for j in np.flatnonzero(integral):
@@ -172,7 +184,8 @@ class Cut:
     norm: NormKind
 
     def __init__(self, center, radius: float, mask=None, norm: NormKind = NormKind.Two):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+        # copies: the arrays are frozen below, and the caller's must not be
+        center = np.atleast_1d(np.array(center, dtype=float))
         radius = float(radius)
         if not (np.isfinite(center).all() and np.isfinite(radius)):
             raise ValueError(f"cut center and radius must be finite, got {center} and {radius}")
@@ -181,7 +194,7 @@ class Cut:
         if mask is None:
             mask = _all_true_mask(center.size)
         else:
-            mask = np.atleast_1d(np.asarray(mask, dtype=bool))
+            mask = np.atleast_1d(np.array(mask, dtype=bool))
             if mask.shape != center.shape:
                 raise ValueError("mask length mismatch")
             if not mask.any():
@@ -214,10 +227,13 @@ class RelaxedRegion:
     """A box domain minus the accumulated exclusion balls.
 
     ``cuts`` is the public tuple of ``Cut``.  Construction also stacks the
-    cuts of positive radius into one group per (norm, mask): the masked
-    column indices, the centers restricted to them as a (columns, cuts)
-    array, and the radii.  ``membership_mask`` and ``excluded_mask`` run
-    the same chunked kernel over those groups.
+    cuts of positive radius into one group per (norm, mask), in order of
+    first appearance: the masked columns (indices, or a slice for a full
+    mask), the centers restricted to them as a (columns, cuts) array, and
+    the radii.  The groups laid end
+    to end number the stacked cuts 0..K-1, the columns of
+    ``box_relations``'s ``touching`` and the indices ``pairs_satisfied``
+    takes.
     """
 
     domain: BoxDomain
@@ -231,64 +247,138 @@ class RelaxedRegion:
                 raise ValueError("cut dimension does not match domain")
             if c.radius > 0.0:
                 groups.setdefault((c.norm, c.mask.tobytes()), []).append(c)
-        stacked = []
+        stacked, starts = [], [0]
         for (norm, _), members in groups.items():
-            cols = [int(j) for j in np.flatnonzero(members[0].mask)]
+            mask = members[0].mask
+            # a slice selects by views, not copies
+            cols = slice(None) if mask.all() else np.flatnonzero(mask)
             centers = np.array([c.center[cols] for c in members]).T.copy()
             radii = np.array([c.radius for c in members])
             centers.setflags(write=False)
             radii.setflags(write=False)
-            stacked.append((norm, cols, centers, radii))
+            stacked.append((norm, cols, centers, radii, starts[-1]))
+            starts.append(starts[-1] + len(members))
         object.__setattr__(self, "_groups", tuple(stacked))
+        object.__setattr__(self, "_starts", np.array(starts))
 
     def with_cut(self, cut: Cut) -> "RelaxedRegion":
         return RelaxedRegion(self.domain, self.cuts + (cut,))
 
     def membership_mask(self, points: np.ndarray) -> np.ndarray:
-        """True for the (N, n) points in the box that satisfy every cut."""
+        """True for the (N, n) points in the box that satisfy every cut:
+        masked distance >= radius."""
         points = np.asarray(points, dtype=float)
-        return self._cut_kernel(points, None, self.domain.contains_mask(points))
+        out = self.domain.contains_mask(points)
+        for norm, cols, centers, radii, _ in self._groups:
+            if not out.any():
+                break
+            step = max(1, _CHUNK_ELEMENTS // radii.size)
+            for s in range(0, len(points), step):
+                a = points[s:s + step, cols]
+                dist = _cut_distances(norm, (np.abs(a_j[:, None] - c) for a_j, c in zip(a.T, centers)))
+                out[s:s + step] &= (dist >= radii).all(axis=1)
+        return out
 
     def excluded_mask(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """True for the boxes [los[i], his[i]] lying strictly inside some
         exclusion ball: the farthest box point is closer to the cut center
         than the radius."""
-        return self._cut_kernel(los, his, np.zeros(len(los), dtype=bool))
+        return self.box_relations(los, his, los)[0]
 
-    def _cut_kernel(self, a: np.ndarray, b: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-        """Membership when ``b`` is None (``out &=`` distance >= radius for
-        every cut), else box exclusion (``out |=`` farthest distance <
-        radius for some cut), in blocks of at most _CHUNK_ELEMENTS."""
-        membership = b is None
-        for norm, cols, centers, radii in self._groups:
-            if (not out.any()) if membership else out.all():
+    def box_relations(self, los: np.ndarray, his: np.ndarray, mids: np.ndarray):
+        """One pass over the stacked cuts for the (N, n) boxes [los[i],
+        his[i]] and one point mids[i] of each.  Returns, with K stacked
+        cuts:
+
+        * ``excluded`` (N,): the farthest box point is closer than the
+          radius to some cut center (``excluded_mask``);
+        * ``touching`` (K, N), cut-major: touching[k, i] when the nearest
+          point of box i widened by the margin below is closer than the
+          radius to the center of cut k;
+        * ``mid_violated`` (N,): mids[i] is closer than the radius to some
+          cut center (``~membership_mask`` for points in the domain).
+
+        Once every box is excluded the pass stops and leaves the other two
+        incomplete; callers drop excluded boxes.
+        """
+        los = np.asarray(los, dtype=float)
+        his = np.asarray(his, dtype=float)
+        count, n = los.shape
+        # excluded and mid_violated
+        flags = np.zeros((2, count), dtype=bool)
+        touching = np.zeros((self._starts[-1], count), dtype=bool)
+        # Margin.  A point p that the branch and bound draws from a box as
+        # lo + s*(hi - lo), s in [0, 1], exceeds hi by less than 4 ulps of
+        # max(|lo|, |hi|) (three roundings, each at most one such ulp; the
+        # box [-1, 1.5*2^-53] has the corner 2^-52 > hi), so p lies in the
+        # widened box [lo - w, hi + w].  Rounding is monotone, so in every
+        # column |fl(p_j - c_j)| is at least the computed offset of the
+        # widened box's nearest point, max(wlo - c, c - whi, 0); squaring,
+        # summing the columns in index order, sqrt and max are monotone
+        # too.  So a cut that does not touch the widened box (near >= r)
+        # is satisfied by p in exactly the arithmetic of
+        # ``membership_mask``.
+        w = 4.0 * np.spacing(np.maximum(np.abs(los), np.abs(his)))
+        # (4, n, N): hi, lo, mid and lo - w, column-major; and (n, N) hi + w
+        sides = np.concatenate((his, los, mids, los - w)).reshape(4, count, n).transpose(0, 2, 1)
+        whis = (his + w).T
+        for norm, cols, centers, radii, start in self._groups:
+            if start and flags[0].all():
                 break
-            step = max(1, _CHUNK_ELEMENTS // radii.size)
-            for s in range(0, len(a), step):
+            step = max(1, _CHUNK_ELEMENTS // (4 * centers.size))
+            group_sides, group_whis = sides[:, cols], whis[cols]
+            for s in range(0, count, step):
                 e = s + step
-                dist = _cut_distances(norm, cols, centers, a[s:e], None if membership else b[s:e])
-                if membership:
-                    out[s:e] &= (dist >= radii).all(axis=1)
-                else:
-                    out[s:e] |= (dist < radii).any(axis=1)
+                d = group_sides[:, :, s:e, None] - centers[:, None, :]
+                offsets = _box_offsets(d, centers[:, None, :], group_whis[:, s:e, None])
+                below = _cut_distances(norm, offsets.transpose(1, 0, 2, 3)) < radii
+                flags[:, s:e] |= below[:2].any(axis=2)
+                touching[start:start + radii.size, s:e] = below[2].T
+        return flags[0], touching, flags[1]
+
+    def pairs_satisfied(self, points: np.ndarray, rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        """True where the point points[rows[i]] satisfies the stacked cut
+        cuts[i] (distance >= radius; the box is not tested).  ``cuts``
+        must be ascending.  Each pair gets the bits ``membership_mask``
+        computes for it; temporaries are (columns, pairs) arrays."""
+        out = np.empty(len(cuts), dtype=bool)
+        bounds = cuts.searchsorted(self._starts)
+        for (norm, cols, centers, radii, start), s, e in zip(self._groups, bounds, bounds[1:]):
+            if s == e:
+                continue
+            k = cuts[s:e] - start if start else cuts[s:e]
+            p = points.take(rows[s:e], axis=0)[:, cols].T
+            dist = _cut_distances(norm, np.abs(p - centers.take(k, axis=1)))
+            out[s:e] = dist >= radii.take(k)
         return out
 
 
-def _cut_distances(norm: NormKind, cols: list, centers: np.ndarray, a: np.ndarray, b: np.ndarray | None):
-    """(rows, cuts) masked distances from each row of ``a`` to each center,
-    or, given ``b``, from the farthest point of each box [a, b].
+def _box_offsets(d: np.ndarray, c: np.ndarray, whi: np.ndarray) -> np.ndarray:
+    """From the differences hi, lo, mid, lo - w minus the cut center c,
+    stacked on the first axis of ``d``, and hi + w, the offsets of the
+    farthest box point, mid and the widened box's nearest point, stacked
+    the same way; computed in place."""
+    np.abs(d[:3], out=d[:3])
+    np.maximum(d[0], d[1], out=d[1])
+    np.subtract(c, whi, out=d[0])
+    np.maximum(d[3], d[0], out=d[3])
+    np.maximum(d[3], 0.0, out=d[3])
+    return d[1:]
 
-    One (rows, cuts) slice per masked column, so every numpy loop runs
-    along the cuts.  Each offset is a difference taken first, and the
-    columns are summed in index order: the bits of ``norm_eval_rows`` on
-    the column-major (rows, columns) array that fancy indexing
-    ``points[:, mask]`` returns, which is what the per-cut loop computed.
+
+def _cut_distances(norm: NormKind, offsets) -> np.ndarray:
+    """Masked norms from ``offsets``: one fresh array of absolute offsets
+    per masked column, in index order, as an iterable or stacked on the
+    first axis (consumed in place).
+
+    Every pass builds each offset as a difference taken first, and the
+    columns are summed one at a time in index order: the bits of
+    ``norm_eval_rows`` on the column-major (rows, columns) array that
+    fancy indexing ``points[:, mask]`` returns, which is what a per-cut
+    loop computes.
     """
     acc = None
-    for j, c in zip(cols, centers):
-        t = np.abs(a[:, j, None] - c)
-        if b is not None:
-            np.maximum(t, np.abs(b[:, j, None] - c), out=t)
+    for t in offsets:
         if norm is NormKind.Two:
             t *= t
         if acc is None:
@@ -297,7 +387,7 @@ def _cut_distances(norm: NormKind, cols: list, centers: np.ndarray, a: np.ndarra
             np.maximum(acc, t, out=acc)
         else:
             acc += t
-    return np.sqrt(acc) if norm is NormKind.Two else acc
+    return np.sqrt(acc, out=acc) if norm is NormKind.Two else acc
 
 
 def region_membership(region: RelaxedRegion, x) -> bool:

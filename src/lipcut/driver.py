@@ -7,6 +7,7 @@ The loop per iteration k:
 1. The oracle minimizes the objective over the current relaxed region;
    Infeasible certifies the original problem infeasible.
 2. The constraint vector is evaluated at the returned point.
+   A non-finite component raises ValueError.
 3. Acceptance: every component <= 0 in exact mode (violations up to 1e-14
    are treated as zero to avoid degenerate zero-radius cuts), or
    <= epsilon in approximate mode.
@@ -157,6 +158,8 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
 
         x = np.asarray(result.point, dtype=float)
         violations = constraint.evaluate(x)
+        if not np.isfinite(violations).all():
+            raise ValueError(f"constraint values at {x} must be finite, got {violations}")
         viol_norm = norm_eval(constraint.image_norm, positive_part(violations))
         viol_max = float(violations.max())
 
@@ -169,11 +172,13 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
         radius, component, mask = _cut_geometry(problem, violations, x, config)
         if config.epsilon_floor:
             radius = max(radius, config.epsilon)
-        trace.append(
-            IterationRecord(k, x, result.value, viol_norm, viol_max, radius, component, result.nodes, result.gap)
-        )
-        region = region.with_cut(Cut(x, radius, mask, problem.domain_norm))
-        start = x
+        cut = Cut(x, radius, mask, problem.domain_norm)
+        # the cut's read-only copy of x is the iterate from here on
+        trace.append(IterationRecord(
+            k, cut.center, result.value, viol_norm, viol_max, radius, component, result.nodes, result.gap,
+        ))
+        region = region.with_cut(cut)
+        start = cut.center
 
     return SolveOutcome(
         SolveStatus.IterationLimit,

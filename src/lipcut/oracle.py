@@ -14,10 +14,16 @@ local subproblem oracle.  It deliberately has no restart mechanism, so it
 can exhibit convergence to poor feasible points when used inside the
 cutting driver.
 
-The node queue is processed in waves and candidate evaluations are
-batched; the incumbent reduction (value, then lexicographic point) and the
-global-bound termination test make results independent of the order
-within a wave.
+The node queue is processed in waves of up to 64 boxes, each split with
+array operations.  The children of a wave go through one pass over the
+region's stacked cuts (``RelaxedRegion.box_relations``), which says for
+every (box, cut) pair whether the box lies inside the ball, whether the
+ball touches the box, and whether it holds the box's snapped center.
+Corners and Halton samples of a box are then tested only against the cuts
+that touch it; every other cut provably holds for them, so the answers are
+those of a test against every cut.  Candidate evaluations are batched; the
+incumbent reduction (value, then lexicographic point) and the global-bound
+termination test make results independent of the order within a wave.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _CHUNK_ELEMENTS,
     INTEGRALITY_TOL,
     BoxDomain,
     NormKind,
@@ -130,6 +137,14 @@ class _Search:
         else:
             self.corner_pattern = None
         self.samples = _halton(_MAX_SAMPLES, self.n)
+        # Boxes stay inside the domain after normalization, so their snapped
+        # centers do, unless an integral bound lies within INTEGRALITY_TOL
+        # of an integer without being one: ceil(lower - tol) < lower.
+        lower, upper = self.box.lower[self.integral], self.box.upper[self.integral]
+        self.hull_in_domain = bool(
+            (np.ceil(lower - INTEGRALITY_TOL) >= lower).all()
+            and (np.floor(upper + INTEGRALITY_TOL) <= upper).all()
+        )
 
     # -- evaluation -----------------------------------------------------
 
@@ -183,20 +198,22 @@ class _Search:
         while self.heap:
             if self.best_point is not None and self.best_value - self.heap[0][0] <= tol:
                 return self.finish(self.best_value - self.heap[0][0])
-            wave = []
-            while self.heap and len(wave) < _WAVE_SIZE:
+            lbs, los, his = [], [], []
+            while self.heap and len(lbs) < _WAVE_SIZE:
                 lb, _, lo, hi = heapq.heappop(self.heap)
                 if self.best_point is not None and lb >= self.best_value - tol:
                     self.discard_floor = min(self.discard_floor, lb)
                     continue
-                wave.append((lb, lo, hi))
-            if not wave:
+                lbs.append(lb)
+                los.append(lo)
+                his.append(hi)
+            if not lbs:
                 break
-            self.nodes += len(wave)
+            self.nodes += len(lbs)
             if self.nodes > self.config.node_limit:
-                gap = self.best_value - min(w[0] for w in wave) if self.best_point is not None else math.inf
+                gap = self.best_value - min(lbs) if self.best_point is not None else math.inf
                 raise ResourceLimitError(self.nodes, self.best_point, self.best_value, max(gap, 0.0))
-            self.expand(wave)
+            self.expand(lbs, np.array(los), np.array(his))
 
         if self.best_point is None:
             return OracleResult(OracleStatus.Infeasible, None, math.inf, 0.0, self.nodes)
@@ -206,28 +223,39 @@ class _Search:
         gap = max(0.0, gap) if math.isfinite(gap) else 0.0
         return OracleResult(OracleStatus.Solved, self.best_point, self.best_value, gap, self.nodes)
 
-    def expand(self, wave) -> None:
-        los, his = [], []
-        for lb, lo, hi in wave:
-            j = self.split_coordinate(lo, hi)
-            if j is None:
-                self.discard_floor = min(self.discard_floor, lb)
-                continue
-            if self.integral[j]:
-                mid = math.floor(0.5 * (lo[j] + hi[j]))
-                pairs = ((lo[j], mid), (mid + 1.0, hi[j]))
-            else:
-                mid = 0.5 * (lo[j] + hi[j])
-                pairs = ((lo[j], mid), (mid, hi[j]))
-            for a, b in pairs:
-                if a > b:
-                    continue
-                clo, chi = lo.copy(), hi.copy()
-                clo[j], chi[j] = a, b
-                los.append(clo)
-                his.append(chi)
-        if los:
-            self.admit(np.array(los), np.array(his))
+    def expand(self, lbs: list, los: np.ndarray, his: np.ndarray) -> None:
+        """Split each box of a wave at the middle of its longest splittable
+        edge (lowest index on ties; integral edges at floor(mid), the upper
+        child from floor(mid) + 1) and admit the children: parents in wave
+        order, lower child first.  Boxes with no splittable edge go into
+        the discard floor."""
+        widths = his - los
+        splittable = widths >= self.config.box_min_width
+        if self.has_integral:
+            splittable &= ~self.integral | (widths >= 1.0)
+        can = splittable.any(axis=1)
+        if not can.all():
+            self.discard_floor = min(self.discard_floor, *itertools.compress(lbs, ~can))
+            los, his, widths, splittable = los[can], his[can], widths[can], splittable[can]
+            if len(los) == 0:
+                return
+        j = np.where(splittable, widths, -np.inf).argmax(axis=1)
+        rows = np.arange(len(j))
+        a, b = los[rows, j], his[rows, j]
+        mid = 0.5 * (a + b)
+        upper = mid
+        if self.has_integral:
+            integral = self.integral[j]
+            mid = np.where(integral, np.floor(mid), mid)
+            upper = np.where(integral, mid + 1.0, mid)
+        clos, chis = los.repeat(2, axis=0), his.repeat(2, axis=0)
+        chis[2 * rows, j] = mid
+        clos[2 * rows + 1, j] = upper
+        empty = np.concatenate((a > mid, upper > b))  # lower children, then upper ones
+        if empty.any():
+            keep = ~empty.reshape(2, -1).T.ravel()
+            clos, chis = clos[keep], chis[keep]
+        self.admit(clos, chis)
 
     def admit(self, los: np.ndarray, his: np.ndarray) -> None:
         """Normalize, prune, bound and push a batch of boxes, then harvest
@@ -237,70 +265,98 @@ class _Search:
             los, his = los[alive], his[alive]
         if len(los) == 0:
             return
-        dead = self.region.excluded_mask(los, his)
+        centers = 0.5 * (los + his)
+        snapped = self.snap(centers, los, his)  # centers itself when nothing is integral
+        dead, touching, mid_violated = self.region.box_relations(los, his, snapped)
         if dead.any():
-            los, his = los[~dead], his[~dead]
+            live = ~dead
+            los, his, centers, touching, mid_violated = (
+                los[live], his[live], centers[live], touching[:, live], mid_violated[live],
+            )
+            snapped = snapped[live] if self.has_integral else centers
         if len(los) == 0:
             return
 
-        centers = 0.5 * (los + his)
         f_centers = self.objective.evaluate_batch(centers)
         lbs = f_centers - self.objective.lipschitz_f * self.rho(los, his)
         if self.best_point is not None:
             keep = lbs < self.best_value - self.config.tolerance
             if not keep.all():
                 self.discard_floor = min(self.discard_floor, float(lbs[~keep].min()))
-                los, his, centers, f_centers, lbs = (
-                    los[keep], his[keep], centers[keep], f_centers[keep], lbs[keep],
+                los, his, snapped, f_centers, lbs, touching, mid_violated = (
+                    los[keep], his[keep], snapped[keep], f_centers[keep], lbs[keep],
+                    touching[:, keep], mid_violated[keep],
                 )
         for lo, hi, lb in zip(los, his, lbs):
             heapq.heappush(self.heap, (float(lb), next(self.counter), lo, hi))
         if len(los):
-            self.harvest(los, his, centers, f_centers)
+            center_ok = ~mid_violated
+            if not self.hull_in_domain:
+                center_ok &= self.box.contains_mask(snapped)
+            self.harvest(los, his, snapped, f_centers, center_ok, touching)
 
-    def split_coordinate(self, lo: np.ndarray, hi: np.ndarray):
-        widths = hi - lo
-        splittable = widths >= self.config.box_min_width
-        if self.has_integral:
-            splittable &= ~self.integral | (widths >= 1.0)
-        if not splittable.any():
-            return None
-        return int(np.argmax(np.where(splittable, widths, -np.inf)))
-
-    def harvest(self, los, his, centers, f_centers) -> None:
-        snapped = self.snap(centers, los, his)
-        center_ok = self.region.membership_mask(snapped)
-
+    def harvest(self, los, his, snapped, f_centers, center_ok, touching) -> None:
+        """Offer the feasible (snapped) centers, box corners, and Halton
+        samples of the boxes whose center is infeasible.  Corners and
+        samples are tested against the domain and only against the cuts
+        that touch their box (``touching``); every other cut provably holds
+        for them (``RelaxedRegion.box_relations``)."""
         if not self.has_integral:
             # feasible centers already carry their objective value
-            self.offer(centers[center_ok], f_centers[center_ok])
+            self.offer(snapped[center_ok], f_centers[center_ok])
 
-        blocks = []
-        if self.has_integral:
-            blocks.append(snapped)
+        count = len(los)
+        blocks = [snapped] if self.has_integral else []
+        per_box = 0
         if self.corner_pattern is not None:
-            spans = his - los
-            corners = los[:, None, :] + self.corner_pattern[None, :, :] * spans[:, None, :]
-            blocks.append(self.snap_blocks(corners, los, his))
+            per_box = len(self.corner_pattern)
+            blocks.append(self.spread(self.corner_pattern, los, his))
         bad = np.flatnonzero(~center_ok)
         if bad.size:
-            spans = his[bad] - los[bad]
-            sampled = los[bad][:, None, :] + self.samples[None, :, :] * spans[:, None, :]
-            blocks.append(self.snap_blocks(sampled, los[bad], his[bad]))
+            blocks.append(self.spread(self.samples, los[bad], his[bad]))
         if not blocks:
             return
-        pts = np.vstack([b.reshape(-1, self.n) for b in blocks])
-        ok = self.region.membership_mask(pts)
+        pts = np.concatenate(blocks)
+        first = count if self.has_integral else 0
+        ok = np.empty(len(pts), dtype=bool)
+        ok[:first] = center_ok[:first]
+        tested, tested_ok = pts[first:], ok[first:]
+        tested_ok[:] = self.box.contains_mask(tested)
+
+        # the rows of ``tested`` drawn from each box: its corners, then its
+        # samples if it has any, else -1
+        width = per_box + (_MAX_SAMPLES if bad.size else 0)
+        pairs = touching.ravel().nonzero()[0]
+        if width and pairs.size:
+            cut, box = np.divmod(pairs, count)
+            owned = np.empty((count, width), dtype=np.intp)
+            owned[:, :per_box] = np.arange(count * per_box).reshape(count, per_box)
+            if bad.size:
+                owned[:, per_box:] = -1
+                owned[bad, per_box:] = np.arange(count * per_box, len(tested)).reshape(bad.size, _MAX_SAMPLES)
+            step = max(1, _CHUNK_ELEMENTS // (width * self.n))  # point coordinates per chunk
+            for s in range(0, cut.size, step):
+                rows = owned.take(box[s:s + step], axis=0).ravel()
+                cuts = cut[s:s + step].repeat(width)
+                if bad.size:
+                    held = rows >= 0
+                    rows, cuts = rows[held], cuts[held]
+                tested_ok[rows[~self.region.pairs_satisfied(tested, rows, cuts)]] = False
         if ok.any():
-            feasible = pts[ok]
+            feasible = pts.compress(ok, axis=0)
             self.offer(feasible, self.objective.evaluate_batch(feasible))
 
-    def snap_blocks(self, pts3, los, his) -> np.ndarray:
+    def spread(self, pattern, los, his) -> np.ndarray:
+        """The points lo + pattern * (hi - lo) of each box, box-major, with
+        integral coordinates snapped into the box."""
+        # laid out (n, boxes, points) so that numpy loops run along the
+        # pattern, then transposed
+        lo, span = los.T[:, :, None], (his - los).T[:, :, None]
+        pts = (lo + pattern.T[:, None, :] * span).transpose(1, 2, 0).reshape(-1, self.n)
         if not self.has_integral:
-            return pts3
-        k = pts3.shape[1]
-        flat = pts3.reshape(-1, self.n)
-        return self.snap(flat, np.repeat(los, k, axis=0), np.repeat(his, k, axis=0))
+            return pts
+        k = len(pattern)
+        return self.snap(pts, los.repeat(k, axis=0), his.repeat(k, axis=0))
 
 
 def solve_global(
@@ -331,8 +387,9 @@ def solve_local(
     """Compass/pattern search from ``start``.
 
     Probes +/- step along each coordinate (initial step: a quarter of the
-    longest box edge), accepts the best feasible improving probe, halves
-    the step on failure and stops once the step falls below 1e-9.  A start
+    longest box edge; all 2n probes of a step in one membership test),
+    accepts the best feasible improving probe, halves the step on failure
+    and stops once the step falls below 1e-9.  A start
     violating some cut is first pushed radially off the nearest violated
     cut to just outside its boundary (clipped to the box); if that
     projection is still infeasible the search fails with
@@ -366,23 +423,24 @@ def solve_local(
 
     fx = f(x)
     step = float(np.max(box.widths)) / 4.0
+    # probe 2j + 0 is x - step e_j, probe 2j + 1 is x + step e_j
+    probe_rows = np.arange(2 * box.dimension)
+    probe_axes = probe_rows // 2
+    signs = np.tile((-1.0, 1.0), box.dimension)
     while step >= 1e-9:
+        probes = np.tile(x, (len(probe_rows), 1))
+        probes[probe_rows, probe_axes] += signs * step
         best = None
-        for j in range(box.dimension):
-            for sign in (-1.0, 1.0):
-                cand = x.copy()
-                cand[j] += sign * step
-                if not region_membership(region, cand):
-                    continue
-                fc = f(cand)
-                if fc >= fx:
-                    continue
-                if best is None or fc < best[0] or (fc == best[0] and tuple(cand) < tuple(best[1])):
-                    best = (fc, cand)
+        for cand in probes[region.membership_mask(probes)]:
+            fc = f(cand)
+            if fc >= fx:
+                continue
+            if best is None or fc < best[0] or (fc == best[0] and tuple(cand) < tuple(best[1])):
+                best = (fc, cand)
         if best is None:
             step *= 0.5
         else:
-            fx, x = best
+            fx, x = best[0], best[1].copy()
     return OracleResult(OracleStatus.Solved, x, fx, math.inf, evaluations)
 
 

@@ -121,6 +121,15 @@ class TestCutSatisfied:
             with pytest.raises(ValueError, match="finite"):
                 Cut(center, radius)
 
+    def test_caller_arrays_stay_writable(self):
+        # the cut keeps read-only copies; it used to freeze the caller's
+        # own float center and bool mask in place
+        center, mask = np.array([0.0, 0.0]), np.array([True, False])
+        cut = Cut(center, 1.0, mask)
+        center[0], mask[1] = 5.0, True
+        assert cut.center.tolist() == [0.0, 0.0] and cut.mask.tolist() == [True, False]
+        assert not cut.center.flags.writeable and not cut.mask.flags.writeable
+
     def test_masked_distance(self):
         # distance measured over the first coordinate only
         cut = Cut((0.0, 0.0), 1.0, mask=(True, False), norm=NormKind.Two)
@@ -167,6 +176,14 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             BoxDomain((0.2,), (0.8,), integral=(True,))
         BoxDomain((0.2,), (1.1,), integral=(True,))  # contains 1
+
+    def test_caller_arrays_stay_writable(self):
+        lower, upper, integral = np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([False, True])
+        box = BoxDomain(lower, upper, integral)
+        lower[0], upper[0], integral[0] = -1.0, 3.0, True
+        assert box.lower.tolist() == [0.0, 0.0] and box.upper.tolist() == [1.0, 2.0]
+        assert box.integral.tolist() == [False, True]
+        assert not any(a.flags.writeable for a in (box.lower, box.upper, box.integral))
 
     def test_diameter(self):
         box = BoxDomain((1.0, 0.0), (10.0, 4.0))

@@ -5,6 +5,11 @@ replaced: one masked norm per cut, ``>= radius`` for a satisfied point and
 ``< radius`` (at the farthest box point) for an excluded box.  The kernel
 must agree with it exactly, boundary points included, because the trace
 CSV bytes depend on every such comparison.
+
+The branch and bound tests the points it harvests from a box only against
+the cuts that touch the box (``box_relations``, ``pairs_satisfied``).  The
+last tests check, on points built by the branch and bound's own code, that
+this gives exactly the dense kernel's answer.
 """
 
 import numpy as np
@@ -19,6 +24,7 @@ from lipcut.core import (
     RelaxedRegion,
     region_membership,
 )
+from lipcut.oracle import OracleConfig, _Search
 
 
 def ref_norm_rows(norm, m):
@@ -231,3 +237,118 @@ def test_kernel_with_eight_or_more_masked_columns():
         assert np.array_equal(r.membership_mask(points), expected)
         assert [region_membership(r, p) for p in points[:70]] == list(expected[:70])
         assert np.array_equal(r.excluded_mask(los, points), ref_excluded_mask(r, los, points))
+
+
+# -- the box pass and the touching-cut test of the branch and bound --------
+
+
+def harvested(region, los, his):
+    """The boxes [los, his] normalized, their snapped centers, and the
+    points the branch and bound draws from them, built by its own code:
+    snapped centers, corners and Halton samples, with the box of each."""
+    s = _Search(None, region, OracleConfig(), NormKind.Two)
+    los, his, alive = s.normalize(los, his)
+    los, his = los[alive], his[alive]
+    snapped = s.snap(0.5 * (los + his), los, his)
+    blocks, owners = [snapped], [np.arange(len(los))]
+    for pattern in ((s.corner_pattern,) if s.corner_pattern is not None else ()) + (s.samples,):
+        blocks.append(s.spread(pattern, los, his))
+        owners.append(np.arange(len(los)).repeat(len(pattern)))
+    return los, his, snapped, np.concatenate(blocks), np.concatenate(owners)
+
+
+def touching_membership(region, points, owner, touching):
+    """The box test plus only the (point, cut) pairs whose cut touches the
+    point's box."""
+    ok = region.domain.contains_mask(points)
+    cut, row = np.nonzero(touching[:, owner])
+    ok[row[~region.pairs_satisfied(points, row, cut)]] = False
+    return ok
+
+
+def magnitudes():
+    """Floats of mixed sign over many binades, so that box corners land
+    within a few ulps of their bounds."""
+    return st.builds(
+        lambda sign, m, e: sign * m * 2.0 ** e,
+        st.sampled_from((-1.0, 1.0)), st.floats(1.0, 2.0), st.integers(-60, 8),
+    )
+
+
+@st.composite
+def box_cases(draw):
+    """A 1-3 dim domain with bounds of mixed sign and magnitude and some
+    integral coordinates, sub-boxes of it (some degenerate, some sharing
+    its faces), and cuts of mixed norms and masks.  Some radii are the
+    distance from the center to a harvested point, so that point lies on
+    the ball's boundary in floating point."""
+    n = draw(st.integers(1, 3))
+    integral = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lower, upper = [], []
+    for j in range(n):
+        if integral[j]:
+            lo = draw(st.integers(-4, 3))
+            lower.append(float(lo))
+            upper.append(float(lo + draw(st.integers(0, 4))))
+        else:
+            a, b = draw(magnitudes()), draw(magnitudes())
+            lower.append(min(a, b))
+            upper.append(max(a, b))
+    box = BoxDomain(lower, upper, integral)
+    count = draw(st.integers(1, 6))
+    u = np.array(draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.999, 1.0)) | st.floats(0, 1),
+                               min_size=2 * count * n, max_size=2 * count * n))).reshape(2, count, n)
+    # lower + 1.0 * width can round past upper: clip into the domain
+    los = np.minimum(box.lower + np.minimum(u[0], u[1]) * box.widths, box.upper)
+    his = np.minimum(np.maximum(box.lower + np.maximum(u[0], u[1]) * box.widths, los), box.upper)
+    los, his, _, points, _ = harvested(RelaxedRegion(box), los, his)
+
+    cuts = []
+    for _ in range(draw(st.integers(0, 8))):
+        norm = draw(st.sampled_from(list(NormKind)))
+        mask = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+        m = np.ones(n, dtype=bool) if mask is None else np.array(mask)
+        anchor = points[draw(st.integers(0, len(points) - 1))] if len(points) else box.center
+        offset = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))) * box.widths
+        center = anchor + draw(st.sampled_from((0.0, 1e-15, 1e-3, 0.3))) * offset
+        if len(points) and draw(st.booleans()):
+            p = points[draw(st.integers(0, len(points) - 1))]
+            radius = ref_norm(norm, (p - center)[m])
+        else:
+            radius = draw(st.floats(0.0, 1.0)) * max(float(box.widths.max()), 1e-12)
+        cuts.append(Cut(center, radius, mask, norm))
+    return RelaxedRegion(box, tuple(cuts)), los, his
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=box_cases())
+def test_box_pass_and_touching_pairs_match_the_dense_kernel(case):
+    region, los, his = case
+    los, his, snapped, points, owner = harvested(region, los, his)
+    excluded, touching, mid_violated = region.box_relations(los, his, snapped)
+    assert np.array_equal(excluded, region.excluded_mask(los, his))
+    assert np.array_equal(excluded, ref_excluded_mask(region, los, his))
+    live = ~excluded
+    dense = region.membership_mask(points)
+    assert np.array_equal(dense, ref_membership_mask(region, points))
+    kept = live[owner]
+    assert np.array_equal(touching_membership(region, points, owner, touching)[kept], dense[kept])
+    # snapped centers lie in the domain: the box pass decides them alone
+    assert np.array_equal(~mid_violated[live], dense[: len(los)][live])
+
+
+def test_overshooting_corner_stays_rejected():
+    # The corner lo + 1.0 * (hi - lo) of [-1, 1.5 * 2^-53] is 2^-52 > hi.
+    # It lies inside the ball, but the unwidened box does not reach the
+    # ball (its nearest point hi is 1.33e-16 from the center); the margin
+    # makes the cut touch the box, so the corner is still tested.
+    hi = 1.5 * 2.0 ** -53
+    region = RelaxedRegion(BoxDomain((-1.0,), (1.0,)), (Cut((3e-16,), 1e-16),))
+    los, his, snapped, points, owner = harvested(region, np.array([[-1.0]]), np.array([[hi]]))
+    corner = points[owner == 0][2]
+    assert corner[0] == 2.0 ** -52 > hi
+    excluded, touching, _ = region.box_relations(los, his, snapped)
+    assert not excluded[0] and touching[0, 0]
+    ok = touching_membership(region, points, owner, touching)
+    assert not region.membership_mask(corner[None])[0]
+    assert np.array_equal(ok, region.membership_mask(points))

@@ -365,6 +365,22 @@ class TestNonFiniteConstraint:
             run(problem, Counting(), DriverConfig(cut_mode=CutMode.Vector))
         assert calls == [0]
 
+    @pytest.mark.parametrize("active_mask", [None, ((True,),)], ids=["no-mask", "mask"])
+    def test_nan_component_raises_in_component_mode(self, active_mask):
+        # a NaN component used to lose the radius comparison: without masks
+        # the driver added a zero-radius cut at the same point every
+        # iteration, with masks it raised TypeError from active_mask[None]
+        problem = Problem(
+            domain=BoxDomain((-1.0,), (1.0,)),
+            objective=ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0]),
+            constraint=ConstraintSpec(
+                components=(lambda x: math.nan,), global_L=1.0, component_L=(1.0,), active_mask=active_mask,
+            ),
+            domain_norm=NormKind.Two,
+        )
+        with pytest.raises(ValueError, match="finite"):
+            run(problem, global_oracle(1e-6), DriverConfig(cut_mode=CutMode.Component, max_iterations=5))
+
 
 class TestTraceCsv:
     def test_format_and_determinism(self):

@@ -1,7 +1,9 @@
 """Golden traces: the trace CSV bytes and the exit code of ``lipcut solve``
 on every builtin are a contract.  Each case pins the SHA-256 of the CSV
 written by ``lipcut solve --builtin <name> --trace``; the two comp-example
-variants are capped at 25 iterations to keep the suite short.
+variants are capped at 25 iterations to keep the suite short.  Two 3-D
+problem files pin the 1- and inf-norm branches, one with an integral x3,
+which no builtin reaches.
 
 A change that moves one of these hashes changes solver output and must say
 so in CHANGES.md.  The pins were recorded with numpy 2.4 on x86-64; a
@@ -30,5 +32,42 @@ GOLDEN = [
 def test_trace_bytes_and_exit_code(tmp_path, capsys, name, extra, code, digest):
     trace = tmp_path / f"{name}.csv"
     assert main(["solve", "--builtin", name, "--trace", str(trace)] + extra) == code
+    capsys.readouterr()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+LATTICE = """\
+dimension: 3
+bounds: [[-1.2, 1.2], [-1.1, 1.1], [-2.0, 2.0]]
+integral: [false, false, {integral}]
+norm: "{norm}"
+image_norm: "{image_norm}"
+objective: "0.5*x1 - 0.7*x2 + 0.3*x3"
+objective_L: {objective_L}
+constraints:
+  - expr: "0.8*sin(2*x1 + 1) + 0.6*cos(1.5*x2) + 0.4*x3 - 0.2"
+  - expr: "0.5*x1 - 0.3*x2 - x3 + 0.1"
+global_L: {global_L}
+epsilon: 1.0e-3
+max_iterations: 12
+"""
+
+# Constants from the elementwise derivative bounds (0.5, 0.7, 0.3) and
+# [[1.6, 0.9, 0.4], [0.5, 0.3, 1]]: the largest entry for norms (1, inf),
+# the sum of the entries for (inf, 1).
+GOLDEN_FILES = [
+    ("norms-1-inf-integral", dict(integral="true", norm="1", image_norm="inf", objective_L=0.7, global_L=1.6), 3,
+     "3c89e12c41ea27c7bc81f9fea6ecd4fd8268827b8d8a4b6933cdcc281ba0efa2"),
+    ("norms-inf-1", dict(integral="false", norm="inf", image_norm="1", objective_L=1.5, global_L=4.7), 3,
+     "a8888e7ae8b36c979139c69ec927b82f9762a739b78627970df9987b8f9f1cc6"),
+]
+
+
+@pytest.mark.parametrize("name, fields, code, digest", GOLDEN_FILES, ids=[g[0] for g in GOLDEN_FILES])
+def test_problem_file_trace_bytes_and_exit_code(tmp_path, capsys, name, fields, code, digest):
+    problem = tmp_path / f"{name}.yaml"
+    problem.write_text(LATTICE.format(**fields))
+    trace = tmp_path / f"{name}.csv"
+    assert main(["solve", "--problem", str(problem), "--oracle-tol", "1e-3", "--trace", str(trace)]) == code
     capsys.readouterr()
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest

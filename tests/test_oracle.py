@@ -66,6 +66,15 @@ class TestSolveGlobal:
         )
         assert result.status is OracleStatus.Infeasible
 
+    def test_integral_bound_just_off_the_lattice(self):
+        # The lattice hull of [1 + 1e-10, 4] is [1, 4], so the box [1, 1]
+        # has the snapped center 1, which the box test rejects.
+        region = RelaxedRegion(BoxDomain((1.0 + 1e-10,), (4.0,), integral=(True,)))
+        obj = ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0])
+        result = solve_global(obj, region, OracleConfig(tolerance=1e-8))
+        assert region_membership(region, result.point)
+        assert result.point.tolist() == [2.0]
+
     def test_linear_corner_minimum(self):
         region = RelaxedRegion(BoxDomain((1.0, 0.0), (10.0, 4.0)))
         obj = ObjectiveSpec(
