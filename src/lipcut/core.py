@@ -10,9 +10,10 @@ routine:
   pass: is the box inside the ball (exclusion), does the ball touch the
   box widened by a few ulps, and does the ball hold a given point of the
   box;
-* ``pairs_satisfied``: only the listed (point, cut) pairs.  The branch
-  and bound tests each point it harvests from a box only against the
-  cuts that touch that box; every other cut is provably satisfied there.
+* ``touching_membership``: membership of points drawn from boxes, each
+  tested only against the cuts that touch its box.  The branch and bound
+  tests the points it harvests this way; every other cut is provably
+  satisfied there.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 INTEGRALITY_TOL = 1e-9
 
 # Bounds the rows of one chunk of a stacked cut pass: rows x cuts, times
-# the masked columns in the box pass, stays within this many elements, so
+# the masked columns in the box pass, or (point, cut) pairs times the
+# columns in the touching-cut test, stays within this many elements, so
 # memory is bounded whatever the number of points, boxes and cuts.
 _CHUNK_ELEMENTS = 1 << 14
 
@@ -127,7 +129,8 @@ class BoxDomain:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "integral", integral)
-        for arr in (self.lower, self.upper, self.integral):
+        object.__setattr__(self, "_integral_cols", np.flatnonzero(integral))
+        for arr in (self.lower, self.upper, self.integral, self._integral_cols):
             arr.setflags(write=False)
 
     @property
@@ -154,9 +157,12 @@ class BoxDomain:
     def contains_mask(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
         """Vectorized ``contains`` for an (N, n) array of points."""
         points = np.asarray(points, dtype=float)
-        ok = (points >= self.lower - tol).all(axis=1) & (points <= self.upper + tol).all(axis=1)
-        if self.integral.any():
-            xi = points[:, self.integral]
+        # the branch and bound calls this twice per batch of boxes: few
+        # numpy calls, no arrays built for the default tol
+        lower, upper = (self.lower - tol, self.upper + tol) if tol else (self.lower, self.upper)
+        ok = ((points >= lower) & (points <= upper)).all(axis=1)
+        if self._integral_cols.size:
+            xi = points[:, self._integral_cols]
             ok &= (np.abs(xi - np.round(xi)) <= INTEGRALITY_TOL).all(axis=1)
         return ok
 
@@ -230,10 +236,8 @@ class RelaxedRegion:
     cuts of positive radius into one group per (norm, mask), in order of
     first appearance: the masked columns (indices, or a slice for a full
     mask), the centers restricted to them as a (columns, cuts) array, and
-    the radii.  The groups laid end
-    to end number the stacked cuts 0..K-1, the columns of
-    ``box_relations``'s ``touching`` and the indices ``pairs_satisfied``
-    takes.
+    the radii.  The groups laid end to end number the stacked cuts
+    0..K-1, the rows of ``box_relations``'s ``touching``.
     """
 
     domain: BoxDomain
@@ -336,11 +340,35 @@ class RelaxedRegion:
                 touching[start:start + radii.size, s:e] = below[2].T
         return flags[0], touching, flags[1]
 
-    def pairs_satisfied(self, points: np.ndarray, rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    def touching_membership(self, points: np.ndarray, owners: np.ndarray, touching: np.ndarray) -> np.ndarray:
+        """``membership_mask`` for (M, n) points drawn from boxes, testing
+        each point only against the stacked cuts that touch its box.
+        ``owners`` (N, width) lists the rows of ``points`` drawn from each
+        of the N boxes, padded with -1; ``touching`` is ``box_relations``'s
+        (K, N) answer for those boxes.  The answer is exact for points in
+        their box widened by ``box_relations``'s margin; rows no box owns
+        get only the box test."""
+        out = self.domain.contains_mask(points)
+        count, width = owners.shape
+        pairs = touching.ravel().nonzero()[0]  # cut-major: cuts ascend
+        if not (width and pairs.size):
+            return out
+        cut, box = np.divmod(pairs, count)
+        padded = owners.min() < 0
+        step = max(1, _CHUNK_ELEMENTS // (width * self.domain.dimension))  # point coordinates per chunk
+        for s in range(0, cut.size, step):
+            rows = owners.take(box[s:s + step], axis=0).ravel()
+            cuts = cut[s:s + step].repeat(width)
+            if padded:
+                held = rows >= 0
+                rows, cuts = rows[held], cuts[held]
+            out[rows[~self._pairs_satisfied(points, rows, cuts)]] = False
+        return out
+
+    def _pairs_satisfied(self, points: np.ndarray, rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:
         """True where the point points[rows[i]] satisfies the stacked cut
-        cuts[i] (distance >= radius; the box is not tested).  ``cuts``
-        must be ascending.  Each pair gets the bits ``membership_mask``
-        computes for it; temporaries are (columns, pairs) arrays."""
+        cuts[i], for ascending ``cuts``; temporaries are (columns, pairs)
+        arrays."""
         out = np.empty(len(cuts), dtype=bool)
         bounds = cuts.searchsorted(self._starts)
         for (norm, cols, centers, radii, start), s, e in zip(self._groups, bounds, bounds[1:]):

@@ -7,7 +7,7 @@ The loop per iteration k:
 1. The oracle minimizes the objective over the current relaxed region;
    Infeasible certifies the original problem infeasible.
 2. The constraint vector is evaluated at the returned point.
-   A non-finite component raises ValueError.
+   A NaN or +inf component raises ValueError; -inf counts as satisfied.
 3. Acceptance: every component <= 0 in exact mode (violations up to 1e-14
    are treated as zero to avoid degenerate zero-radius cuts), or
    <= epsilon in approximate mode.
@@ -158,8 +158,8 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
 
         x = np.asarray(result.point, dtype=float)
         violations = constraint.evaluate(x)
-        if not np.isfinite(violations).all():
-            raise ValueError(f"constraint values at {x} must be finite, got {violations}")
+        if not (violations < math.inf).all():  # NaN or +inf: no cut radius
+            raise ValueError(f"constraint values at {x} must be finite or -inf, got {violations}")
         viol_norm = norm_eval(constraint.image_norm, positive_part(violations))
         viol_max = float(violations.max())
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _CHUNK_ELEMENTS,
     INTEGRALITY_TOL,
     BoxDomain,
     NormKind,
@@ -137,14 +136,6 @@ class _Search:
         else:
             self.corner_pattern = None
         self.samples = _halton(_MAX_SAMPLES, self.n)
-        # Boxes stay inside the domain after normalization, so their snapped
-        # centers do, unless an integral bound lies within INTEGRALITY_TOL
-        # of an integer without being one: ceil(lower - tol) < lower.
-        lower, upper = self.box.lower[self.integral], self.box.upper[self.integral]
-        self.hull_in_domain = bool(
-            (np.ceil(lower - INTEGRALITY_TOL) >= lower).all()
-            and (np.floor(upper + INTEGRALITY_TOL) <= upper).all()
-        )
 
     # -- evaluation -----------------------------------------------------
 
@@ -166,16 +157,16 @@ class _Search:
     # -- geometry -------------------------------------------------------
 
     def normalize(self, los: np.ndarray, his: np.ndarray):
-        """Snap integral coordinates to the lattice hull; returns
-        (los, his, alive) where alive marks non-empty boxes."""
+        """Snap integral coordinates to the lattice hull and drop the boxes
+        left empty; returns (los, his)."""
         if not self.has_integral:
-            return los, his, np.ones(len(los), dtype=bool)
+            return los, his
         los, his = los.copy(), his.copy()
         cols = np.flatnonzero(self.integral)
         los[:, cols] = np.ceil(los[:, cols] - INTEGRALITY_TOL)
         his[:, cols] = np.floor(his[:, cols] + INTEGRALITY_TOL)
         alive = np.all(los <= his, axis=1)
-        return los, his, alive
+        return (los, his) if alive.all() else (los[alive], his[alive])
 
     def snap(self, points: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Round integral coordinates to the nearest lattice point inside
@@ -260,9 +251,7 @@ class _Search:
     def admit(self, los: np.ndarray, his: np.ndarray) -> None:
         """Normalize, prune, bound and push a batch of boxes, then harvest
         incumbent candidates from the survivors."""
-        los, his, alive = self.normalize(los, his)
-        if not alive.all():
-            los, his = los[alive], his[alive]
+        los, his = self.normalize(los, his)
         if len(los) == 0:
             return
         centers = 0.5 * (los + his)
@@ -290,9 +279,7 @@ class _Search:
         for lo, hi, lb in zip(los, his, lbs):
             heapq.heappush(self.heap, (float(lb), next(self.counter), lo, hi))
         if len(los):
-            center_ok = ~mid_violated
-            if not self.hull_in_domain:
-                center_ok &= self.box.contains_mask(snapped)
+            center_ok = ~mid_violated & self.box.contains_mask(snapped)
             self.harvest(los, his, snapped, f_centers, center_ok, touching)
 
     def harvest(self, los, his, snapped, f_centers, center_ok, touching) -> None:
@@ -320,28 +307,18 @@ class _Search:
         first = count if self.has_integral else 0
         ok = np.empty(len(pts), dtype=bool)
         ok[:first] = center_ok[:first]
-        tested, tested_ok = pts[first:], ok[first:]
-        tested_ok[:] = self.box.contains_mask(tested)
-
-        # the rows of ``tested`` drawn from each box: its corners, then its
-        # samples if it has any, else -1
-        width = per_box + (_MAX_SAMPLES if bad.size else 0)
-        pairs = touching.ravel().nonzero()[0]
-        if width and pairs.size:
-            cut, box = np.divmod(pairs, count)
-            owned = np.empty((count, width), dtype=np.intp)
-            owned[:, :per_box] = np.arange(count * per_box).reshape(count, per_box)
+        tested = pts[first:]
+        if touching.any():
+            # the rows of ``tested`` drawn from each box: its corners, then
+            # its samples if it has any, else -1
+            owners = np.empty((count, per_box + (_MAX_SAMPLES if bad.size else 0)), dtype=np.intp)
+            owners[:, :per_box] = np.arange(count * per_box).reshape(count, per_box)
             if bad.size:
-                owned[:, per_box:] = -1
-                owned[bad, per_box:] = np.arange(count * per_box, len(tested)).reshape(bad.size, _MAX_SAMPLES)
-            step = max(1, _CHUNK_ELEMENTS // (width * self.n))  # point coordinates per chunk
-            for s in range(0, cut.size, step):
-                rows = owned.take(box[s:s + step], axis=0).ravel()
-                cuts = cut[s:s + step].repeat(width)
-                if bad.size:
-                    held = rows >= 0
-                    rows, cuts = rows[held], cuts[held]
-                tested_ok[rows[~self.region.pairs_satisfied(tested, rows, cuts)]] = False
+                owners[:, per_box:] = -1
+                owners[bad, per_box:] = np.arange(count * per_box, len(tested)).reshape(bad.size, _MAX_SAMPLES)
+            ok[first:] = self.region.touching_membership(tested, owners, touching)
+        else:
+            ok[first:] = self.box.contains_mask(tested)
         if ok.any():
             feasible = pts.compress(ok, axis=0)
             self.offer(feasible, self.objective.evaluate_batch(feasible))

@@ -7,7 +7,7 @@ must agree with it exactly, boundary points included, because the trace
 CSV bytes depend on every such comparison.
 
 The branch and bound tests the points it harvests from a box only against
-the cuts that touch the box (``box_relations``, ``pairs_satisfied``).  The
+the cuts that touch the box (``box_relations``, ``touching_membership``).  The
 last tests check, on points built by the branch and bound's own code, that
 this gives exactly the dense kernel's answer.
 """
@@ -243,27 +243,21 @@ def test_kernel_with_eight_or_more_masked_columns():
 
 
 def harvested(region, los, his):
-    """The boxes [los, his] normalized, their snapped centers, and the
-    points the branch and bound draws from them, built by its own code:
-    snapped centers, corners and Halton samples, with the box of each."""
+    """The boxes [los, his] normalized, their snapped centers, the points
+    the branch and bound draws from them, built by its own code (snapped
+    centers, corners and Halton samples), and the (boxes, points) table of
+    the rows drawn from each box."""
     s = _Search(None, region, OracleConfig(), NormKind.Two)
-    los, his, alive = s.normalize(los, his)
-    los, his = los[alive], his[alive]
+    los, his = s.normalize(los, his)
     snapped = s.snap(0.5 * (los + his), los, his)
-    blocks, owners = [snapped], [np.arange(len(los))]
-    for pattern in ((s.corner_pattern,) if s.corner_pattern is not None else ()) + (s.samples,):
+    patterns = ((s.corner_pattern,) if s.corner_pattern is not None else ()) + (s.samples,)
+    blocks, owner = [snapped], [np.arange(len(los))]
+    for pattern in patterns:
         blocks.append(s.spread(pattern, los, his))
-        owners.append(np.arange(len(los)).repeat(len(pattern)))
-    return los, his, snapped, np.concatenate(blocks), np.concatenate(owners)
-
-
-def touching_membership(region, points, owner, touching):
-    """The box test plus only the (point, cut) pairs whose cut touches the
-    point's box."""
-    ok = region.domain.contains_mask(points)
-    cut, row = np.nonzero(touching[:, owner])
-    ok[row[~region.pairs_satisfied(points, row, cut)]] = False
-    return ok
+        owner.append(np.arange(len(los)).repeat(len(pattern)))
+    width = 1 + sum(len(pattern) for pattern in patterns)
+    owners = np.argsort(np.concatenate(owner), kind="stable").reshape(len(los), width)
+    return los, his, snapped, np.concatenate(blocks), owners
 
 
 def magnitudes():
@@ -317,22 +311,24 @@ def box_cases(draw):
         else:
             radius = draw(st.floats(0.0, 1.0)) * max(float(box.widths.max()), 1e-12)
         cuts.append(Cut(center, radius, mask, norm))
-    return RelaxedRegion(box, tuple(cuts)), los, his
+    return RelaxedRegion(box, tuple(cuts)), los, his, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=box_cases())
 def test_box_pass_and_touching_pairs_match_the_dense_kernel(case):
-    region, los, his = case
-    los, his, snapped, points, owner = harvested(region, los, his)
+    region, los, his, pad = case
+    los, his, snapped, points, owners = harvested(region, los, his)
+    if pad:  # the -1 padding of boxes without samples
+        owners = np.hstack((owners, np.full((len(owners), 3), -1)))
     excluded, touching, mid_violated = region.box_relations(los, his, snapped)
     assert np.array_equal(excluded, region.excluded_mask(los, his))
     assert np.array_equal(excluded, ref_excluded_mask(region, los, his))
     live = ~excluded
     dense = region.membership_mask(points)
     assert np.array_equal(dense, ref_membership_mask(region, points))
-    kept = live[owner]
-    assert np.array_equal(touching_membership(region, points, owner, touching)[kept], dense[kept])
+    kept = owners[live][owners[live] >= 0]
+    assert np.array_equal(region.touching_membership(points, owners, touching)[kept], dense[kept])
     # snapped centers lie in the domain: the box pass decides them alone
     assert np.array_equal(~mid_violated[live], dense[: len(los)][live])
 
@@ -344,11 +340,11 @@ def test_overshooting_corner_stays_rejected():
     # makes the cut touch the box, so the corner is still tested.
     hi = 1.5 * 2.0 ** -53
     region = RelaxedRegion(BoxDomain((-1.0,), (1.0,)), (Cut((3e-16,), 1e-16),))
-    los, his, snapped, points, owner = harvested(region, np.array([[-1.0]]), np.array([[hi]]))
-    corner = points[owner == 0][2]
+    los, his, snapped, points, owners = harvested(region, np.array([[-1.0]]), np.array([[hi]]))
+    corner = points[owners[0]][2]
     assert corner[0] == 2.0 ** -52 > hi
     excluded, touching, _ = region.box_relations(los, his, snapped)
     assert not excluded[0] and touching[0, 0]
-    ok = touching_membership(region, points, owner, touching)
+    ok = region.touching_membership(points, owners, touching)
     assert not region.membership_mask(corner[None])[0]
     assert np.array_equal(ok, region.membership_mask(points))

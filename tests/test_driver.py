@@ -381,6 +381,18 @@ class TestNonFiniteConstraint:
         with pytest.raises(ValueError, match="finite"):
             run(problem, global_oracle(1e-6), DriverConfig(cut_mode=CutMode.Component, max_iterations=5))
 
+    @pytest.mark.parametrize("mode", [CutMode.Vector, CutMode.Component])
+    def test_minus_infinity_is_satisfied(self, mode):
+        # -inf (say log(0) in a problem file) has no positive part: accepted
+        problem = Problem(
+            domain=BoxDomain((-1.0,), (1.0,)),
+            objective=ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0]),
+            constraint=ConstraintSpec(components=(lambda x: -math.inf,), global_L=1.0, component_L=(1.0,)),
+            domain_norm=NormKind.Two,
+        )
+        outcome = run(problem, global_oracle(1e-6), DriverConfig(cut_mode=mode, max_iterations=5))
+        assert outcome.status is SolveStatus.Solved and len(outcome.trace) == 1
+
 
 class TestTraceCsv:
     def test_format_and_determinism(self):
