@@ -23,6 +23,7 @@ from .core import (
     BoxDomain,
     ConstraintSpec,
     Cut,
+    NonFiniteValueError,
     NormKind,
     ObjectiveSpec,
     Problem,

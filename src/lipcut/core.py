@@ -34,6 +34,16 @@ INTEGRALITY_TOL = 1e-9
 _CHUNK_ELEMENTS = 1 << 14
 
 
+class NonFiniteValueError(ValueError):
+    """A user function returned NaN, or an infinity where the solver needs a
+    finite number.  ``point`` is the input and ``value`` what came back."""
+
+    def __init__(self, what: str, point, value, allowed: str = "finite"):
+        self.point = np.array(point, dtype=float)
+        self.value = value
+        super().__init__(f"{what} at {self.point} must be {allowed}, got {value}")
+
+
 class NormKind(enum.Enum):
     """The three supported p-norms.  All are monotone: |x_i| <= |y_i| for
     every i implies norm(x) <= norm(y)."""
@@ -101,7 +111,11 @@ def cut_radius(r_value, L: float, image_norm: NormKind) -> float:
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """A compact axis-aligned box, optionally integer-valued per coordinate."""
+    """A compact axis-aligned box, optionally integer-valued per coordinate.
+
+    An integral coordinate takes the integers in [lower, upper], of which
+    there must be at least one; ``contains`` accepts a value within
+    ``INTEGRALITY_TOL`` of such an integer."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -124,7 +138,7 @@ class BoxDomain:
             if integral.shape != lower.shape:
                 raise ValueError("integral mask length mismatch")
         for j in np.flatnonzero(integral):
-            if np.ceil(lower[j] - INTEGRALITY_TOL) > np.floor(upper[j] + INTEGRALITY_TOL):
+            if np.ceil(lower[j]) > np.floor(upper[j]):
                 raise ValueError(f"coordinate {j} is integral but [{lower[j]}, {upper[j]}] contains no integer")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -442,9 +456,16 @@ class ObjectiveSpec:
             raise ValueError(f"objective Lipschitz constant must be positive, got {self.lipschitz_f}")
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        """(N, n) points -> N values; raises NonFiniteValueError on a NaN
+        or infinite value."""
         if self.batch_evaluator is not None:
-            return np.asarray(self.batch_evaluator(points), dtype=float)
-        return np.array([self.evaluator(p) for p in points], dtype=float)
+            values = np.asarray(self.batch_evaluator(points), dtype=float)
+        else:
+            values = np.array([self.evaluator(p) for p in points], dtype=float)
+        if not np.isfinite(values).all():
+            i = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise NonFiniteValueError("objective value", points[i], values[i])
+        return values
 
 
 @dataclass(frozen=True)

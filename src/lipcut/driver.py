@@ -36,6 +36,7 @@ import numpy as np
 from .core import (
     ConstraintSpec,
     Cut,
+    NonFiniteValueError,
     Problem,
     RelaxedRegion,
     cut_radius,
@@ -159,7 +160,7 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
         x = np.asarray(result.point, dtype=float)
         violations = constraint.evaluate(x)
         if not (violations < math.inf).all():  # NaN or +inf: no cut radius
-            raise ValueError(f"constraint values at {x} must be finite or -inf, got {violations}")
+            raise NonFiniteValueError("constraint values", x, violations, "finite or -inf")
         viol_norm = norm_eval(constraint.image_norm, positive_part(violations))
         viol_max = float(violations.max())
 

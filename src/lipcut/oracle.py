@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    INTEGRALITY_TOL,
     BoxDomain,
+    NonFiniteValueError,
     NormKind,
     ObjectiveSpec,
     RelaxedRegion,
@@ -157,14 +157,14 @@ class _Search:
     # -- geometry -------------------------------------------------------
 
     def normalize(self, los: np.ndarray, his: np.ndarray):
-        """Snap integral coordinates to the lattice hull and drop the boxes
-        left empty; returns (los, his)."""
+        """Shrink integral coordinates to their lattice hull, the integers
+        in [lo, hi], and drop the boxes left empty; returns (los, his)."""
         if not self.has_integral:
             return los, his
         los, his = los.copy(), his.copy()
         cols = np.flatnonzero(self.integral)
-        los[:, cols] = np.ceil(los[:, cols] - INTEGRALITY_TOL)
-        his[:, cols] = np.floor(his[:, cols] + INTEGRALITY_TOL)
+        los[:, cols] = np.ceil(los[:, cols])
+        his[:, cols] = np.floor(his[:, cols])
         alive = np.all(los <= his, axis=1)
         return (los, his) if alive.all() else (los[alive], his[alive])
 
@@ -279,8 +279,9 @@ class _Search:
         for lo, hi, lb in zip(los, his, lbs):
             heapq.heappush(self.heap, (float(lb), next(self.counter), lo, hi))
         if len(los):
-            center_ok = ~mid_violated & self.box.contains_mask(snapped)
-            self.harvest(los, his, snapped, f_centers, center_ok, touching)
+            # a snapped center lies in its box's lattice hull, which
+            # normalize keeps inside the domain: only the cuts can reject it
+            self.harvest(los, his, snapped, f_centers, ~mid_violated, touching)
 
     def harvest(self, los, his, snapped, f_centers, center_ok, touching) -> None:
         """Offer the feasible (snapped) centers, box corners, and Halton
@@ -396,7 +397,10 @@ def solve_local(
     def f(p):
         nonlocal evaluations
         evaluations += 1
-        return float(objective.evaluator(p))
+        value = float(objective.evaluator(p))
+        if not math.isfinite(value):
+            raise NonFiniteValueError("objective value", p, value)
+        return value
 
     fx = f(x)
     step = float(np.max(box.widths)) / 4.0

@@ -177,6 +177,13 @@ class TestBoxDomain:
             BoxDomain((0.2,), (0.8,), integral=(True,))
         BoxDomain((0.2,), (1.1,), integral=(True,))  # contains 1
 
+    def test_integral_bounds_just_off_an_integer(self):
+        # an integral coordinate takes the integers in [lower, upper]: none
+        # lies in [1 + 1e-10, 1 + 2e-10], though 1 is within INTEGRALITY_TOL
+        with pytest.raises(ValueError, match="contains no integer"):
+            BoxDomain((1.0 + 1e-10,), (1.0 + 2e-10,), integral=(True,))
+        BoxDomain((1.0 - 1e-10,), (1.0 + 2e-10,), integral=(True,))  # contains 1
+
     def test_caller_arrays_stay_writable(self):
         lower, upper, integral = np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([False, True])
         box = BoxDomain(lower, upper, integral)

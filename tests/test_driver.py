@@ -7,6 +7,7 @@ from lipcut.core import (
     BoxDomain,
     ConstraintSpec,
     Cut,
+    NonFiniteValueError,
     NormKind,
     ObjectiveSpec,
     Problem,
@@ -380,6 +381,18 @@ class TestNonFiniteConstraint:
         )
         with pytest.raises(ValueError, match="finite"):
             run(problem, global_oracle(1e-6), DriverConfig(cut_mode=CutMode.Component, max_iterations=5))
+
+    def test_typed_error_names_the_point_and_values(self):
+        problem = Problem(
+            domain=BoxDomain((-1.0,), (1.0,)),
+            objective=ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0]),
+            constraint=ConstraintSpec(components=(lambda x: 1.0, lambda x: math.inf), global_L=1.0),
+            domain_norm=NormKind.Two,
+        )
+        with pytest.raises(NonFiniteValueError, match="finite or -inf") as info:
+            run(problem, global_oracle(1e-6), DriverConfig())
+        assert info.value.point.tolist() == [-1.0]
+        assert info.value.value.tolist() == [1.0, math.inf]
 
     @pytest.mark.parametrize("mode", [CutMode.Vector, CutMode.Component])
     def test_minus_infinity_is_satisfied(self, mode):

@@ -8,6 +8,7 @@ from lipcut.expr import parse
 from lipcut.lipschitz import (
     EstimateMethod,
     induced_norm,
+    induced_norms,
     jacobian_sup_bound,
     slope_sampling_estimate,
     spectral_norms,
@@ -77,6 +78,49 @@ class TestInducedNorm:
         values = spectral_norms(batch)
         reference = np.linalg.svd(batch, compute_uv=False)[:, 0]
         assert np.allclose(values, reference, rtol=1e-8)
+
+
+class TestSpectralNorms:
+    def test_top_singular_vector_orthogonal_to_a_fixed_start(self):
+        # A^T A = 3 u u^T + v v^T with u orthogonal to v = (1, 1.001)/|.|:
+        # a power iteration started from v never leaves the eigenvalue 1,
+        # while the exact norm is sqrt(3)
+        v = np.array([1.0, 1.001]) / np.linalg.norm([1.0, 1.001])
+        u = np.array([-v[1], v[0]])
+        A = np.linalg.cholesky(3.0 * np.outer(u, u) + np.outer(v, v)).T
+        values = spectral_norms(A[None])
+        assert values[0] == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        assert np.allclose(values, np.linalg.svd(A[None], compute_uv=False)[:, 0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", [(64, 1, 5), (64, 4, 1), (64, 1, 1), (64, 2, 2), (64, 3, 5)])
+    def test_random_stacks_match_svd(self, shape):
+        rng = np.random.default_rng(53)
+        batch = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=(shape[0], 1, 1))
+        reference = np.linalg.svd(batch, compute_uv=False)[:, 0]
+        assert np.allclose(spectral_norms(batch), reference, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", [(3, 1, 4), (3, 4, 1), (3, 2, 2), (3, 3, 5), (0, 2, 2)])
+    def test_zero_matrices(self, shape):
+        values = spectral_norms(np.zeros(shape))
+        assert values.shape == (shape[0],)
+        assert (values == 0.0).all()
+
+    @pytest.mark.parametrize("q", [NormKind.One, NormKind.Two])
+    def test_sigma_max_fallback_beyond_the_enumeration_cap(self, q):
+        # (inf, q) with n = 16 > 14 columns: no sign enumeration, sigma_max
+        # scaled by the norm-equivalence constant, flagged inexact
+        rng = np.random.default_rng(59)
+        batch = rng.normal(size=(8, 3, 16))
+        values, exact = induced_norms(batch, NormKind.Inf, q)
+        sigma = np.linalg.svd(batch, compute_uv=False)[:, 0]
+        factor = math.sqrt(3 * 16) if q is NormKind.One else math.sqrt(16)
+        assert not exact
+        assert np.allclose(values, sigma * factor, rtol=1e-12, atol=0)
+        # still an upper bound: the image of any sign vertex is no longer
+        signs = np.where(rng.random((256, 16)) < 0.5, -1.0, 1.0)
+        images = np.einsum("kmn,sn->ksm", batch, signs)
+        attained = np.abs(images).sum(axis=2) if q is NormKind.One else np.linalg.norm(images, axis=2)
+        assert (attained.max(axis=1) <= values).all()
 
 
 class TestJacobianSupBound:

@@ -6,6 +6,7 @@ import pytest
 from lipcut.core import (
     BoxDomain,
     Cut,
+    NonFiniteValueError,
     NormKind,
     ObjectiveSpec,
     RelaxedRegion,
@@ -67,12 +68,19 @@ class TestSolveGlobal:
         assert result.status is OracleStatus.Infeasible
 
     def test_integral_bound_just_off_the_lattice(self):
-        # The lattice hull of [1 + 1e-10, 4] is [1, 4], so the box [1, 1]
-        # has the snapped center 1, which the box test rejects.
+        # The lattice hull of [1 + 1e-10, 4] is [2, 4]: 1 lies below the
+        # box, so it is never drawn, and the minimum is 2.
         region = RelaxedRegion(BoxDomain((1.0 + 1e-10,), (4.0,), integral=(True,)))
         obj = ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0])
         result = solve_global(obj, region, OracleConfig(tolerance=1e-8))
         assert region_membership(region, result.point)
+        assert result.point.tolist() == [2.0]
+
+    def test_integral_upper_bound_just_below_an_integer(self):
+        # the lattice hull of [0.5, 3 - 1e-10] is [1, 2]: 3 lies above the box
+        region = RelaxedRegion(BoxDomain((0.5,), (3.0 - 1e-10,), integral=(True,)))
+        obj = ObjectiveSpec(lambda x: -x[0], 1.0, batch_evaluator=lambda p: -p[:, 0])
+        result = solve_global(obj, region, OracleConfig(tolerance=1e-8))
         assert result.point.tolist() == [2.0]
 
     def test_linear_corner_minimum(self):
@@ -185,6 +193,39 @@ class TestSolveGlobal:
         region = region.with_cut(Cut((1.0, 1.0), 1.5, norm=NormKind.Inf))
         result = solve_global(obj, region)
         assert result.status is OracleStatus.Infeasible
+
+
+def nan_above_03() -> tuple:
+    """min -x on [-1, 1] with f = NaN for x > 0.3: scalar and batch forms."""
+    return (
+        lambda x: math.nan if x[0] > 0.3 else -x[0],
+        lambda p: np.where(p[:, 0] > 0.3, math.nan, -p[:, 0]),
+    )
+
+
+class TestNonFiniteObjective:
+    # the true minimum is -0.3; a NaN value loses every comparison, so an
+    # unchecked branch and bound certifies x = 0 with value -0.0
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+    def test_global_raises(self, batch):
+        f, fb = nan_above_03()
+        objective = ObjectiveSpec(f, 1.0, batch_evaluator=fb if batch else None)
+        with pytest.raises(NonFiniteValueError, match="finite") as info:
+            solve_global(objective, RelaxedRegion(BoxDomain((-1.0,), (1.0,))))
+        assert info.value.point[0] > 0.3 and math.isnan(info.value.value)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_global_rejects_infinities(self, value):
+        objective = ObjectiveSpec(lambda x: value, 1.0, batch_evaluator=lambda p: np.full(len(p), value))
+        with pytest.raises(NonFiniteValueError, match="finite"):
+            solve_global(objective, RelaxedRegion(BoxDomain((-1.0,), (1.0,))))
+
+    def test_local_raises(self):
+        f, _ = nan_above_03()
+        with pytest.raises(NonFiniteValueError, match="finite") as info:
+            solve_local(ObjectiveSpec(f, 1.0), RelaxedRegion(BoxDomain((-1.0,), (1.0,))), (0.0,))
+        assert info.value.point.tolist() == [0.5] and math.isnan(info.value.value)
 
 
 class TestSolveLocal:
