@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from lipcut import BoxDomain, NormKind, jacobian_sup_bound, slope_sampling_estimate
-from lipcut.expr import batch_evaluator, parse
+from lipcut.expr import batch_evaluator, evaluate, parse
 
 # --- the sine constraint: true constant sqrt(2) ---------------------------
 box = BoxDomain((-1.0, -1.0), (1.0, 1.0))
@@ -27,7 +27,7 @@ for grid in (8, 32, 256):
 
 run = batch_evaluator(r)
 est = slope_sampling_estimate(
-    lambda x: np.array([r.eval(x)]), box, NormKind.Two, NormKind.Two,
+    lambda x: np.array([evaluate(r, x)]), box, NormKind.Two, NormKind.Two,
     pairs=100_000, inflation=0.0, seed=0,
     batch_evaluator=lambda pts: run(pts)[:, None],
 )

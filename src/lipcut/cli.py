@@ -31,8 +31,8 @@ from .driver import (
     run,
     write_trace_csv,
 )
+from .expr import EvaluationError
 from .lipschitz import EstimateMethod, jacobian_sup_bound, slope_sampling_estimate
-from .expr import batch_evaluator
 from .oracle import GlobalOracle, InfeasibleStartError, LocalOracle, OracleConfig
 from .problems import build, builtin_problems, get_builtin, load_problem_file
 from .reform import default_big_M, export_lp, reformulate_1norm, reformulate_infnorm
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError, OSError, DriverResourceError, InfeasibleStartError) as exc:
+    except (ValueError, KeyError, OSError, EvaluationError, DriverResourceError, InfeasibleStartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 
@@ -200,9 +200,10 @@ def _cmd_estimate(args) -> int:
     definition = get_builtin(args.builtin) if args.builtin else load_problem_file(args.problem)
     built = build(definition)  # uses the file's constants; estimates below are fresh
     exprs = built.exprs["constraints"]
+    constraint = built.problem.constraint
     box = built.problem.domain
     norm = built.problem.domain_norm
-    image_norm = built.problem.constraint.image_norm
+    image_norm = constraint.image_norm
     squared = norm is NormKind.Two and image_norm is NormKind.Two
 
     def one(estimate, label):
@@ -216,17 +217,16 @@ def _cmd_estimate(args) -> int:
             est = jacobian_sup_bound([e], box, norm, image_norm, grid_per_dim=args.grid, safety=1.0)
         else:
             est = slope_sampling_estimate(
-                lambda x, _e=e: np.array([_e.eval(x)]), box, norm, image_norm,
-                pairs=args.pairs, inflation=args.inflation, seed=args.seed,
-                batch_evaluator=batch_evaluator(e),
+                None, box, norm, image_norm, pairs=args.pairs, inflation=args.inflation, seed=args.seed,
+                batch_evaluator=constraint.batch_components[p - 1],
             )
         one(est, f"constraint {p}")
     if args.method == "grid":
         est = jacobian_sup_bound(exprs, box, norm, image_norm, grid_per_dim=args.grid, safety=1.0)
     else:
         est = slope_sampling_estimate(
-            lambda x: np.array([e.eval(x) for e in exprs]), box, norm, image_norm,
-            pairs=args.pairs, inflation=args.inflation, seed=args.seed,
+            None, box, norm, image_norm, pairs=args.pairs, inflation=args.inflation, seed=args.seed,
+            batch_evaluator=constraint.evaluate_batch,
         )
     one(est, "vector")
     return _EXIT_SOLVED

@@ -175,9 +175,12 @@ class BoxDomain:
         # numpy calls, no arrays built for the default tol
         lower, upper = (self.lower - tol, self.upper + tol) if tol else (self.lower, self.upper)
         ok = ((points >= lower) & (points <= upper)).all(axis=1)
-        if self._integral_cols.size:
-            xi = points[:, self._integral_cols]
-            ok &= (np.abs(xi - np.round(xi)) <= INTEGRALITY_TOL).all(axis=1)
+        cols = self._integral_cols
+        if cols.size:
+            # within the tolerance of an integer that lies in the box
+            xi = points[:, cols]
+            k = np.round(xi)
+            ok &= ((np.abs(xi - k) <= INTEGRALITY_TOL) & (k >= lower[cols]) & (k <= upper[cols])).all(axis=1)
         return ok
 
 
@@ -444,8 +447,9 @@ def region_membership(region: RelaxedRegion, x) -> bool:
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Black-box objective with a Lipschitz constant valid for the chosen
-    domain norm.  ``batch_evaluator`` optionally maps an (N, n) array to N
-    values; when absent the scalar evaluator is looped."""
+    domain norm.  The solver evaluates through ``evaluate_batch`` only:
+    ``batch_evaluator`` maps an (N, n) array to N values, and when it is
+    absent the one-point ``evaluator`` is looped over the rows."""
 
     evaluator: Callable[[np.ndarray], float]
     lipschitz_f: float
@@ -470,7 +474,10 @@ class ObjectiveSpec:
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Vector-valued constraint r(x) <= 0 given as m scalar evaluators.
+    """Vector-valued constraint r(x) <= 0 given as m one-point evaluators.
+    The solver evaluates through ``evaluate_batch`` only, which calls the m
+    ``batch_components`` (each an (N, n) array to N values) when given and
+    loops the one-point ``components`` over the rows otherwise.
 
     ``global_L`` is a Lipschitz constant of the whole vector map with
     respect to (domain norm, image_norm); ``component_L`` optionally gives
@@ -507,14 +514,12 @@ class ConstraintSpec:
             object.__setattr__(self, "active_mask", masks)
         if self.batch_components is not None:
             object.__setattr__(self, "batch_components", tuple(self.batch_components))
+            if len(self.batch_components) != len(self.components):
+                raise ValueError("batch_components length mismatch")
 
     @property
     def m(self) -> int:
         return len(self.components)
-
-    def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([c(x) for c in self.components], dtype=float)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """(N, n) points -> (N, m) constraint values."""

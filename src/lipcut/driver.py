@@ -6,8 +6,9 @@ The loop per iteration k:
 
 1. The oracle minimizes the objective over the current relaxed region;
    Infeasible certifies the original problem infeasible.
-2. The constraint vector is evaluated at the returned point.
-   A NaN or +inf component raises ValueError; -inf counts as satisfied.
+2. The constraint vector is evaluated at the returned point, as a
+   one-row ``evaluate_batch`` call.  A NaN or +inf component raises
+   NonFiniteValueError; -inf counts as satisfied.
 3. Acceptance: every component <= 0 in exact mode (violations up to 1e-14
    are treated as zero to avoid degenerate zero-radius cuts), or
    <= epsilon in approximate mode.
@@ -158,7 +159,7 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
             )
 
         x = np.asarray(result.point, dtype=float)
-        violations = constraint.evaluate(x)
+        violations = constraint.evaluate_batch(x[None, :])[0]
         if not (violations < math.inf).all():  # NaN or +inf: no cut radius
             raise NonFiniteValueError("constraint values", x, violations, "finite or -inf")
         viol_norm = norm_eval(constraint.image_norm, positive_part(violations))

@@ -15,13 +15,17 @@ x1..xn for a declared dimension n.  Functions: sin, cos, tan, sqrt, abs,
 exp, log, min, max (min/max take two or more arguments, the rest exactly
 one).
 
-Expr objects are immutable; evaluation is reentrant and safe to call
-concurrently.
+Every node has one evaluator, over numpy columns of an (N, n) point
+array; ``evaluate`` at one point is a one-row call of ``batch_evaluator``.
+Arithmetic is IEEE double with numpy's functions, and a value is an error
+exactly when it is non-finite: a NaN or an infinity at the root raises
+``EvaluationError``, while a non-finite intermediate that ``min``/``max``
+masks (``min(1/x1, 0)`` at x1 = 0) is not an error.  Expr objects are
+immutable; evaluation is reentrant and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +45,9 @@ class ExpressionError(ValueError):
 
 
 class EvaluationError(ArithmeticError):
-    """Domain violation while evaluating an expression (sqrt of a negative,
-    log of a non-positive value, division by zero).  Carries the offending
-    subexpression."""
+    """A non-finite value (sqrt of a negative, log of a non-positive value,
+    division by zero, overflow).  ``subexpression`` is the deepest node that
+    is non-finite while its children are finite."""
 
     def __init__(self, message: str, subexpression: "Expr"):
         self.subexpression = subexpression
@@ -55,10 +59,12 @@ class Expr:
 
     __slots__ = ()
 
-    def eval(self, x) -> float:
-        raise NotImplementedError
+    def children(self) -> tuple:
+        """The direct subexpressions, in evaluation order."""
+        return ()
 
     def _eval_batch(self, cols: list) -> np.ndarray:
+        """Values at the points whose coordinates are the columns ``cols``."""
         raise NotImplementedError
 
     def __str__(self) -> str:
@@ -74,9 +80,6 @@ class Expr:
 class Const(Expr):
     value: float
 
-    def eval(self, x):
-        return self.value
-
     def _eval_batch(self, cols):
         return np.full(cols[0].shape if cols else (1,), self.value)
 
@@ -91,9 +94,6 @@ class Const(Expr):
 class Var(Expr):
     index: int  # zero-based
 
-    def eval(self, x):
-        return float(x[self.index])
-
     def _eval_batch(self, cols):
         return cols[self.index]
 
@@ -105,8 +105,8 @@ class Var(Expr):
 class Neg(Expr):
     child: Expr
 
-    def eval(self, x):
-        return -self.child.eval(x)
+    def children(self):
+        return (self.child,)
 
     def _eval_batch(self, cols):
         return -self.child._eval_batch(cols)
@@ -122,18 +122,8 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, x):
-        a = self.left.eval(x)
-        b = self.right.eval(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvaluationError("division by zero", self)
-        return a / b
+    def children(self):
+        return (self.left, self.right)
 
     def _eval_batch(self, cols):
         a = self.left._eval_batch(cols)
@@ -159,13 +149,8 @@ class Pow(Expr):
     base: Expr
     exponent: float  # literal by construction
 
-    def eval(self, x):
-        b = self.base.eval(x)
-        if b < 0 and self.exponent != round(self.exponent):
-            raise EvaluationError("negative base with non-integer exponent", self)
-        if b == 0 and self.exponent < 0:
-            raise EvaluationError("zero raised to a negative power", self)
-        return float(b**self.exponent)
+    def children(self):
+        return (self.base,)
 
     def _eval_batch(self, cols):
         return self.base._eval_batch(cols) ** self.exponent
@@ -181,23 +166,8 @@ class Call(Expr):
     name: str
     args: tuple
 
-    def eval(self, x):
-        vals = [a.eval(x) for a in self.args]
-        if self.name == "sqrt":
-            if vals[0] < 0:
-                raise EvaluationError("square root of a negative value", self)
-            return math.sqrt(vals[0])
-        if self.name == "log":
-            if vals[0] <= 0:
-                raise EvaluationError("logarithm of a non-positive value", self)
-            return math.log(vals[0])
-        if self.name == "min":
-            return min(vals)
-        if self.name == "max":
-            return max(vals)
-        if self.name == "abs":
-            return abs(vals[0])
-        return float(getattr(math, self.name)(vals[0]))
+    def children(self):
+        return self.args
 
     def _eval_batch(self, cols):
         vals = [a._eval_batch(cols) for a in self.args]
@@ -377,31 +347,42 @@ def parse(text: str, dimension: int) -> Expr:
 
 
 def evaluate(expression: Expr, x) -> float:
-    """IEEE double evaluation; domain violations raise EvaluationError."""
-    return float(expression.eval(np.asarray(x, dtype=float)))
+    """The value at one point: a one-row call of ``batch_evaluator``."""
+    return float(batch_evaluator(expression)(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def batch_evaluator(expression: Expr):
     """Compile to a vectorized evaluator over an (N, n) point array.
 
-    The batch path lets numpy produce NaN/inf on domain violations and then
-    re-runs the first offending point through the scalar evaluator so the
-    error carries the exact subexpression.
+    numpy produces NaN/inf where a value is undefined or overflows.  On the
+    first non-finite row a locate pass over that row alone finds the node
+    named by the ``EvaluationError``: from the root, it follows the first
+    non-finite child until every child is finite.
     """
 
     def run(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        cols = [np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])]
+        cols = [points[:, j].copy() for j in range(points.shape[1])]
         with np.errstate(all="ignore"):
             out = expression._eval_batch(cols)
-        out = np.broadcast_to(np.asarray(out, dtype=float), (points.shape[0],))
-        bad = ~np.isfinite(out)
-        if bad.any():
-            evaluate(expression, points[int(np.argmax(bad))])  # raises with detail
-            raise EvaluationError("non-finite value", expression)
+            finite = np.isfinite(out)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                row = [c[i:i + 1] for c in cols]
+                node = _locate(expression, row)
+                raise EvaluationError(f"non-finite value {node._eval_batch(row)[0]} at {points[i]}", node)
         return out
 
     return run
+
+
+def _locate(node: Expr, row: list) -> Expr:
+    """From ``node``, non-finite at the one-row columns ``row``, follow the
+    first non-finite child until every child is finite."""
+    for child in node.children():
+        if not np.isfinite(child._eval_batch(row)[0]):
+            return _locate(child, row)
+    return node
 
 
 def to_string(expression: Expr) -> str:
@@ -411,40 +392,25 @@ def to_string(expression: Expr) -> str:
 
 def contains_abs(expression: Expr) -> bool:
     """True if any subexpression is an abs() call (non-differentiable)."""
-    if isinstance(expression, Call):
-        return expression.name == "abs" or any(contains_abs(a) for a in expression.args)
-    if isinstance(expression, Neg):
-        return contains_abs(expression.child)
-    if isinstance(expression, BinOp):
-        return contains_abs(expression.left) or contains_abs(expression.right)
-    if isinstance(expression, Pow):
-        return contains_abs(expression.base)
-    return False
+    if isinstance(expression, Call) and expression.name == "abs":
+        return True
+    return any(contains_abs(c) for c in expression.children())
 
 
 def finite_diff_jacobian(exprs, x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a list of expressions at x.
+    """Central-difference Jacobian of a list of expressions at x, the
+    one-row case of ``finite_diff_jacobian_batch``.
 
     Entry (q, j) = (e_q(x + h u_j) - e_q(x - h u_j)) / (2 h).  Evaluation
     errors propagate.
     """
-    x = np.asarray(x, dtype=float)
-    exprs = list(exprs)
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    out = np.empty((len(exprs), x.size))
-    for j in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        for q, e in enumerate(exprs):
-            out[q, j] = (e.eval(xp) - e.eval(xm)) / (2.0 * h)
-    return out
+    return finite_diff_jacobian_batch(exprs, np.asarray(x, dtype=float)[None, :], h)[0]
 
 
 def finite_diff_jacobian_batch(exprs, points: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Vectorized Jacobians for an (N, n) array of points -> (N, m, n)."""
+    if h <= 0:
+        raise ValueError("step size must be positive")
     points = np.asarray(points, dtype=float)
     n_points, n = points.shape
     evaluators = [batch_evaluator(e) for e in exprs]

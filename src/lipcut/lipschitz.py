@@ -207,6 +207,10 @@ def slope_sampling_estimate(
     """Maximum difference quotient over ``pairs`` random point pairs,
     multiplied by (1 + inflation).
 
+    ``batch_evaluator`` maps an (N, n) array to N values or (N, m) rows;
+    when it is None, the one-point ``evaluator`` is looped over the points
+    (otherwise it is unused and may be None).
+
     This is a lower estimate of the true constant (before inflation it
     equals the largest observed slope), so it is heuristic.  A constant
     function yields the configured floor with a warning.  Degenerate pairs

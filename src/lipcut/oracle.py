@@ -38,7 +38,6 @@ import numpy as np
 
 from .core import (
     BoxDomain,
-    NonFiniteValueError,
     NormKind,
     ObjectiveSpec,
     RelaxedRegion,
@@ -365,7 +364,8 @@ def solve_local(
     """Compass/pattern search from ``start``.
 
     Probes +/- step along each coordinate (initial step: a quarter of the
-    longest box edge; all 2n probes of a step in one membership test),
+    longest box edge; all 2n probes of a step in one membership test and
+    the feasible ones in one objective evaluation),
     accepts the best feasible improving probe, halves the step on failure
     and stops once the step falls below 1e-9.  A start
     violating some cut is first pushed radially off the nearest violated
@@ -392,28 +392,20 @@ def solve_local(
         if not region_membership(region, x):
             raise InfeasibleStartError("projected start is still infeasible for the region")
 
-    evaluations = 0
-
-    def f(p):
-        nonlocal evaluations
-        evaluations += 1
-        value = float(objective.evaluator(p))
-        if not math.isfinite(value):
-            raise NonFiniteValueError("objective value", p, value)
-        return value
-
-    fx = f(x)
+    fx = float(objective.evaluate_batch(x[None, :])[0])
+    evaluations = 1
     step = float(np.max(box.widths)) / 4.0
     # probe 2j + 0 is x - step e_j, probe 2j + 1 is x + step e_j
     probe_rows = np.arange(2 * box.dimension)
     probe_axes = probe_rows // 2
     signs = np.tile((-1.0, 1.0), box.dimension)
     while step >= 1e-9:
-        probes = np.tile(x, (len(probe_rows), 1))
+        probes = x[None, :].repeat(len(probe_rows), axis=0)
         probes[probe_rows, probe_axes] += signs * step
+        feasible = probes[region.membership_mask(probes)]
+        evaluations += len(feasible)
         best = None
-        for cand in probes[region.membership_mask(probes)]:
-            fc = f(cand)
+        for cand, fc in zip(feasible, objective.evaluate_batch(feasible).tolist()):
             if fc >= fx:
                 continue
             if best is None or fc < best[0] or (fc == best[0] and tuple(cand) < tuple(best[1])):

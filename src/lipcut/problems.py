@@ -27,6 +27,7 @@ solver traces stay reproducible and independent of estimator drift.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +36,7 @@ import yaml
 
 from .core import BoxDomain, ConstraintSpec, NormKind, ObjectiveSpec, Problem
 from .driver import CutMode
-from .expr import batch_evaluator, parse
+from .expr import batch_evaluator, evaluate, parse
 from .lipschitz import LipschitzEstimate, jacobian_sup_bound, slope_sampling_estimate
 
 _KEYS = {
@@ -163,16 +164,15 @@ def build(
     def estimate(exprs, image_norm) -> LipschitzEstimate:
         if estimator == "grid":
             return jacobian_sup_bound(exprs, box, definition.norm, image_norm, grid_per_dim=grid, safety=safety)
-        batch = _stack_batch([batch_evaluator(e) for e in exprs])
         return slope_sampling_estimate(
-            lambda x: np.array([e.eval(x) for e in exprs]),
+            None,
             box,
             definition.norm,
             image_norm,
             pairs=pairs,
             inflation=inflation,
             seed=seed,
-            batch_evaluator=batch,
+            batch_evaluator=_stack_batch([batch_evaluator(e) for e in exprs]),
         )
 
     objective_L = definition.objective_L
@@ -212,7 +212,7 @@ def build(
         masks = tuple(masks)
 
     constraint = ConstraintSpec(
-        components=tuple(_scalar_fn(e) for e in constraint_exprs),
+        components=tuple(functools.partial(evaluate, e) for e in constraint_exprs),
         global_L=float(global_L),
         image_norm=definition.image_norm,
         component_L=component_L_out,
@@ -220,7 +220,7 @@ def build(
         batch_components=tuple(batch_evaluator(e) for e in constraint_exprs),
     )
     objective = ObjectiveSpec(
-        evaluator=_scalar_fn(objective_expr),
+        evaluator=functools.partial(evaluate, objective_expr),
         lipschitz_f=float(objective_L),
         batch_evaluator=batch_evaluator(objective_expr),
     )
@@ -233,10 +233,6 @@ def build(
         cut_mode=definition.cut_mode or CutMode.Vector,
         estimated=estimated,
     )
-
-
-def _scalar_fn(expression):
-    return lambda x, _e=expression: _e.eval(np.asarray(x, dtype=float))
 
 
 def _stack_batch(evaluators):

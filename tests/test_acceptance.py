@@ -16,7 +16,7 @@ import pytest
 from lipcut.bounds import box_packing_bound, complexity_upper, lattice_count
 from lipcut.core import BoxDomain, NormKind
 from lipcut.driver import CutMode, DriverConfig, SolveStatus, run
-from lipcut.expr import parse
+from lipcut.expr import evaluate, parse
 from lipcut.lipschitz import jacobian_sup_bound
 from lipcut.oracle import GlobalOracle, LocalOracle, OracleConfig
 from lipcut.problems import build, definition_from_dict, get_builtin
@@ -480,12 +480,12 @@ def test_criterion_10_bound_formulas():
     check(lines, "lattice_count([0,3]x[0,2]) = 12 (vs direct enumeration)",
           value == 12 and enumerated == 12, f"{value} vs {enumerated}")
 
-    formula = parse("((1/0.5)*(1 - 0) + 1)", 1).eval(np.zeros(1))
+    formula = evaluate(parse("((1/0.5)*(1 - 0) + 1)", 1), np.zeros(1))
     value = box_packing_bound(BoxDomain((0.0,), (1.0,)), 1.0, 0.5)
     check(lines, "box_packing_bound([0,1],1,0.5) = 3 (vs interpreter)",
           value == pytest.approx(3.0) and formula == pytest.approx(3.0), f"{value} vs {formula}")
 
-    formula = parse("((2*1 + 0.1)/0.1)^2", 1).eval(np.zeros(1))
+    formula = evaluate(parse("((2*1 + 0.1)/0.1)^2", 1), np.zeros(1))
     value = complexity_upper(1.0, 0.1, 2)
     check(lines, "complexity_upper(1,0.1,2) = 441 (vs interpreter)",
           value == pytest.approx(441.0) and formula == pytest.approx(441.0), f"{value} vs {formula}")

@@ -16,7 +16,7 @@ from lipcut.bounds import (
     termination_report,
 )
 from lipcut.core import BoxDomain, NormKind
-from lipcut.expr import parse
+from lipcut.expr import evaluate, parse
 
 
 class TestBoxPacking:
@@ -70,7 +70,7 @@ class TestBallPacking:
         for D, L, delta, n in [(1.0, 1.0, 1.0, 2), (2.5, 0.7, 0.3, 3), (1.0, 1.0, 2.0, 1)]:
             formula = parse(f"(2*{L}*{D}/{delta} + 1)^{n}", 1)
             assert ball_packing_bound(D, L, delta, n) == pytest.approx(
-                formula.eval(np.zeros(1)), rel=1e-12
+                evaluate(formula, np.zeros(1)), rel=1e-12
             )
 
     def test_validation(self):

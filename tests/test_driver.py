@@ -407,6 +407,25 @@ class TestNonFiniteConstraint:
         assert outcome.status is SolveStatus.Solved and len(outcome.trace) == 1
 
 
+class TestConstraintEvaluation:
+    def test_batch_components_must_match_components(self):
+        with pytest.raises(ValueError, match="batch_components"):
+            ConstraintSpec(components=(lambda x: x[0],), global_L=1.0,
+                           batch_components=(lambda p: p[:, 0], lambda p: -p[:, 0]))
+
+    def test_driver_reads_the_batch_components(self):
+        problem = Problem(
+            domain=BoxDomain((-1.0,), (1.0,)),
+            objective=ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0]),
+            constraint=ConstraintSpec(components=(lambda x: pytest.fail("one-point component called"),),
+                                      global_L=1.0, batch_components=(lambda p: 0.5 - p[:, 0],)),
+            domain_norm=NormKind.Two,
+        )
+        outcome = run(problem, global_oracle(1e-8), DriverConfig(max_iterations=5))
+        assert outcome.status is SolveStatus.Solved
+        assert outcome.trace[0].violation_max == 1.5
+
+
 class TestTraceCsv:
     def test_format_and_determinism(self):
         built = build(get_builtin("sin-example"))

@@ -169,19 +169,38 @@ class TestFiniteDiffJacobian:
 
 class TestBatchEvaluation:
     def test_matches_scalar(self):
+        # a one-point call is a one-row batch: the same bits as the N-row call
         rng = np.random.default_rng(29)
         for text, dim in TestPrinterRoundTrip.CASES:
             e = parse(text, dim)
-            run = batch_evaluator(e)
             pts = rng.uniform(0.1, 1.0, size=(64, dim))
-            batch = run(pts)
-            for value, x in zip(batch, pts):
-                assert value == pytest.approx(evaluate(e, x), rel=1e-14, abs=1e-14)
+            assert [evaluate(e, x) for x in pts] == batch_evaluator(e)(pts).tolist(), text
 
     def test_domain_violation_raises(self):
         run = batch_evaluator(parse("sqrt(x1)", 1))
         with pytest.raises(EvaluationError):
             run(np.array([[1.0], [-1.0]]))
+
+    def test_overflow_names_the_node(self):
+        with pytest.raises(EvaluationError) as info:
+            evaluate(parse("exp(x1)", 1), (1000.0,))
+        assert str(info.value.subexpression) == "exp(x1)"
+
+    def test_locate_pass_names_the_deepest_non_finite_node(self):
+        e = parse("1 + sqrt(x1)", 1)
+        with pytest.raises(EvaluationError) as info:
+            evaluate(e, (-1.0,))
+        assert str(info.value.subexpression) == "sqrt(x1)"
+        # the batch names the first non-finite row
+        with pytest.raises(EvaluationError, match=r"at \[-2\.\]") as info:
+            batch_evaluator(e)(np.array([[1.0], [-2.0], [-3.0]]))
+        assert str(info.value.subexpression) == "sqrt(x1)"
+
+    def test_masked_intermediate_is_not_an_error(self):
+        # 1/x1 is inf at 0, and min masks it: only the value counts
+        e = parse("min(1/x1, 0)", 1)
+        assert evaluate(e, (0.0,)) == 0.0
+        assert batch_evaluator(e)(np.array([[0.0], [2.0]])).tolist() == [0.0, 0.0]
 
 
 def test_contains_abs():

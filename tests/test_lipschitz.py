@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lipcut.core import BoxDomain, NormKind
-from lipcut.expr import parse
+from lipcut.expr import evaluate, parse
 from lipcut.lipschitz import (
     EstimateMethod,
     induced_norm,
@@ -202,7 +202,7 @@ class TestSlopeSampling:
 
         run = batch_evaluator(e)
         est = slope_sampling_estimate(
-            lambda x: np.array([e.eval(x)]), box, NormKind.Two, NormKind.Two,
+            lambda x: np.array([evaluate(e, x)]), box, NormKind.Two, NormKind.Two,
             pairs=100_000, inflation=0.0, seed=3,
             batch_evaluator=lambda pts: run(pts)[:, None],
         )

@@ -83,6 +83,18 @@ class TestSolveGlobal:
         result = solve_global(obj, region, OracleConfig(tolerance=1e-8))
         assert result.point.tolist() == [2.0]
 
+    def test_integral_membership_agrees_with_the_certificate(self):
+        # 1 + 1.5e-10 is within INTEGRALITY_TOL of 1, which lies below the
+        # box: no point of the box is drawn there, and membership agrees
+        region = RelaxedRegion(BoxDomain((1.0 + 1e-10,), (2.0,), integral=(True,)))
+        region = region.with_cut(Cut((2.0,), 0.5, norm=NormKind.Two))
+        obj = ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0])
+        assert solve_global(obj, region).status is OracleStatus.Infeasible
+        assert not region_membership(region, (1.0 + 1.5e-10,))
+        assert not region.domain.contains((1.0 + 1.5e-10,))
+        # within the tolerance of an integer in the box is still in
+        assert region_membership(RelaxedRegion(region.domain), (2.0 - 5e-10,))
+
     def test_linear_corner_minimum(self):
         region = RelaxedRegion(BoxDomain((1.0, 0.0), (10.0, 4.0)))
         obj = ObjectiveSpec(
@@ -270,6 +282,19 @@ class TestSolveLocal:
         region = RelaxedRegion(BoxDomain((0.0,), (3.0,), integral=(True,)))
         with pytest.raises(ValueError):
             solve_local(self.abs_objective(), region, start=(1.0,))
+
+    def test_probes_go_through_evaluate_batch_only(self):
+        calls = []
+
+        def batch(p):
+            calls.append(len(p))
+            return -np.abs(p[:, 0])
+
+        obj = ObjectiveSpec(lambda x: pytest.fail("one-point evaluator called"), 1.0, batch_evaluator=batch)
+        result = solve_local(obj, self.local_region(), start=(-0.5,))
+        assert result.point.tolist() == [-1.0]
+        # the start, then one call per step with that step's feasible probes
+        assert calls[0] == 1 and result.nodes == sum(calls)
 
 
 class TestOracleAdapters:

@@ -144,6 +144,16 @@ class TestCliSolve:
     def test_error_exit_code(self, capsys):
         assert main(["solve", "--problem", "/nonexistent/file.yaml"]) == 1
 
+    def test_evaluation_error_exit_code(self, tmp_path, capsys):
+        # sqrt(x1) is undefined at the first iterate, x1 = -1
+        data = dict(SIN_FILE, dimension=1, bounds=[[-1.0, 1.0]], objective="x1", objective_L=1.0,
+                    constraints=[{"expr": "sqrt(x1)", "L": 1.0}], global_L=1.0)
+        path = tmp_path / "sqrt.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["solve", "--problem", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite value nan at [-1.] in 'sqrt(x1)'")
+
     def test_exit_code_contract_over_all_builtins(self):
         # 0 solved / 2 infeasible / 3 iteration limit, nothing else
         expected = {
