@@ -6,14 +6,24 @@ three chunked passes over the stacked cuts share one norm accumulation
 routine:
 
 * ``membership_mask``: every (point, cut) pair of a batch of points;
-* ``box_relations``: every (box, cut) pair of a batch of boxes, in one
-  pass: is the box inside the ball (exclusion), does the ball touch the
-  box widened by a few ulps, and does the ball hold a given point of the
-  box;
+* ``box_relations``: the (box, cut) pairs that a (cuts, boxes) candidate
+  mask marks, in one pass: is the box inside the ball (exclusion), does
+  the ball touch the box widened by a few ulps, and does the ball hold a
+  given point of the box.  ``excluded_mask`` and the branch and bound's
+  root pass every cut.  A child box gets the cuts that touch its parent:
+  it lies inside its parent, so its widened box lies inside the parent's
+  (the margin cannot grow and rounding is monotone), and a cut that
+  misses the parent's widened box can neither exclude the child, touch
+  it nor hold its center.  The answers are those of a pass over every
+  cut;
 * ``touching_membership``: membership of points drawn from boxes, each
   tested only against the cuts that touch its box.  The branch and bound
   tests the points it harvests this way; every other cut is provably
   satisfied there.
+
+The last two walk the candidate (cut, box) pairs in cut-major order
+through one routine, which numbers the pairs, dispatches them by group
+and chunks them.
 """
 
 from __future__ import annotations
@@ -27,10 +37,11 @@ import numpy as np
 
 INTEGRALITY_TOL = 1e-9
 
-# Bounds the rows of one chunk of a stacked cut pass: rows x cuts, times
-# the masked columns in the box pass, or (point, cut) pairs times the
-# columns in the touching-cut test, stays within this many elements, so
-# memory is bounded whatever the number of points, boxes and cuts.
+# Bounds one chunk of a stacked cut pass: points x cuts in the membership
+# pass, or candidate (cut, box) pairs times the points per box (the 4
+# sides in the box pass) times the columns in the pair walk, stays within
+# this many elements, so memory is bounded whatever the number of points,
+# boxes and cuts.
 _CHUNK_ELEMENTS = 1 << 14
 
 
@@ -300,16 +311,23 @@ class RelaxedRegion:
                 out[s:s + step] &= (dist >= radii).all(axis=1)
         return out
 
+    @property
+    def stacked_cuts(self) -> int:
+        """K, the number of stacked cuts (those of positive radius)."""
+        return int(self._starts[-1])
+
     def excluded_mask(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """True for the boxes [los[i], his[i]] lying strictly inside some
         exclusion ball: the farthest box point is closer to the cut center
         than the radius."""
-        return self.box_relations(los, his, los)[0]
+        los = np.asarray(los, dtype=float)
+        candidates = np.ones((self.stacked_cuts, len(los)), dtype=bool)
+        return self.box_relations(los, his, los, candidates)[0]
 
-    def box_relations(self, los: np.ndarray, his: np.ndarray, mids: np.ndarray):
-        """One pass over the stacked cuts for the (N, n) boxes [los[i],
-        his[i]] and one point mids[i] of each.  Returns, with K stacked
-        cuts:
+    def box_relations(self, los: np.ndarray, his: np.ndarray, mids: np.ndarray, candidates: np.ndarray):
+        """One pass over the (cut, box) pairs that ``candidates`` (K, N),
+        cut-major, marks for the (N, n) boxes [los[i], his[i]] and one
+        point mids[i] of each.  Returns:
 
         * ``excluded`` (N,): the farthest box point is closer than the
           radius to some cut center (``excluded_mask``);
@@ -319,15 +337,16 @@ class RelaxedRegion:
         * ``mid_violated`` (N,): mids[i] is closer than the radius to some
           cut center (``~membership_mask`` for points in the domain).
 
-        Once every box is excluded the pass stops and leaves the other two
-        incomplete; callers drop excluded boxes.
+        The answers are those of a pass over every cut when each cut left
+        out for box i misses box i widened by the margin: the branch and
+        bound passes a child box the cuts that touch its parent.
         """
         los = np.asarray(los, dtype=float)
         his = np.asarray(his, dtype=float)
         count, n = los.shape
         # excluded and mid_violated
         flags = np.zeros((2, count), dtype=bool)
-        touching = np.zeros((self._starts[-1], count), dtype=bool)
+        touching = np.zeros(candidates.shape, dtype=bool)
         # Margin.  A point p that the branch and bound draws from a box as
         # lo + s*(hi - lo), s in [0, 1], exceeds hi by less than 4 ulps of
         # max(|lo|, |hi|) (three roundings, each at most one such ulp; the
@@ -339,22 +358,29 @@ class RelaxedRegion:
         # too.  So a cut that does not touch the widened box (near >= r)
         # is satisfied by p in exactly the arithmetic of
         # ``membership_mask``.
+        #
+        # Inheritance.  Splitting and the lattice hull of ``normalize``
+        # only shrink a box, so a child lies inside its parent, its
+        # max(|lo|, |hi|) cannot grow, and neither can w.  Rounding is
+        # monotone, so fl(lo' - w') >= fl(lo - w) and fl(hi' + w') <=
+        # fl(hi + w): the child's widened box lies inside the parent's.
+        # Every point of it, the child's corners and its snapped center
+        # included, is therefore at least r from the center of a cut that
+        # misses the parent's widened box, in the arithmetic above: that
+        # cut cannot exclude the child, touch it or reject its center.
         w = 4.0 * np.spacing(np.maximum(np.abs(los), np.abs(his)))
         # (4, n, N): hi, lo, mid and lo - w, column-major; and (n, N) hi + w
         sides = np.concatenate((his, los, mids, los - w)).reshape(4, count, n).transpose(0, 2, 1)
         whis = (his + w).T
-        for norm, cols, centers, radii, start in self._groups:
-            if start and flags[0].all():
-                break
-            step = max(1, _CHUNK_ELEMENTS // (4 * centers.size))
-            group_sides, group_whis = sides[:, cols], whis[cols]
-            for s in range(0, count, step):
-                e = s + step
-                d = group_sides[:, :, s:e, None] - centers[:, None, :]
-                offsets = _box_offsets(d, centers[:, None, :], group_whis[:, s:e, None])
-                below = _cut_distances(norm, offsets.transpose(1, 0, 2, 3)) < radii
-                flags[:, s:e] |= below[:2].any(axis=2)
-                touching[start:start + radii.size, s:e] = below[2].T
+        hits = touching.ravel()
+        for norm, cols, centers, radii, k, boxes, pairs in self._candidate_pairs(candidates, 4):
+            c = centers.take(k, axis=1)
+            d = sides.take(boxes, axis=2)[:, cols] - c
+            offsets = _box_offsets(d, c, whis.take(boxes, axis=1)[cols])
+            below = _cut_distances(norm, offsets.transpose(1, 0, 2)) < radii.take(k)
+            flags[0, boxes[below[0]]] = True
+            flags[1, boxes[below[1]]] = True
+            hits[pairs[below[2]]] = True
         return flags[0], touching, flags[1]
 
     def touching_membership(self, points: np.ndarray, owners: np.ndarray, touching: np.ndarray) -> np.ndarray:
@@ -366,36 +392,33 @@ class RelaxedRegion:
         their box widened by ``box_relations``'s margin; rows no box owns
         get only the box test."""
         out = self.domain.contains_mask(points)
-        count, width = owners.shape
-        pairs = touching.ravel().nonzero()[0]  # cut-major: cuts ascend
-        if not (width and pairs.size):
+        if not owners.size:
             return out
-        cut, box = np.divmod(pairs, count)
+        width = owners.shape[1]
         padded = owners.min() < 0
-        step = max(1, _CHUNK_ELEMENTS // (width * self.domain.dimension))  # point coordinates per chunk
-        for s in range(0, cut.size, step):
-            rows = owners.take(box[s:s + step], axis=0).ravel()
-            cuts = cut[s:s + step].repeat(width)
+        for norm, cols, centers, radii, k, boxes, _ in self._candidate_pairs(touching, width):
+            rows, k = owners.take(boxes, axis=0).ravel(), k.repeat(width)
             if padded:
                 held = rows >= 0
-                rows, cuts = rows[held], cuts[held]
-            out[rows[~self._pairs_satisfied(points, rows, cuts)]] = False
+                rows, k = rows[held], k[held]
+            p = points.take(rows, axis=0)[:, cols].T
+            out[rows[_cut_distances(norm, np.abs(p - centers.take(k, axis=1))) < radii.take(k)]] = False
         return out
 
-    def _pairs_satisfied(self, points: np.ndarray, rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-        """True where the point points[rows[i]] satisfies the stacked cut
-        cuts[i], for ascending ``cuts``; temporaries are (columns, pairs)
-        arrays."""
-        out = np.empty(len(cuts), dtype=bool)
-        bounds = cuts.searchsorted(self._starts)
-        for (norm, cols, centers, radii, start), s, e in zip(self._groups, bounds, bounds[1:]):
-            if s == e:
-                continue
-            k = cuts[s:e] - start if start else cuts[s:e]
-            p = points.take(rows[s:e], axis=0)[:, cols].T
-            dist = _cut_distances(norm, np.abs(p - centers.take(k, axis=1)))
-            out[s:e] = dist >= radii.take(k)
-        return out
+    def _candidate_pairs(self, candidates: np.ndarray, width: int):
+        """The (cut, box) pairs where ``candidates`` (K, N) holds, numbered
+        cut-major (pair = cut * N + box), split by group and each group's
+        pairs into chunks of at most ``_CHUNK_ELEMENTS // (width * n)``.
+        Yields per chunk the group's norm, columns, centers and radii, and
+        the pairs' cuts within the group, boxes and pair numbers."""
+        pairs = candidates.ravel().nonzero()[0]  # cut-major: cuts ascend
+        cut, box = np.divmod(pairs, candidates.shape[1])
+        bounds = cut.searchsorted(self._starts)
+        step = max(1, _CHUNK_ELEMENTS // (width * self.domain.dimension))
+        for (norm, cols, centers, radii, start), a, b in zip(self._groups, bounds, bounds[1:]):
+            for s in range(a, b, step):
+                e = min(s + step, b)
+                yield norm, cols, centers, radii, cut[s:e] - start, box[s:e], pairs[s:e]
 
 
 def _box_offsets(d: np.ndarray, c: np.ndarray, whi: np.ndarray) -> np.ndarray:
@@ -449,7 +472,12 @@ class ObjectiveSpec:
     """Black-box objective with a Lipschitz constant valid for the chosen
     domain norm.  The solver evaluates through ``evaluate_batch`` only:
     ``batch_evaluator`` maps an (N, n) array to N values, and when it is
-    absent the one-point ``evaluator`` is looped over the rows."""
+    absent the one-point ``evaluator`` is looped over the rows.
+
+    A ``batch_evaluator`` with a true ``checks_finite`` attribute raises on
+    every NaN or infinite value itself, as ``lipcut.expr.batch_evaluator``
+    does with an ``EvaluationError`` naming the node; its values are not
+    scanned again."""
 
     evaluator: Callable[[np.ndarray], float]
     lipschitz_f: float
@@ -458,12 +486,16 @@ class ObjectiveSpec:
     def __post_init__(self):
         if not self.lipschitz_f > 0:
             raise ValueError(f"objective Lipschitz constant must be positive, got {self.lipschitz_f}")
+        object.__setattr__(self, "_checks_finite", bool(getattr(self.batch_evaluator, "checks_finite", False)))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """(N, n) points -> N values; raises NonFiniteValueError on a NaN
-        or infinite value."""
+        or infinite value (``EvaluationError`` from a ``checks_finite``
+        evaluator)."""
         if self.batch_evaluator is not None:
             values = np.asarray(self.batch_evaluator(points), dtype=float)
+            if self._checks_finite:
+                return values
         else:
             values = np.array([self.evaluator(p) for p in points], dtype=float)
         if not np.isfinite(values).all():

@@ -26,6 +26,7 @@ immutable; evaluation is reentrant and safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +79,19 @@ class Expr:
 # unary minus 3, power 4, atoms 5
 @dataclass(frozen=True)
 class Const(Expr):
+    """A literal.  It evaluates to one shared, read-only one-element array,
+    which numpy broadcasts against the columns; ``batch_evaluator`` gives a
+    constant-only expression one fresh value per row."""
+
     value: float
 
+    def __post_init__(self):
+        array = np.array([self.value], dtype=float)
+        array.setflags(write=False)
+        object.__setattr__(self, "_array", array)
+
     def _eval_batch(self, cols):
-        return np.full(cols[0].shape if cols else (1,), self.value)
+        return self._array
 
     def _fmt(self, parent=0):
         if self.value < 0:
@@ -171,10 +181,11 @@ class Call(Expr):
 
     def _eval_batch(self, cols):
         vals = [a._eval_batch(cols) for a in self.args]
-        if self.name == "min":
-            return np.minimum.reduce(vals)
-        if self.name == "max":
-            return np.maximum.reduce(vals)
+        if self.name in _VARIADIC:
+            # folded left to right, as ufunc.reduce over stacked rows does;
+            # a constant argument is one element, broadcast
+            fold = np.minimum if self.name == "min" else np.maximum
+            return functools.reduce(fold, vals)
         if self.name == "abs":
             return np.abs(vals[0])
         return getattr(np, self.name)(vals[0])
@@ -365,6 +376,9 @@ def batch_evaluator(expression: Expr):
         cols = [points[:, j].copy() for j in range(points.shape[1])]
         with np.errstate(all="ignore"):
             out = expression._eval_batch(cols)
+            if out.shape[0] != len(points) or not out.flags.writeable:
+                # a constant-only expression: one value for every row
+                out = out.repeat(len(points))
             finite = np.isfinite(out)
             if not finite.all():
                 i = int(np.argmin(finite))
@@ -373,6 +387,7 @@ def batch_evaluator(expression: Expr):
                 raise EvaluationError(f"non-finite value {node._eval_batch(row)[0]} at {points[i]}", node)
         return out
 
+    run.checks_finite = True  # ObjectiveSpec need not scan its values again
     return run
 
 

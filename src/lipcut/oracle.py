@@ -17,18 +17,24 @@ cutting driver.
 The node queue is processed in waves of up to 64 boxes, each split with
 array operations.  The children of a wave go through one pass over the
 region's stacked cuts (``RelaxedRegion.box_relations``), which says for
-every (box, cut) pair whether the box lies inside the ball, whether the
-ball touches the box, and whether it holds the box's snapped center.
-Corners and Halton samples of a box are then tested only against the cuts
-that touch it; every other cut provably holds for them, so the answers are
-those of a test against every cut.  Candidate evaluations are batched; the
-incumbent reduction (value, then lexicographic point) and the global-bound
-termination test make results independent of the order within a wave.
+each (box, cut) pair it is given whether the box lies inside the ball,
+whether the ball touches the box, and whether it holds the box's snapped
+center.  The root is given every cut.  Every box keeps on the heap the
+cuts that touch it, and its children are given only those: a child lies
+inside its parent, so a cut that misses the parent (widened by the
+pass's margin) misses the child too, and the answers are those of a pass
+over every cut.  Corners and Halton samples of a box are then tested only
+against the cuts that touch it; every other cut provably holds for them.
+Candidate evaluations are batched, and a wave offers all its feasible
+points to the incumbent at once; the incumbent reduction (value, then
+lexicographic point) and the global-bound termination test make results
+independent of the order within a wave.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import itertools
 import math
@@ -100,17 +106,30 @@ class InfeasibleStartError(RuntimeError):
     Distinct from a certified infeasibility of the region."""
 
 
-def _halton(count: int, dim: int) -> np.ndarray:
-    out = np.empty((count, dim))
+@functools.lru_cache(maxsize=None)
+def _halton(dim: int) -> np.ndarray:
+    """The first ``_MAX_SAMPLES`` points of the Halton sequence in [0, 1)^dim,
+    read-only and built once per dimension."""
+    out = np.empty((_MAX_SAMPLES, dim))
     for j in range(dim):
         base = _PRIMES[j % len(_PRIMES)]
-        for i in range(count):
+        for i in range(_MAX_SAMPLES):
             f, value, k = 1.0, 0.0, i + 1
             while k > 0:
                 f /= base
                 value += f * (k % base)
                 k //= base
             out[i, j] = value
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_pattern(dim: int) -> np.ndarray:
+    """The 2^dim corners of [0, 1]^dim, read-only and built once per
+    dimension."""
+    out = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
+    out.setflags(write=False)
     return out
 
 
@@ -130,11 +149,8 @@ class _Search:
         self.best_point: np.ndarray | None = None
         self.nodes = 0
         self.discard_floor = math.inf  # min lower bound over discarded boxes
-        if self.n <= _CORNER_DIM_LIMIT:
-            self.corner_pattern = np.array(list(itertools.product((0.0, 1.0), repeat=self.n)))
-        else:
-            self.corner_pattern = None
-        self.samples = _halton(_MAX_SAMPLES, self.n)
+        self.corner_pattern = _corner_pattern(self.n) if self.n <= _CORNER_DIM_LIMIT else None
+        self.samples = _halton(self.n)
 
     # -- evaluation -----------------------------------------------------
 
@@ -155,17 +171,19 @@ class _Search:
 
     # -- geometry -------------------------------------------------------
 
-    def normalize(self, los: np.ndarray, his: np.ndarray):
+    def normalize(self, los: np.ndarray, his: np.ndarray, candidates: np.ndarray):
         """Shrink integral coordinates to their lattice hull, the integers
-        in [lo, hi], and drop the boxes left empty; returns (los, his)."""
+        in [lo, hi], and drop the boxes left empty together with their
+        rows of the (boxes, K) ``candidates``; returns (los, his,
+        candidates)."""
         if not self.has_integral:
-            return los, his
+            return los, his, candidates
         los, his = los.copy(), his.copy()
         cols = np.flatnonzero(self.integral)
         los[:, cols] = np.ceil(los[:, cols])
         his[:, cols] = np.floor(his[:, cols])
         alive = np.all(los <= his, axis=1)
-        return (los, his) if alive.all() else (los[alive], his[alive])
+        return (los, his, candidates) if alive.all() else (los[alive], his[alive], candidates[alive])
 
     def snap(self, points: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Round integral coordinates to the nearest lattice point inside
@@ -184,26 +202,28 @@ class _Search:
 
     def run(self) -> OracleResult:
         tol = self.config.tolerance
-        self.admit(self.box.lower[None, :].copy(), self.box.upper[None, :].copy())
+        every_cut = np.ones((1, self.region.stacked_cuts), dtype=bool)
+        self.admit(self.box.lower[None, :].copy(), self.box.upper[None, :].copy(), every_cut)
         while self.heap:
             if self.best_point is not None and self.best_value - self.heap[0][0] <= tol:
                 return self.finish(self.best_value - self.heap[0][0])
-            lbs, los, his = [], [], []
+            lbs, los, his, touching = [], [], [], []
             while self.heap and len(lbs) < _WAVE_SIZE:
-                lb, _, lo, hi = heapq.heappop(self.heap)
+                lb, _, lo, hi, cuts = heapq.heappop(self.heap)
                 if self.best_point is not None and lb >= self.best_value - tol:
                     self.discard_floor = min(self.discard_floor, lb)
                     continue
                 lbs.append(lb)
                 los.append(lo)
                 his.append(hi)
+                touching.append(cuts)
             if not lbs:
                 break
             self.nodes += len(lbs)
             if self.nodes > self.config.node_limit:
                 gap = self.best_value - min(lbs) if self.best_point is not None else math.inf
                 raise ResourceLimitError(self.nodes, self.best_point, self.best_value, max(gap, 0.0))
-            self.expand(lbs, np.array(los), np.array(his))
+            self.expand(lbs, np.array(los), np.array(his), np.array(touching))
 
         if self.best_point is None:
             return OracleResult(OracleStatus.Infeasible, None, math.inf, 0.0, self.nodes)
@@ -213,12 +233,14 @@ class _Search:
         gap = max(0.0, gap) if math.isfinite(gap) else 0.0
         return OracleResult(OracleStatus.Solved, self.best_point, self.best_value, gap, self.nodes)
 
-    def expand(self, lbs: list, los: np.ndarray, his: np.ndarray) -> None:
+    def expand(self, lbs: list, los: np.ndarray, his: np.ndarray, touching: np.ndarray) -> None:
         """Split each box of a wave at the middle of its longest splittable
         edge (lowest index on ties; integral edges at floor(mid), the upper
         child from floor(mid) + 1) and admit the children: parents in wave
-        order, lower child first.  Boxes with no splittable edge go into
-        the discard floor."""
+        order, lower child first.  Each child's candidate cuts are the
+        cuts that touch its parent, the parent's row of the (boxes, K)
+        ``touching``.  Boxes with no splittable edge go into the discard
+        floor."""
         widths = his - los
         splittable = widths >= self.config.box_min_width
         if self.has_integral:
@@ -226,7 +248,7 @@ class _Search:
         can = splittable.any(axis=1)
         if not can.all():
             self.discard_floor = min(self.discard_floor, *itertools.compress(lbs, ~can))
-            los, his, widths, splittable = los[can], his[can], widths[can], splittable[can]
+            los, his, widths, splittable, touching = los[can], his[can], widths[can], splittable[can], touching[can]
             if len(los) == 0:
                 return
         j = np.where(splittable, widths, -np.inf).argmax(axis=1)
@@ -238,24 +260,27 @@ class _Search:
             integral = self.integral[j]
             mid = np.where(integral, np.floor(mid), mid)
             upper = np.where(integral, mid + 1.0, mid)
-        clos, chis = los.repeat(2, axis=0), his.repeat(2, axis=0)
+        clos, chis, candidates = los.repeat(2, axis=0), his.repeat(2, axis=0), touching.repeat(2, axis=0)
         chis[2 * rows, j] = mid
         clos[2 * rows + 1, j] = upper
         empty = np.concatenate((a > mid, upper > b))  # lower children, then upper ones
         if empty.any():
             keep = ~empty.reshape(2, -1).T.ravel()
-            clos, chis = clos[keep], chis[keep]
-        self.admit(clos, chis)
+            clos, chis, candidates = clos[keep], chis[keep], candidates[keep]
+        self.admit(clos, chis, candidates)
 
-    def admit(self, los: np.ndarray, his: np.ndarray) -> None:
-        """Normalize, prune, bound and push a batch of boxes, then harvest
-        incumbent candidates from the survivors."""
-        los, his = self.normalize(los, his)
+    def admit(self, los: np.ndarray, his: np.ndarray, candidates: np.ndarray) -> None:
+        """Normalize, prune, bound and push a batch of boxes, each tested
+        only against its candidate cuts, the rows of the (boxes, K)
+        ``candidates``, then harvest incumbent candidates from the
+        survivors.  A box's heap entry keeps the cuts that touch it, a
+        row view of this batch's answer, for its children."""
+        los, his, candidates = self.normalize(los, his, candidates)
         if len(los) == 0:
             return
         centers = 0.5 * (los + his)
         snapped = self.snap(centers, los, his)  # centers itself when nothing is integral
-        dead, touching, mid_violated = self.region.box_relations(los, his, snapped)
+        dead, touching, mid_violated = self.region.box_relations(los, his, snapped, candidates.T)
         if dead.any():
             live = ~dead
             los, his, centers, touching, mid_violated = (
@@ -275,8 +300,8 @@ class _Search:
                     los[keep], his[keep], snapped[keep], f_centers[keep], lbs[keep],
                     touching[:, keep], mid_violated[keep],
                 )
-        for lo, hi, lb in zip(los, his, lbs):
-            heapq.heappush(self.heap, (float(lb), next(self.counter), lo, hi))
+        for lo, hi, lb, cuts in zip(los, his, lbs, touching.T):
+            heapq.heappush(self.heap, (float(lb), next(self.counter), lo, hi, cuts))
         if len(los):
             # a snapped center lies in its box's lattice hull, which
             # normalize keeps inside the domain: only the cuts can reject it
@@ -284,15 +309,16 @@ class _Search:
 
     def harvest(self, los, his, snapped, f_centers, center_ok, touching) -> None:
         """Offer the feasible (snapped) centers, box corners, and Halton
-        samples of the boxes whose center is infeasible.  Corners and
-        samples are tested against the domain and only against the cuts
-        that touch their box (``touching``); every other cut provably holds
-        for them (``RelaxedRegion.box_relations``)."""
+        samples of the boxes whose center is infeasible, in one ``offer``.
+        Corners and samples are tested against the domain and only against
+        the cuts that touch their box (``touching``); every other cut
+        provably holds for them (``RelaxedRegion.box_relations``)."""
+        count = len(los)
+        found, values = [], []
         if not self.has_integral:
             # feasible centers already carry their objective value
-            self.offer(snapped[center_ok], f_centers[center_ok])
-
-        count = len(los)
+            found.append(snapped[center_ok])
+            values.append(f_centers[center_ok])
         blocks = [snapped] if self.has_integral else []
         per_box = 0
         if self.corner_pattern is not None:
@@ -301,27 +327,28 @@ class _Search:
         bad = np.flatnonzero(~center_ok)
         if bad.size:
             blocks.append(self.spread(self.samples, los[bad], his[bad]))
-        if not blocks:
-            return
-        pts = np.concatenate(blocks)
-        first = count if self.has_integral else 0
-        ok = np.empty(len(pts), dtype=bool)
-        ok[:first] = center_ok[:first]
-        tested = pts[first:]
-        if touching.any():
-            # the rows of ``tested`` drawn from each box: its corners, then
-            # its samples if it has any, else -1
-            owners = np.empty((count, per_box + (_MAX_SAMPLES if bad.size else 0)), dtype=np.intp)
-            owners[:, :per_box] = np.arange(count * per_box).reshape(count, per_box)
-            if bad.size:
-                owners[:, per_box:] = -1
-                owners[bad, per_box:] = np.arange(count * per_box, len(tested)).reshape(bad.size, _MAX_SAMPLES)
-            ok[first:] = self.region.touching_membership(tested, owners, touching)
-        else:
-            ok[first:] = self.box.contains_mask(tested)
-        if ok.any():
-            feasible = pts.compress(ok, axis=0)
-            self.offer(feasible, self.objective.evaluate_batch(feasible))
+        if blocks:
+            pts = np.concatenate(blocks)
+            first = count if self.has_integral else 0
+            ok = np.empty(len(pts), dtype=bool)
+            ok[:first] = center_ok[:first]
+            tested = pts[first:]
+            if touching.any():
+                # the rows of ``tested`` drawn from each box: its corners, then
+                # its samples if it has any, else -1
+                owners = np.empty((count, per_box + (_MAX_SAMPLES if bad.size else 0)), dtype=np.intp)
+                owners[:, :per_box] = np.arange(count * per_box).reshape(count, per_box)
+                if bad.size:
+                    owners[:, per_box:] = -1
+                    owners[bad, per_box:] = np.arange(count * per_box, len(tested)).reshape(bad.size, _MAX_SAMPLES)
+                ok[first:] = self.region.touching_membership(tested, owners, touching)
+            else:
+                ok[first:] = self.box.contains_mask(tested)
+            if ok.any():
+                found.append(pts.compress(ok, axis=0))
+                values.append(self.objective.evaluate_batch(found[-1]))
+        if found:
+            self.offer(np.concatenate(found), np.concatenate(values))
 
     def spread(self, pattern, los, his) -> np.ndarray:
         """The points lo + pattern * (hi - lo) of each box, box-major, with

@@ -9,11 +9,13 @@ CSV bytes depend on every such comparison.
 The branch and bound tests the points it harvests from a box only against
 the cuts that touch the box (``box_relations``, ``touching_membership``).  The
 last tests check, on points built by the branch and bound's own code, that
-this gives exactly the dense kernel's answer.
+this gives exactly the dense kernel's answer, and that a child box given
+only the cuts that touch its parent gets exactly the answers of a box
+pass over every cut.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lipcut.core import (
@@ -242,13 +244,18 @@ def test_kernel_with_eight_or_more_masked_columns():
 # -- the box pass and the touching-cut test of the branch and bound --------
 
 
+def every_cut(region, count):
+    """The all-true (K, count) candidate mask: every cut for every box."""
+    return np.ones((region.stacked_cuts, count), dtype=bool)
+
+
 def harvested(region, los, his):
     """The boxes [los, his] normalized, their snapped centers, the points
     the branch and bound draws from them, built by its own code (snapped
     centers, corners and Halton samples), and the (boxes, points) table of
     the rows drawn from each box."""
     s = _Search(None, region, OracleConfig(), NormKind.Two)
-    los, his = s.normalize(los, his)
+    los, his, _ = s.normalize(los, his, every_cut(region, len(los)).T)
     snapped = s.snap(0.5 * (los + his), los, his)
     patterns = ((s.corner_pattern,) if s.corner_pattern is not None else ()) + (s.samples,)
     blocks, owner = [snapped], [np.arange(len(los))]
@@ -270,12 +277,10 @@ def magnitudes():
 
 
 @st.composite
-def box_cases(draw):
+def sub_boxes(draw):
     """A 1-3 dim domain with bounds of mixed sign and magnitude and some
-    integral coordinates, sub-boxes of it (some degenerate, some sharing
-    its faces), and cuts of mixed norms and masks.  Some radii are the
-    distance from the center to a harvested point, so that point lies on
-    the ball's boundary in floating point."""
+    integral coordinates, and sub-boxes of it (some degenerate, some
+    sharing its faces), normalized."""
     n = draw(st.integers(1, 3))
     integral = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     lower, upper = [], []
@@ -295,8 +300,15 @@ def box_cases(draw):
     # lower + 1.0 * width can round past upper: clip into the domain
     los = np.minimum(box.lower + np.minimum(u[0], u[1]) * box.widths, box.upper)
     his = np.minimum(np.maximum(box.lower + np.maximum(u[0], u[1]) * box.widths, los), box.upper)
-    los, his, _, points, _ = harvested(RelaxedRegion(box), los, his)
+    los, his, *_ = harvested(RelaxedRegion(box), los, his)
+    return box, los, his
 
+
+def cuts_about(draw, box, points):
+    """0-8 cuts of mixed norms and masks, centered at or near the points.
+    Some radii are the distance from the center to one of the points, so
+    that point lies on the ball's boundary in floating point."""
+    n = box.dimension
     cuts = []
     for _ in range(draw(st.integers(0, 8))):
         norm = draw(st.sampled_from(list(NormKind)))
@@ -311,7 +323,16 @@ def box_cases(draw):
         else:
             radius = draw(st.floats(0.0, 1.0)) * max(float(box.widths.max()), 1e-12)
         cuts.append(Cut(center, radius, mask, norm))
-    return RelaxedRegion(box, tuple(cuts)), los, his, draw(st.booleans())
+    return tuple(cuts)
+
+
+@st.composite
+def box_cases(draw):
+    """Sub-boxes of a domain (``sub_boxes``) and cuts about the points the
+    branch and bound harvests from them."""
+    box, los, his = draw(sub_boxes())
+    points = harvested(RelaxedRegion(box), los, his)[3]
+    return RelaxedRegion(box, cuts_about(draw, box, points)), los, his, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
@@ -321,7 +342,7 @@ def test_box_pass_and_touching_pairs_match_the_dense_kernel(case):
     los, his, snapped, points, owners = harvested(region, los, his)
     if pad:  # the -1 padding of boxes without samples
         owners = np.hstack((owners, np.full((len(owners), 3), -1)))
-    excluded, touching, mid_violated = region.box_relations(los, his, snapped)
+    excluded, touching, mid_violated = region.box_relations(los, his, snapped, every_cut(region, len(los)))
     assert np.array_equal(excluded, region.excluded_mask(los, his))
     assert np.array_equal(excluded, ref_excluded_mask(region, los, his))
     live = ~excluded
@@ -343,8 +364,68 @@ def test_overshooting_corner_stays_rejected():
     los, his, snapped, points, owners = harvested(region, np.array([[-1.0]]), np.array([[hi]]))
     corner = points[owners[0]][2]
     assert corner[0] == 2.0 ** -52 > hi
-    excluded, touching, _ = region.box_relations(los, his, snapped)
+    excluded, touching, _ = region.box_relations(los, his, snapped, every_cut(region, len(los)))
     assert not excluded[0] and touching[0, 0]
     ok = region.touching_membership(points, owners, touching)
     assert not region.membership_mask(corner[None])[0]
     assert np.array_equal(ok, region.membership_mask(points))
+
+
+# -- inherited candidate cuts -------------------------------------------------
+
+
+def children(region, los, his, touching):
+    """The children of the boxes [los, his], split by the branch and
+    bound's own ``expand``, normalized and with their snapped centers,
+    and the (K, children) candidate mask each inherits from the (K, boxes)
+    ``touching`` of its parent."""
+    s = _Search(None, region, OracleConfig(), NormKind.Two)
+    made = []
+    s.admit = lambda *batch: made.append(batch)
+    s.expand([0.0] * len(los), los, his, touching.T)
+    if not made:
+        return los[:0], his[:0], los[:0], touching[:, :0]
+    clos, chis, candidates = s.normalize(*made[0])
+    return clos, chis, s.snap(0.5 * (clos + chis), clos, chis), candidates.T
+
+
+@st.composite
+def inheritance_cases(draw):
+    """Parent boxes (``sub_boxes``) and cuts about the points the branch
+    and bound harvests from the parents and from their children."""
+    box, los, his = draw(sub_boxes())
+    bare = RelaxedRegion(box)
+    clos, chis, *_ = children(bare, los, his, every_cut(bare, len(los)))
+    points = np.vstack((harvested(bare, los, his)[3], harvested(bare, clos, chis)[3]))
+    return RelaxedRegion(box, cuts_about(draw, box, points)), los, his
+
+
+# The upper child [-0.4999999999999998, 3*2^-53] of this parent has the
+# corner 7*2^-54 past its upper bound.  The ball of radius 2^-54 about
+# that corner holds it and reaches the child only through the margin.
+OVERSHOOTING_CHILD = (
+    RelaxedRegion(BoxDomain((-1.0,), (1.0,)), (Cut((7 * 2.0 ** -54,), 2.0 ** -54),)),
+    np.array([[-1.0]]),
+    np.array([[3 * 2.0 ** -53]]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=inheritance_cases())
+@example(case=OVERSHOOTING_CHILD)
+def test_children_tested_against_their_parents_touching_cuts_match_every_cut(case):
+    region, los, his = case
+    los, his, snapped, *_ = harvested(region, los, his)
+    touching = region.box_relations(los, his, snapped, every_cut(region, len(los)))[1]
+    clos, chis, csnapped, candidates = children(region, los, his, touching)
+    inherited = region.box_relations(clos, chis, csnapped, candidates)
+    full = region.box_relations(clos, chis, csnapped, every_cut(region, len(clos)))
+    for mine, every in zip(inherited, full):  # excluded, touching, mid_violated
+        assert np.array_equal(mine, every)
+    # and what the branch and bound then harvests from the live children
+    # gets the dense kernel's answer
+    _, _, _, points, owners = harvested(region, clos, chis)
+    live = owners[~inherited[0]]
+    kept = live[live >= 0]
+    ok = region.touching_membership(points, owners, inherited[1])
+    assert np.array_equal(ok[kept], region.membership_mask(points)[kept])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lipcut.expr import (
+    Const,
     EvaluationError,
     ExpressionError,
     batch_evaluator,
@@ -201,6 +202,39 @@ class TestBatchEvaluation:
         e = parse("min(1/x1, 0)", 1)
         assert evaluate(e, (0.0,)) == 0.0
         assert batch_evaluator(e)(np.array([[0.0], [2.0]])).tolist() == [0.0, 0.0]
+
+
+def consts(e):
+    """The Const nodes of an expression."""
+    own = (e,) if isinstance(e, Const) else ()
+    return own + tuple(c for child in e.children() for c in consts(child))
+
+
+class TestConstants:
+    def test_constant_only_expression_gives_one_fresh_value_per_row(self):
+        for text in ("2", "3*sin(1)"):
+            e = parse(text, 2)
+            expected = evaluate(e, (0.0, 0.0))
+            for rows in (1, 3, 64):
+                out = batch_evaluator(e)(np.zeros((rows, 2)))
+                assert out.shape == (rows,) and out.tolist() == [expected] * rows, text
+                assert out.flags.writeable
+                assert not any(np.shares_memory(out, c._eval_batch([])) for c in consts(e))
+                out[:] = -1.0  # the next call is not affected
+                assert batch_evaluator(e)(np.zeros((rows, 2))).tolist() == [expected] * rows
+
+    def test_min_max_fold_constants_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        pts = np.concatenate(([[0.0], [-0.0], [1.0], [2.0], [1.5]], rng.uniform(-3, 3, size=(59, 1))))
+        for text in ("min(1, x1, 2)", "max(1, x1, 2)", "max(x1, 0.5, -x1)", "min(2, 1)"):
+            e = parse(text, 1)
+            assert [evaluate(e, x) for x in pts] == batch_evaluator(e)(pts).tolist(), text
+
+    def test_const_array_is_read_only(self):
+        value = Const(2.0)._eval_batch([np.zeros(5)])
+        assert value.shape == (1,) and value[0] == 2.0
+        with pytest.raises(ValueError):
+            value[0] = 3.0
 
 
 def test_contains_abs():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from lipcut.core import (
     RelaxedRegion,
     region_membership,
 )
+from lipcut.expr import EvaluationError, batch_evaluator, evaluate, parse
 from lipcut.oracle import (
     GlobalOracle,
     InfeasibleStartError,
@@ -238,6 +240,23 @@ class TestNonFiniteObjective:
         with pytest.raises(NonFiniteValueError, match="finite") as info:
             solve_local(ObjectiveSpec(f, 1.0), RelaxedRegion(BoxDomain((-1.0,), (1.0,))), (0.0,))
         assert info.value.point.tolist() == [0.5] and math.isnan(info.value.value)
+
+    def test_expression_objective_names_the_node(self):
+        e = parse("-x1 + sqrt(0.3 - x1)", 1)
+        objective = ObjectiveSpec(functools.partial(evaluate, e), 2.0, batch_evaluator=batch_evaluator(e))
+        with pytest.raises(EvaluationError) as info:
+            solve_global(objective, RelaxedRegion(BoxDomain((-1.0,), (1.0,))))
+        assert str(info.value.subexpression) == "sqrt(0.3 - x1)"
+
+    def test_checking_evaluator_is_not_scanned_again(self):
+        # an evaluator that says it raises on non-finite values is trusted:
+        # its batch is scanned once, by itself
+        def run(p):
+            return np.full(len(p), math.nan)
+
+        run.checks_finite = True
+        values = ObjectiveSpec(lambda x: 0.0, 1.0, batch_evaluator=run).evaluate_batch(np.zeros((2, 1)))
+        assert np.isnan(values).all()
 
 
 class TestSolveLocal:
