@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoxDomain, NormKind
+from .core import BoxDomain, NormKind, norm_eval
 
 
 class BoundKind(enum.Enum):
@@ -91,13 +91,8 @@ def complexity_lower(alpha: float, epsilon: float, n: int, c: float = 1.0) -> fl
 
 def box_radius(box: BoxDomain, norm: NormKind) -> float:
     """Radius of the smallest norm ball containing the box (centered at the
-    box center)."""
-    half = 0.5 * box.widths
-    if norm is NormKind.Inf:
-        return float(np.max(half))
-    if norm is NormKind.Two:
-        return float(np.sqrt(np.sum(half * half)))
-    return float(np.sum(half))
+    box center): the norm of the half-widths."""
+    return norm_eval(norm, 0.5 * box.widths)
 
 
 def box_radius_asphericity(box: BoxDomain, norm: NormKind) -> tuple[float, float]:

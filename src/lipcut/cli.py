@@ -284,7 +284,7 @@ def _objective_coefficients(built) -> dict:
     from .expr import finite_diff_jacobian
 
     box = built.problem.domain
-    row = finite_diff_jacobian([built.exprs["objective"]], box.center, h=1e-6)[0]
+    row = finite_diff_jacobian([built.exprs["objective"]], box.center)[0]
     return {f"x{j + 1}": float(row[j]) for j in range(box.dimension) if abs(row[j]) > 1e-12}
 
 

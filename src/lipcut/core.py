@@ -9,13 +9,12 @@ routine:
 * ``box_relations``: the (box, cut) pairs that a (cuts, boxes) candidate
   mask marks, in one pass: is the box inside the ball (exclusion), does
   the ball touch the box widened by a few ulps, and does the ball hold a
-  given point of the box.  ``excluded_mask`` and the branch and bound's
-  root pass every cut.  A child box gets the cuts that touch its parent:
-  it lies inside its parent, so its widened box lies inside the parent's
-  (the margin cannot grow and rounding is monotone), and a cut that
-  misses the parent's widened box can neither exclude the child, touch
-  it nor hold its center.  The answers are those of a pass over every
-  cut;
+  given point of the box.  The branch and bound's root passes every
+  cut.  A child box gets the cuts that touch its parent: it lies inside
+  its parent, so its widened box lies inside the parent's (the margin
+  cannot grow and rounding is monotone), and a cut that misses the
+  parent's widened box can neither exclude the child, touch it nor hold
+  its center.  The answers are those of a pass over every cut;
 * ``touching_membership``: membership of points drawn from boxes, each
   tested only against the cuts that touch its box.  The branch and bound
   tests the points it harvests this way; every other cut is provably
@@ -83,22 +82,18 @@ _NORM_ALIASES = {
 
 
 def norm_eval(norm: NormKind, v) -> float:
-    """Evaluate the given norm of a vector.
+    """Evaluate the given norm of a vector: the one-row ``norm_eval_rows``.
 
     Raises ValueError on an empty vector.
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise ValueError("norm of an empty vector is undefined")
-    if norm is NormKind.One:
-        return float(np.sum(np.abs(v)))
-    if norm is NormKind.Two:
-        return float(np.sqrt(np.sum(v * v)))
-    return float(np.max(np.abs(v)))
+    return float(norm_eval_rows(norm, v.reshape(1, -1))[0])
 
 
 def norm_eval_rows(norm: NormKind, m: np.ndarray) -> np.ndarray:
-    """Row-wise norm of a 2-D array; vectorized companion of norm_eval."""
+    """Row-wise norm of a 2-D array."""
     if norm is NormKind.One:
         return np.sum(np.abs(m), axis=-1)
     if norm is NormKind.Two:
@@ -173,22 +168,20 @@ class BoxDomain:
     def diameter(self, norm: NormKind) -> float:
         return norm_eval(norm, self.widths)
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != self.lower.shape:
             raise ValueError("dimension mismatch")
-        return bool(self.contains_mask(x[None, :], tol)[0])
+        return bool(self.contains_mask(x[None, :])[0])
 
-    def contains_mask(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def contains_mask(self, points: np.ndarray) -> np.ndarray:
         """Vectorized ``contains`` for an (N, n) array of points."""
         points = np.asarray(points, dtype=float)
-        # the branch and bound calls this twice per batch of boxes: few
-        # numpy calls, no arrays built for the default tol
-        lower, upper = (self.lower - tol, self.upper + tol) if tol else (self.lower, self.upper)
+        lower, upper = self.lower, self.upper
         ok = ((points >= lower) & (points <= upper)).all(axis=1)
         cols = self._integral_cols
         if cols.size:
-            # within the tolerance of an integer that lies in the box
+            # within INTEGRALITY_TOL of an integer that lies in the box
             xi = points[:, cols]
             k = np.round(xi)
             ok &= ((np.abs(xi - k) <= INTEGRALITY_TOL) & (k >= lower[cols]) & (k <= upper[cols])).all(axis=1)
@@ -316,21 +309,14 @@ class RelaxedRegion:
         """K, the number of stacked cuts (those of positive radius)."""
         return int(self._starts[-1])
 
-    def excluded_mask(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """True for the boxes [los[i], his[i]] lying strictly inside some
-        exclusion ball: the farthest box point is closer to the cut center
-        than the radius."""
-        los = np.asarray(los, dtype=float)
-        candidates = np.ones((self.stacked_cuts, len(los)), dtype=bool)
-        return self.box_relations(los, his, los, candidates)[0]
-
     def box_relations(self, los: np.ndarray, his: np.ndarray, mids: np.ndarray, candidates: np.ndarray):
         """One pass over the (cut, box) pairs that ``candidates`` (K, N),
         cut-major, marks for the (N, n) boxes [los[i], his[i]] and one
         point mids[i] of each.  Returns:
 
         * ``excluded`` (N,): the farthest box point is closer than the
-          radius to some cut center (``excluded_mask``);
+          radius to some cut center, so the box lies strictly inside that
+          exclusion ball;
         * ``touching`` (K, N), cut-major: touching[k, i] when the nearest
           point of box i widened by the margin below is closer than the
           radius to the center of cut k;
@@ -514,7 +500,8 @@ class ConstraintSpec:
     ``global_L`` is a Lipschitz constant of the whole vector map with
     respect to (domain norm, image_norm); ``component_L`` optionally gives
     per-component constants; ``pointwise_L`` optionally evaluates a
-    point-dependent constant (never exceeding ``global_L``).
+    point-dependent constant (never exceeding ``global_L``), which the
+    driver's vector cuts use whenever it is given.
     ``active_mask`` rows mark which coordinates each component depends on.
     """
 

@@ -13,7 +13,8 @@ The loop per iteration k:
    are treated as zero to avoid degenerate zero-radius cuts), or
    <= epsilon in approximate mode.
 4. Otherwise a cut is added at the point.  Vector mode uses radius
-   ||r_+|| / L (or the point-dependent constant when enabled); component
+   ||r_+|| / L, with the constraint's point-dependent constant L(x) as L
+   whenever the constraint carries one (``pointwise_L``); component
    mode adds ONE cut with the maximal per-component radius
    max_p r_p(x)_+ / L_p, recording the attaining component and using that
    component's active-coordinate mask.  The maximal-radius ball contains
@@ -68,14 +69,14 @@ class DriverConfig:
     epsilon accepts points with every component violation <= epsilon.
     ``epsilon_floor`` (radius = max(radius, epsilon)) defaults to on in
     approximate mode and never applies in exact mode.  Component mode
-    requires per-component Lipschitz constants.
+    requires per-component Lipschitz constants and a constraint without a
+    point-dependent constant (``ConstraintSpec.pointwise_L``).
     """
 
     epsilon: float = 0.0
     max_iterations: int = 100
     cut_mode: CutMode = CutMode.Vector
     epsilon_floor: bool | None = None
-    use_pointwise_L: bool = False
     initial_start: np.ndarray | None = None
 
     def __post_init__(self):
@@ -134,10 +135,8 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
     constraint = problem.constraint
     if config.cut_mode is CutMode.Component and constraint.component_L is None:
         raise ValueError("component cut mode requires per-component Lipschitz constants")
-    if config.use_pointwise_L and config.cut_mode is CutMode.Component:
+    if constraint.pointwise_L is not None and config.cut_mode is CutMode.Component:
         raise ValueError("point-dependent constants are supported in vector cut mode only")
-    if config.use_pointwise_L and constraint.pointwise_L is None:
-        raise ValueError("use_pointwise_L is set but the constraint has no pointwise evaluator")
 
     region = RelaxedRegion(problem.domain)
     trace: list[IterationRecord] = []
@@ -196,7 +195,7 @@ def _cut_geometry(problem: Problem, violations: np.ndarray, x: np.ndarray, confi
     constraint = problem.constraint
     if config.cut_mode is CutMode.Vector:
         L = constraint.global_L
-        if config.use_pointwise_L:
+        if constraint.pointwise_L is not None:
             L_x = float(constraint.pointwise_L(x))
             if L_x > constraint.global_L:
                 raise ValueError(

@@ -33,6 +33,7 @@ import numpy as np
 
 _FUNCTIONS = {"sin", "cos", "tan", "sqrt", "abs", "exp", "log", "min", "max"}
 _VARIADIC = {"min", "max"}
+_FD_STEP = 1e-6  # central-difference step of the finite-difference Jacobians
 
 
 class ExpressionError(ValueError):
@@ -412,20 +413,20 @@ def contains_abs(expression: Expr) -> bool:
     return any(contains_abs(c) for c in expression.children())
 
 
-def finite_diff_jacobian(exprs, x, h: float = 1e-6) -> np.ndarray:
+def finite_diff_jacobian(exprs, x) -> np.ndarray:
     """Central-difference Jacobian of a list of expressions at x, the
     one-row case of ``finite_diff_jacobian_batch``.
 
-    Entry (q, j) = (e_q(x + h u_j) - e_q(x - h u_j)) / (2 h).  Evaluation
-    errors propagate.
+    Entry (q, j) = (e_q(x + h u_j) - e_q(x - h u_j)) / (2 h) with the step
+    h = ``_FD_STEP`` = 1e-6.  Evaluation errors propagate.
     """
-    return finite_diff_jacobian_batch(exprs, np.asarray(x, dtype=float)[None, :], h)[0]
+    return finite_diff_jacobian_batch(exprs, np.asarray(x, dtype=float)[None, :])[0]
 
 
-def finite_diff_jacobian_batch(exprs, points: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Vectorized Jacobians for an (N, n) array of points -> (N, m, n)."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+def finite_diff_jacobian_batch(exprs, points: np.ndarray) -> np.ndarray:
+    """Vectorized Jacobians for an (N, n) array of points -> (N, m, n),
+    with the step ``_FD_STEP``."""
+    h = _FD_STEP
     points = np.asarray(points, dtype=float)
     n_points, n = points.shape
     evaluators = [batch_evaluator(e) for e in exprs]

@@ -41,6 +41,7 @@ from .core import BoxDomain, NormKind, norm_eval_rows
 from .expr import contains_abs, finite_diff_jacobian_batch
 
 _ENUM_LIMIT = 14  # sign-enumeration cap: 2^(k-1) vertices
+_VALUE_FLOOR = 1e-12  # reported for a function that reads as constant
 
 
 class EstimateMethod(enum.Enum):
@@ -150,9 +151,12 @@ def jacobian_sup_bound(
     image_norm: NormKind,
     grid_per_dim: int = 64,
     safety: float = 1.05,
-    h: float = 1e-6,
 ) -> LipschitzEstimate:
     """Grid supremum of the induced Jacobian norm, times the safety factor.
+
+    The Jacobians are central differences with the step
+    ``lipcut.expr._FD_STEP`` = 1e-6.  A Jacobian that vanishes on the whole
+    grid reports ``_VALUE_FLOOR`` = 1e-12 with a warning.
 
     An estimate: between grid points the Jacobian norm can exceed the grid
     maximum by more than the safety factor (see the module docstring for
@@ -167,13 +171,13 @@ def jacobian_sup_bound(
     if safety < 1:
         raise ValueError("safety factor must be >= 1")
     points = box_grid(box, grid_per_dim)
-    jac = finite_diff_jacobian_batch(exprs, points, h=h)
+    jac = finite_diff_jacobian_batch(exprs, points)
     values, exact = induced_norms(jac, domain_norm, image_norm)
     effective_safety = 2.0 * safety if any(contains_abs(e) for e in exprs) else safety
     value = float(values.max()) * effective_safety
     if value <= 0:
-        warnings.warn("Jacobian vanished on the whole grid; reporting floor 1e-12")
-        value = 1e-12
+        warnings.warn(f"Jacobian vanished on the whole grid; reporting floor {_VALUE_FLOOR:g}")
+        value = _VALUE_FLOOR
     return LipschitzEstimate(
         value=value,
         method=EstimateMethod.JacobianGrid,
@@ -201,7 +205,6 @@ def slope_sampling_estimate(
     pairs: int,
     inflation: float = 0.1,
     seed: int = 0,
-    floor: float = 1e-12,
     batch_evaluator=None,
 ) -> LipschitzEstimate:
     """Maximum difference quotient over ``pairs`` random point pairs,
@@ -213,9 +216,9 @@ def slope_sampling_estimate(
 
     This is a lower estimate of the true constant (before inflation it
     equals the largest observed slope), so it is heuristic.  A constant
-    function yields the configured floor with a warning.  Degenerate pairs
-    (identical points, possible on integral domains) are re-drawn up to 100
-    times each.
+    function yields ``_VALUE_FLOOR`` = 1e-12 with a warning.  Degenerate
+    pairs (identical points, possible on integral domains) have their
+    second point re-drawn, in pair order, up to 100 times each.
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
@@ -224,7 +227,7 @@ def slope_sampling_estimate(
     rng = np.random.default_rng(seed)
     xs = _sample_points(rng, box, pairs)
     ys = _sample_points(rng, box, pairs)
-    for i in range(pairs):
+    for i in np.flatnonzero((xs == ys).all(axis=1)):
         tries = 0
         while np.array_equal(xs[i], ys[i]):
             tries += 1
@@ -246,5 +249,5 @@ def slope_sampling_estimate(
     best = float((num / den).max())
     if best <= 0.0:
         warnings.warn("all sampled slopes are zero (constant function?); reporting floor")
-        return LipschitzEstimate(floor, EstimateMethod.SlopeSampling, 1.0 + inflation, pairs)
+        return LipschitzEstimate(_VALUE_FLOOR, EstimateMethod.SlopeSampling, 1.0 + inflation, pairs)
     return LipschitzEstimate(best * (1.0 + inflation), EstimateMethod.SlopeSampling, 1.0 + inflation, pairs)

@@ -54,6 +54,7 @@ from .core import (
 )
 
 _WAVE_SIZE = 64
+_BOX_MIN_WIDTH = 1e-10  # edges narrower than this are not split
 _MAX_SAMPLES = 32
 _CORNER_DIM_LIMIT = 5
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -66,14 +67,14 @@ class OracleStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Oracle tolerances and resource limits (all positive)."""
+    """Oracle tolerance and node limit (both positive).  The branch and
+    bound splits no edge narrower than ``_BOX_MIN_WIDTH`` = 1e-10."""
 
     tolerance: float = 1e-6
     node_limit: int = 10_000_000
-    box_min_width: float = 1e-10
 
     def __post_init__(self):
-        if not (self.tolerance > 0 and self.node_limit > 0 and self.box_min_width > 0):
+        if not (self.tolerance > 0 and self.node_limit > 0):
             raise ValueError("oracle configuration values must be positive")
 
 
@@ -242,7 +243,7 @@ class _Search:
         ``touching``.  Boxes with no splittable edge go into the discard
         floor."""
         widths = his - los
-        splittable = widths >= self.config.box_min_width
+        splittable = widths >= _BOX_MIN_WIDTH
         if self.has_integral:
             splittable &= ~self.integral | (widths >= 1.0)
         can = splittable.any(axis=1)
@@ -374,9 +375,10 @@ def solve_global(
     ``objective.lipschitz_f`` must be valid for ``domain_norm`` over the
     region's box.  Returns Infeasible when the branch tree is exhausted
     without any feasible point (certification is exact up to sub-boxes
-    narrower than ``box_min_width``), else Solved once the incumbent minus
-    the smallest surviving lower bound drops to the tolerance.  Raises
-    ResourceLimitError past ``node_limit`` processed nodes.
+    narrower than ``_BOX_MIN_WIDTH`` = 1e-10, which are never split), else
+    Solved once the incumbent minus the smallest surviving lower bound
+    drops to the tolerance.  Raises ResourceLimitError past ``node_limit``
+    processed nodes.
     """
     config = config or OracleConfig()
     return _Search(objective, region, config, domain_norm).run()

@@ -20,9 +20,10 @@ A problem file is one flat YAML document with the keys
     cut_mode: "vector"                # optional: "vector" | "component"
 
 Missing Lipschitz constants are estimated at load time (grid bound, 64
-points per dimension, safety 1.05) and the estimates are reported back to
-the caller.  Builtin problems carry their published constants verbatim so
-solver traces stay reproducible and independent of estimator drift.
+points per dimension, safety 1.05; or slope sampling over 10,000 pairs,
+inflation 0.1) and the estimates are reported back to the caller.
+Builtin problems carry their published constants verbatim so solver
+traces stay reproducible and independent of estimator drift.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ _KEYS = {
     "objective_L", "constraints", "global_L", "epsilon", "max_iterations", "cut_mode",
 }
 _CONSTRAINT_KEYS = {"expr", "L", "mask"}
+_SAMPLING_PAIRS = 10_000
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,10 @@ class BuiltProblem:
 
 def load_problem_file(path) -> ProblemDefinition:
     with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+        try:
+            data = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"problem file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"problem file {path} is not a mapping")
     return definition_from_dict(data, name=str(path))
@@ -101,6 +106,10 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
     dimension = int(data["dimension"])
     if dimension < 1:
         raise ValueError("dimension must be positive")
+    if not isinstance(data["bounds"], (list, tuple)) or not all(
+        isinstance(b, (list, tuple)) and len(b) == 2 for b in data["bounds"]
+    ):
+        raise ValueError("bounds must be a list of [lower, upper] pairs, one per coordinate")
     bounds = tuple((float(lo), float(hi)) for lo, hi in data["bounds"])
     if len(bounds) != dimension:
         raise ValueError("bounds length does not match dimension")
@@ -109,8 +118,12 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
         integral = tuple(bool(b) for b in data["integral"])
         if len(integral) != dimension:
             raise ValueError("integral length does not match dimension")
+    if not isinstance(data["constraints"], (list, tuple)):
+        raise ValueError("constraints must be a list of mappings with an 'expr' key")
     constraints = []
-    for entry in data["constraints"]:
+    for p, entry in enumerate(data["constraints"], start=1):
+        if not isinstance(entry, dict):
+            raise ValueError(f"constraint {p} must be a mapping with an 'expr' key, got {entry!r}")
         unknown = set(entry) - _CONSTRAINT_KEYS
         if unknown:
             raise ValueError(f"unknown constraint keys: {sorted(unknown)}")
@@ -143,15 +156,15 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
 def build(
     definition: ProblemDefinition,
     estimator: str = "grid",
-    grid: int = 64,
-    safety: float = 1.05,
-    pairs: int = 10_000,
-    inflation: float = 0.1,
     seed: int = 0,
     need_component_L: bool = False,
 ) -> BuiltProblem:
     """Compile a definition to a runnable Problem, estimating any missing
-    Lipschitz constants with the chosen estimator."""
+    Lipschitz constants with the chosen estimator: ``"grid"`` is
+    ``jacobian_sup_bound`` with its defaults (64 points per dimension,
+    safety 1.05), anything else ``slope_sampling_estimate`` over
+    ``_SAMPLING_PAIRS`` = 10,000 pairs from ``seed`` with its default
+    inflation 0.1."""
     box = BoxDomain(
         [b[0] for b in definition.bounds],
         [b[1] for b in definition.bounds],
@@ -163,14 +176,13 @@ def build(
 
     def estimate(exprs, image_norm) -> LipschitzEstimate:
         if estimator == "grid":
-            return jacobian_sup_bound(exprs, box, definition.norm, image_norm, grid_per_dim=grid, safety=safety)
+            return jacobian_sup_bound(exprs, box, definition.norm, image_norm)
         return slope_sampling_estimate(
             None,
             box,
             definition.norm,
             image_norm,
-            pairs=pairs,
-            inflation=inflation,
+            pairs=_SAMPLING_PAIRS,
             seed=seed,
             batch_evaluator=_stack_batch([batch_evaluator(e) for e in exprs]),
         )

@@ -187,7 +187,7 @@ def test_kernel_matches_per_cut_reference(case):
     for r in (region,) + tuple(RelaxedRegion(region.domain, (c,)) for c in region.cuts):
         assert np.array_equal(r.membership_mask(points), ref_membership_mask(r, points))
         assert [region_membership(r, p) for p in points] == [ref_region_membership(r, p) for p in points]
-        assert np.array_equal(r.excluded_mask(los, his), ref_excluded_mask(r, los, his))
+        assert np.array_equal(box_excluded(r, los, his), ref_excluded_mask(r, los, his))
 
 
 def test_kernel_spans_several_chunks():
@@ -206,7 +206,7 @@ def test_kernel_spans_several_chunks():
 
     los = rng.uniform(-2.2, 2.2, size=(3000, n))
     his = los + rng.uniform(0.0, 0.3, size=(3000, n))
-    dead = region.excluded_mask(los, his)
+    dead = box_excluded(region, los, his)
     assert np.array_equal(dead, ref_excluded_mask(region, los, his))
     assert 0 < dead.sum() < len(dead)
 
@@ -238,7 +238,7 @@ def test_kernel_with_eight_or_more_masked_columns():
         expected = ref_membership_mask(r, points)
         assert np.array_equal(r.membership_mask(points), expected)
         assert [region_membership(r, p) for p in points[:70]] == list(expected[:70])
-        assert np.array_equal(r.excluded_mask(los, points), ref_excluded_mask(r, los, points))
+        assert np.array_equal(box_excluded(r, los, points), ref_excluded_mask(r, los, points))
 
 
 # -- the box pass and the touching-cut test of the branch and bound --------
@@ -247,6 +247,12 @@ def test_kernel_with_eight_or_more_masked_columns():
 def every_cut(region, count):
     """The all-true (K, count) candidate mask: every cut for every box."""
     return np.ones((region.stacked_cuts, count), dtype=bool)
+
+
+def box_excluded(region, los, his):
+    """``box_relations``'s ``excluded`` over every cut: the boxes lying
+    strictly inside some exclusion ball."""
+    return region.box_relations(los, his, los, every_cut(region, len(los)))[0]
 
 
 def harvested(region, los, his):
@@ -343,7 +349,7 @@ def test_box_pass_and_touching_pairs_match_the_dense_kernel(case):
     if pad:  # the -1 padding of boxes without samples
         owners = np.hstack((owners, np.full((len(owners), 3), -1)))
     excluded, touching, mid_violated = region.box_relations(los, his, snapped, every_cut(region, len(los)))
-    assert np.array_equal(excluded, region.excluded_mask(los, his))
+    assert np.array_equal(excluded, box_excluded(region, los, his))
     assert np.array_equal(excluded, ref_excluded_mask(region, los, his))
     live = ~excluded
     dense = region.membership_mask(points)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,27 +241,22 @@ class TestPointwiseL:
         )
 
     def test_pointwise_constant_sharpens_the_radius(self):
+        # a constraint that carries pointwise_L is cut with it: no switch
         problem = self.base_problem(lambda x: 1.0)
-        outcome = run(problem, global_oracle(1e-8),
-                      DriverConfig(epsilon=1e-6, max_iterations=2, use_pointwise_L=True))
+        outcome = run(problem, global_oracle(1e-8), DriverConfig(epsilon=1e-6, max_iterations=2))
         # violation 0.5 at x=0 over pointwise L=1 (not global 2)
         assert outcome.trace[0].radius == pytest.approx(0.5, abs=1e-9)
 
     def test_pointwise_above_global_is_rejected(self):
         problem = self.base_problem(lambda x: 3.0)
         with pytest.raises(ValueError):
-            run(problem, global_oracle(), DriverConfig(use_pointwise_L=True, max_iterations=2))
+            run(problem, global_oracle(), DriverConfig(max_iterations=2))
 
     def test_pointwise_with_component_mode_rejected(self):
         problem = two_component_problem()
-        with pytest.raises(ValueError):
-            run(problem, global_oracle(),
-                DriverConfig(cut_mode=CutMode.Component, use_pointwise_L=True))
-
-    def test_pointwise_requires_evaluator(self):
-        problem = self.base_problem(None)
-        with pytest.raises(ValueError):
-            run(problem, global_oracle(), DriverConfig(use_pointwise_L=True))
+        problem = replace(problem, constraint=replace(problem.constraint, pointwise_L=lambda x: 1.0))
+        with pytest.raises(ValueError, match="vector cut mode only"):
+            run(problem, global_oracle(), DriverConfig(cut_mode=CutMode.Component))
 
 
 class TestEpsilonFloor:

@@ -231,6 +231,30 @@ class TestSlopeSampling:
         b = slope_sampling_estimate(fn, box, NormKind.Two, NormKind.Two, pairs=200, seed=5)
         assert a.value == b.value
 
+    def test_integral_box_redraws_degenerate_pairs_in_order(self):
+        # four lattice points: 6 of the 8 first pairs are degenerate
+        box = BoxDomain((0.0, 0.0), (1.0, 1.0), (True, True))
+        f = lambda p: p[:, 0] + 2.0 * p[:, 1] + 4.0 * p[:, 0] * p[:, 1]
+        est = slope_sampling_estimate(None, box, NormKind.Two, NormKind.Two, pairs=8,
+                                      inflation=0.0, seed=8, batch_evaluator=f)
+        # re-derived: each degenerate pair, in pair order, redraws its
+        # second point until the two differ
+        rng = np.random.default_rng(8)
+        draw = lambda count: np.floor(rng.random((count, 2)) * 2.0)
+        xs, ys = draw(8), draw(8)
+        assert (xs == ys).all(axis=1).sum() == 6
+        for x, y in zip(xs, ys):
+            while (x == y).all():
+                y[:] = draw(1)[0]
+        slopes = np.abs(f(xs) - f(ys)) / np.linalg.norm(xs - ys, axis=1)
+        assert est.value == slopes.max() == 5.0
+
+    def test_one_point_box_cannot_draw_a_pair(self):
+        box = BoxDomain((0.0,), (0.5,), (True,))  # the one integer 0
+        with pytest.raises(ValueError, match="could not draw"):
+            slope_sampling_estimate(None, box, NormKind.Two, NormKind.Two, pairs=3,
+                                    batch_evaluator=lambda p: p[:, 0])
+
     def test_pairs_validation(self):
         with pytest.raises(ValueError):
             slope_sampling_estimate(lambda x: x, BoxDomain((0.0,), (1.0,)), NormKind.Two,

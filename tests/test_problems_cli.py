@@ -144,6 +144,19 @@ class TestCliSolve:
     def test_error_exit_code(self, capsys):
         assert main(["solve", "--problem", "/nonexistent/file.yaml"]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("dimension: [1\n", "is not valid YAML"),
+        (yaml.safe_dump(dict(SIN_FILE, constraints=5)), "constraints must be a list"),
+        (yaml.safe_dump(dict(SIN_FILE, constraints=["x1"])), "constraint 1 must be a mapping"),
+        (yaml.safe_dump(dict(SIN_FILE, bounds=[0, 1])), "bounds must be a list of [lower, upper] pairs"),
+    ], ids=["invalid-yaml", "constraints-not-a-list", "constraint-not-a-mapping", "bounds-not-pairs"])
+    def test_malformed_file_is_an_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["solve", "--problem", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_evaluation_error_exit_code(self, tmp_path, capsys):
         # sqrt(x1) is undefined at the first iterate, x1 = -1
         data = dict(SIN_FILE, dimension=1, bounds=[[-1.0, 1.0]], objective="x1", objective_L=1.0,
