@@ -116,7 +116,7 @@ def _check_positive(**values):
 def termination_report(box: BoxDomain, L: float, delta: float) -> BoundReport:
     """The applicable packing bound: lattice count for all-integral boxes,
     the box bound otherwise."""
-    if box.integral.all() and box.dimension > 0:
+    if box.integral.all():
         return BoundReport(BoundKind.LatticeCount, float(lattice_count(box)), {"delta": delta, "L": L})
     value = box_packing_bound(box, L, delta)
     return BoundReport(BoundKind.BoxPacking, value, {"delta": delta, "L": L})

@@ -117,11 +117,15 @@ def cut_radius(r_value, L: float, image_norm: NormKind) -> float:
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """A compact axis-aligned box, optionally integer-valued per coordinate.
+    """A compact axis-aligned box of dimension at least 1, optionally
+    integer-valued per coordinate.
 
     An integral coordinate takes the integers in [lower, upper], of which
     there must be at least one; ``contains`` accepts a value within
-    ``INTEGRALITY_TOL`` of such an integer."""
+    ``INTEGRALITY_TOL`` of such an integer.  ``hull_lower`` and
+    ``hull_upper`` bound the box's lattice hull: ceil(lower) and
+    floor(upper) on integral coordinates, the bounds themselves elsewhere.
+    All arrays are read-only."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -133,6 +137,8 @@ class BoxDomain:
         upper = np.atleast_1d(np.array(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower/upper must be 1-D vectors of equal length")
+        if lower.size == 0:
+            raise ValueError("a box needs at least one coordinate")
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise ValueError("box bounds must be finite")
         if np.any(lower > upper):
@@ -143,14 +149,20 @@ class BoxDomain:
             integral = np.atleast_1d(np.array(integral, dtype=bool))
             if integral.shape != lower.shape:
                 raise ValueError("integral mask length mismatch")
-        for j in np.flatnonzero(integral):
-            if np.ceil(lower[j]) > np.floor(upper[j]):
+        hull_lower, hull_upper = lower, upper
+        if integral.any():
+            hull_lower = np.where(integral, np.ceil(lower), lower)
+            hull_upper = np.where(integral, np.floor(upper), upper)
+            if np.any(hull_lower > hull_upper):
+                j = np.argmax(hull_lower > hull_upper)
                 raise ValueError(f"coordinate {j} is integral but [{lower[j]}, {upper[j]}] contains no integer")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "hull_lower", hull_lower)
+        object.__setattr__(self, "hull_upper", hull_upper)
         object.__setattr__(self, "_integral_cols", np.flatnonzero(integral))
-        for arr in (self.lower, self.upper, self.integral, self._integral_cols):
+        for arr in (lower, upper, integral, hull_lower, hull_upper, self._integral_cols):
             arr.setflags(write=False)
 
     @property
@@ -345,11 +357,11 @@ class RelaxedRegion:
         # is satisfied by p in exactly the arithmetic of
         # ``membership_mask``.
         #
-        # Inheritance.  Splitting and the lattice hull of ``normalize``
-        # only shrink a box, so a child lies inside its parent, its
-        # max(|lo|, |hi|) cannot grow, and neither can w.  Rounding is
-        # monotone, so fl(lo' - w') >= fl(lo - w) and fl(hi' + w') <=
-        # fl(hi + w): the child's widened box lies inside the parent's.
+        # Inheritance.  Splitting only shrinks a box, so a child lies
+        # inside its parent, its max(|lo|, |hi|) cannot grow, and neither
+        # can w.  Rounding is monotone, so fl(lo' - w') >= fl(lo - w) and
+        # fl(hi' + w') <= fl(hi + w): the child's widened box lies inside
+        # the parent's.
         # Every point of it, the child's corners and its snapped center
         # included, is therefore at least r from the center of a cut that
         # misses the parent's widened box, in the arithmetic above: that

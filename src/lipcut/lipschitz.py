@@ -188,13 +188,12 @@ def jacobian_sup_bound(
 
 
 def _sample_points(rng: np.random.Generator, box: BoxDomain, count: int) -> np.ndarray:
+    """``count`` uniform points of the box, one draw per coordinate: an
+    integral coordinate is uniform over the integers of its lattice hull
+    [``hull_lower``, ``hull_upper``]."""
+    lo, span = box.hull_lower, box.hull_upper - box.hull_lower
     u = rng.random((count, box.dimension))
-    pts = box.lower + u * box.widths
-    if box.integral.any():
-        for j in np.flatnonzero(box.integral):
-            lo, hi = int(np.ceil(box.lower[j])), int(np.floor(box.upper[j]))
-            pts[:, j] = lo + np.floor(u[:, j] * (hi - lo + 1)).clip(0, hi - lo)
-    return pts
+    return lo + np.where(box.integral, np.floor(u * (span + 1)).clip(0, span), u * span)
 
 
 def slope_sampling_estimate(
@@ -238,8 +237,6 @@ def slope_sampling_estimate(
     if batch_evaluator is not None:
         rx = np.atleast_2d(np.asarray(batch_evaluator(xs), dtype=float).T).T
         ry = np.atleast_2d(np.asarray(batch_evaluator(ys), dtype=float).T).T
-        if rx.ndim == 1:
-            rx, ry = rx[:, None], ry[:, None]
     else:
         rx = np.array([np.atleast_1d(evaluator(x)) for x in xs], dtype=float)
         ry = np.array([np.atleast_1d(evaluator(y)) for y in ys], dtype=float)

@@ -14,17 +14,21 @@ local subproblem oracle.  It deliberately has no restart mechanism, so it
 can exhibit convergence to poor feasible points when used inside the
 cutting driver.
 
-The node queue is processed in waves of up to 64 boxes, each split with
-array operations.  The children of a wave go through one pass over the
-region's stacked cuts (``RelaxedRegion.box_relations``), which says for
-each (box, cut) pair it is given whether the box lies inside the ball,
-whether the ball touches the box, and whether it holds the box's snapped
-center.  The root is given every cut.  Every box keeps on the heap the
-cuts that touch it, and its children are given only those: a child lies
-inside its parent, so a cut that misses the parent (widened by the
-pass's margin) misses the child too, and the answers are those of a pass
-over every cut.  Corners and Halton samples of a box are then tested only
-against the cuts that touch it; every other cut provably holds for them.
+The root box is the domain's lattice hull (``BoxDomain.hull_lower`` and
+``hull_upper``).  Splitting keeps integral bounds integers and makes no
+empty child, so every box of the search has integer bounds on its
+integral coordinates.  The node queue is processed in waves of up to 64
+boxes, each split with array operations.  The children of a wave go
+through one pass over the region's stacked cuts
+(``RelaxedRegion.box_relations``), which says for each (box, cut) pair
+it is given whether the box lies inside the ball, whether the ball
+touches the box, and whether it holds the box's snapped center.  The
+root is given every cut.  Every box keeps on the heap the cuts that
+touch it, and its children are given only those: a child lies inside its
+parent, so a cut that misses the parent (widened by the pass's margin)
+misses the child too, and the answers are those of a pass over every
+cut.  Corners and Halton samples of a box are then tested only against
+the cuts that touch it; every other cut provably holds for them.
 Candidate evaluations are batched, and a wave offers all its feasible
 points to the incumbent at once; the incumbent reduction (value, then
 lexicographic point) and the global-bound termination test make results
@@ -172,28 +176,15 @@ class _Search:
 
     # -- geometry -------------------------------------------------------
 
-    def normalize(self, los: np.ndarray, his: np.ndarray, candidates: np.ndarray):
-        """Shrink integral coordinates to their lattice hull, the integers
-        in [lo, hi], and drop the boxes left empty together with their
-        rows of the (boxes, K) ``candidates``; returns (los, his,
-        candidates)."""
-        if not self.has_integral:
-            return los, his, candidates
-        los, his = los.copy(), his.copy()
-        cols = np.flatnonzero(self.integral)
-        los[:, cols] = np.ceil(los[:, cols])
-        his[:, cols] = np.floor(his[:, cols])
-        alive = np.all(los <= his, axis=1)
-        return (los, his, candidates) if alive.all() else (los[alive], his[alive], candidates[alive])
-
-    def snap(self, points: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Round integral coordinates to the nearest lattice point inside
-        the (already normalized) boxes."""
+    def snap(self, points: np.ndarray) -> np.ndarray:
+        """Round integral coordinates to the nearest integer.  The integral
+        bounds of every box are integers, so a point lo + s*(hi - lo), s in
+        [0, 1], rounds into [lo, hi] (hi - lo is exact below 2^53)."""
         if not self.has_integral:
             return points
         points = points.copy()
         cols = np.flatnonzero(self.integral)
-        points[:, cols] = np.clip(np.round(points[:, cols]), los[:, cols], his[:, cols])
+        points[:, cols] = np.round(points[:, cols])
         return points
 
     def rho(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
@@ -204,7 +195,7 @@ class _Search:
     def run(self) -> OracleResult:
         tol = self.config.tolerance
         every_cut = np.ones((1, self.region.stacked_cuts), dtype=bool)
-        self.admit(self.box.lower[None, :].copy(), self.box.upper[None, :].copy(), every_cut)
+        self.admit(self.box.hull_lower[None, :], self.box.hull_upper[None, :], every_cut)
         while self.heap:
             if self.best_point is not None and self.best_value - self.heap[0][0] <= tol:
                 return self.finish(self.best_value - self.heap[0][0])
@@ -241,11 +232,12 @@ class _Search:
         order, lower child first.  Each child's candidate cuts are the
         cuts that touch its parent, the parent's row of the (boxes, K)
         ``touching``.  Boxes with no splittable edge go into the discard
-        floor."""
+        floor.  No child is empty and integral bounds stay integers: an
+        integral edge [a, b] has an integer width, so it is splittable only
+        when b - a >= 1, and then a <= floor(mid) < b; a continuous mid
+        lies in [a, b]."""
         widths = his - los
         splittable = widths >= _BOX_MIN_WIDTH
-        if self.has_integral:
-            splittable &= ~self.integral | (widths >= 1.0)
         can = splittable.any(axis=1)
         if not can.all():
             self.discard_floor = min(self.discard_floor, *itertools.compress(lbs, ~can))
@@ -261,26 +253,20 @@ class _Search:
             integral = self.integral[j]
             mid = np.where(integral, np.floor(mid), mid)
             upper = np.where(integral, mid + 1.0, mid)
-        clos, chis, candidates = los.repeat(2, axis=0), his.repeat(2, axis=0), touching.repeat(2, axis=0)
+        clos, chis = los.repeat(2, axis=0), his.repeat(2, axis=0)
         chis[2 * rows, j] = mid
         clos[2 * rows + 1, j] = upper
-        empty = np.concatenate((a > mid, upper > b))  # lower children, then upper ones
-        if empty.any():
-            keep = ~empty.reshape(2, -1).T.ravel()
-            clos, chis, candidates = clos[keep], chis[keep], candidates[keep]
-        self.admit(clos, chis, candidates)
+        self.admit(clos, chis, touching.repeat(2, axis=0))
 
     def admit(self, los: np.ndarray, his: np.ndarray, candidates: np.ndarray) -> None:
-        """Normalize, prune, bound and push a batch of boxes, each tested
-        only against its candidate cuts, the rows of the (boxes, K)
-        ``candidates``, then harvest incumbent candidates from the
-        survivors.  A box's heap entry keeps the cuts that touch it, a
+        """Prune, bound and push a batch of non-empty boxes inside the
+        domain's lattice hull, with integer bounds on integral coordinates,
+        each tested only against its candidate cuts, the rows of the
+        (boxes, K) ``candidates``, then harvest incumbent candidates from
+        the survivors.  A box's heap entry keeps the cuts that touch it, a
         row view of this batch's answer, for its children."""
-        los, his, candidates = self.normalize(los, his, candidates)
-        if len(los) == 0:
-            return
         centers = 0.5 * (los + his)
-        snapped = self.snap(centers, los, his)  # centers itself when nothing is integral
+        snapped = self.snap(centers)  # centers itself when nothing is integral
         dead, touching, mid_violated = self.region.box_relations(los, his, snapped, candidates.T)
         if dead.any():
             live = ~dead
@@ -304,8 +290,8 @@ class _Search:
         for lo, hi, lb, cuts in zip(los, his, lbs, touching.T):
             heapq.heappush(self.heap, (float(lb), next(self.counter), lo, hi, cuts))
         if len(los):
-            # a snapped center lies in its box's lattice hull, which
-            # normalize keeps inside the domain: only the cuts can reject it
+            # a snapped center lies in its box, which lies in the domain's
+            # lattice hull: only the cuts can reject it
             self.harvest(los, his, snapped, f_centers, ~mid_violated, touching)
 
     def harvest(self, los, his, snapped, f_centers, center_ok, touching) -> None:
@@ -357,11 +343,7 @@ class _Search:
         # laid out (n, boxes, points) so that numpy loops run along the
         # pattern, then transposed
         lo, span = los.T[:, :, None], (his - los).T[:, :, None]
-        pts = (lo + pattern.T[:, None, :] * span).transpose(1, 2, 0).reshape(-1, self.n)
-        if not self.has_integral:
-            return pts
-        k = len(pattern)
-        return self.snap(pts, los.repeat(k, axis=0), his.repeat(k, axis=0))
+        return self.snap((lo + pattern.T[:, None, :] * span).transpose(1, 2, 0).reshape(-1, self.n))
 
 
 def solve_global(

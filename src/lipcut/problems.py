@@ -115,6 +115,8 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
         raise ValueError("bounds length does not match dimension")
     integral = None
     if data.get("integral") is not None:
+        if not isinstance(data["integral"], (list, tuple)):
+            raise ValueError("integral must be a list of booleans, one per coordinate")
         integral = tuple(bool(b) for b in data["integral"])
         if len(integral) != dimension:
             raise ValueError("integral length does not match dimension")
@@ -127,7 +129,12 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
         unknown = set(entry) - _CONSTRAINT_KEYS
         if unknown:
             raise ValueError(f"unknown constraint keys: {sorted(unknown)}")
-        mask = tuple(int(i) for i in entry["mask"]) if entry.get("mask") else None
+        if "expr" not in entry:
+            raise ValueError(f"constraint {p} is missing required key 'expr'")
+        mask = entry.get("mask")
+        if mask and not isinstance(mask, (list, tuple)):
+            raise ValueError(f"constraint {p} mask must be a list of coordinate indices, got {mask!r}")
+        mask = tuple(int(i) for i in mask) if mask else None
         if mask and not all(1 <= i <= dimension for i in mask):
             raise ValueError(f"constraint mask indices out of range: {mask}")
         constraints.append(

@@ -300,8 +300,7 @@ def export_lp(systems, objective: dict, box: BoxDomain, two_norm_cuts=()) -> str
         binaries.extend(aux_name(k, b) for b in system.binary_vars)
         for row in system.linear_constraints:
             named = [(aux_name(k, v), c) for v, c in row.coefs]
-            sense = row.sense if row.sense != "=" else "="
-            lines.append(f" cut{k}_{row.name}: {_linear_text(named)} {sense} {_num(row.rhs)}")
+            lines.append(f" cut{k}_{row.name}: {_linear_text(named)} {row.sense} {_num(row.rhs)}")
     base = len(systems)
     for j, cut in enumerate(two_norm_cuts):
         if cut.norm is not NormKind.Two:

@@ -184,6 +184,24 @@ class TestBoxDomain:
             BoxDomain((1.0 + 1e-10,), (1.0 + 2e-10,), integral=(True,))
         BoxDomain((1.0 - 1e-10,), (1.0 + 2e-10,), integral=(True,))  # contains 1
 
+    def test_empty_box_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            BoxDomain([], [])
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            BoxDomain((), (), ())
+
+    def test_lattice_hull(self):
+        box = BoxDomain((0.3, -1.2, 2.0, -2.5, 1.0 - 1e-10), (2.7, 5.5, 2.0, -1.0, 1.0 + 2e-10),
+                        integral=(True, False, True, True, True))
+        assert box.hull_lower.tolist() == [1.0, -1.2, 2.0, -2.0, 1.0]
+        assert box.hull_upper.tolist() == [2.0, 5.5, 2.0, -1.0, 1.0]
+        assert not (box.hull_lower.flags.writeable or box.hull_upper.flags.writeable)
+        with pytest.raises(ValueError):
+            box.hull_lower[0] = 0.0
+        continuous = BoxDomain((0.3, -1.2), (2.7, 5.5))
+        assert np.array_equal(continuous.hull_lower, continuous.lower)
+        assert np.array_equal(continuous.hull_upper, continuous.upper)
+
     def test_caller_arrays_stay_writable(self):
         lower, upper, integral = np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([False, True])
         box = BoxDomain(lower, upper, integral)

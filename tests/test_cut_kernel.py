@@ -256,13 +256,17 @@ def box_excluded(region, los, his):
 
 
 def harvested(region, los, his):
-    """The boxes [los, his] normalized, their snapped centers, the points
-    the branch and bound draws from them, built by its own code (snapped
+    """The lattice hulls of the boxes [los, his] (ceil/floor on integral
+    columns) without the empty ones, their snapped centers, the points the
+    branch and bound draws from them, built by its own code (snapped
     centers, corners and Halton samples), and the (boxes, points) table of
     the rows drawn from each box."""
     s = _Search(None, region, OracleConfig(), NormKind.Two)
-    los, his, _ = s.normalize(los, his, every_cut(region, len(los)).T)
-    snapped = s.snap(0.5 * (los + his), los, his)
+    integral = region.domain.integral
+    los, his = np.where(integral, np.ceil(los), los), np.where(integral, np.floor(his), his)
+    nonempty = (los <= his).all(axis=1)
+    los, his = los[nonempty], his[nonempty]
+    snapped = s.snap(0.5 * (los + his))
     patterns = ((s.corner_pattern,) if s.corner_pattern is not None else ()) + (s.samples,)
     blocks, owner = [snapped], [np.arange(len(los))]
     for pattern in patterns:
@@ -286,7 +290,7 @@ def magnitudes():
 def sub_boxes(draw):
     """A 1-3 dim domain with bounds of mixed sign and magnitude and some
     integral coordinates, and sub-boxes of it (some degenerate, some
-    sharing its faces), normalized."""
+    sharing its faces), as lattice hulls."""
     n = draw(st.integers(1, 3))
     integral = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     lower, upper = [], []
@@ -382,8 +386,8 @@ def test_overshooting_corner_stays_rejected():
 
 def children(region, los, his, touching):
     """The children of the boxes [los, his], split by the branch and
-    bound's own ``expand``, normalized and with their snapped centers,
-    and the (K, children) candidate mask each inherits from the (K, boxes)
+    bound's own ``expand``, with their snapped centers, and the
+    (K, children) candidate mask each inherits from the (K, boxes)
     ``touching`` of its parent."""
     s = _Search(None, region, OracleConfig(), NormKind.Two)
     made = []
@@ -391,8 +395,8 @@ def children(region, los, his, touching):
     s.expand([0.0] * len(los), los, his, touching.T)
     if not made:
         return los[:0], his[:0], los[:0], touching[:, :0]
-    clos, chis, candidates = s.normalize(*made[0])
-    return clos, chis, s.snap(0.5 * (clos + chis), clos, chis), candidates.T
+    clos, chis, candidates = made[0]
+    return clos, chis, s.snap(0.5 * (clos + chis)), candidates.T
 
 
 @st.composite

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipcut.core import (
     BoxDomain,
@@ -21,6 +23,7 @@ from lipcut.oracle import (
     OracleConfig,
     OracleStatus,
     ResourceLimitError,
+    _Search,
     solve_global,
     solve_local,
 )
@@ -207,6 +210,62 @@ class TestSolveGlobal:
         region = region.with_cut(Cut((1.0, 1.0), 1.5, norm=NormKind.Inf))
         result = solve_global(obj, region)
         assert result.status is OracleStatus.Infeasible
+
+
+@st.composite
+def off_lattice_cases(draw):
+    """A 1-3 dim domain whose integral bounds mostly lie off the lattice,
+    such as [k + 0.3, k + 2.7], a linear objective and 0-5 cuts of mixed
+    norms and masks."""
+    n = draw(st.integers(1, 3))
+    integral = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    offsets = st.sampled_from((0.0, 0.3, 0.5, 0.7)) | st.floats(0.0, 0.99)
+    lower, upper = [], []
+    for j in range(n):
+        k = draw(st.integers(-3, 3))
+        if integral[j]:
+            lower.append(k - draw(offsets))
+            upper.append(k + draw(st.integers(0, 3)) + draw(offsets))
+        else:
+            lower.append(k + draw(offsets))
+            upper.append(lower[-1] + draw(st.floats(0.0, 3.0)))
+    box = BoxDomain(lower, upper, integral)
+    slope = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    objective = ObjectiveSpec(lambda x: float(x @ slope), max(float(np.linalg.norm(slope)), 1e-3),
+                              batch_evaluator=lambda p: p @ slope)
+    cuts = []
+    for _ in range(draw(st.integers(0, 5))):
+        center = box.lower + np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) * box.widths
+        mask = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+        cuts.append(Cut(center, draw(st.floats(0.0, 2.0)), mask, draw(st.sampled_from(list(NormKind)))))
+    return RelaxedRegion(box, tuple(cuts)), objective
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=off_lattice_cases())
+def test_every_box_of_the_search_lies_on_the_lattice_hull(case):
+    region, objective = case
+    box = region.domain
+    search = _Search(objective, region, OracleConfig(tolerance=1e-2, node_limit=2000), NormKind.Two)
+    batches = []
+    admit = search.admit
+
+    def recorded(los, his, candidates):
+        batches.append((los.copy(), his.copy()))
+        admit(los, his, candidates)
+
+    search.admit = recorded
+    try:
+        search.run()
+    except ResourceLimitError:
+        pass
+    assert batches
+    cols = box.integral
+    for los, his in batches:
+        assert np.array_equal(los[:, cols], np.round(los[:, cols]))
+        assert np.array_equal(his[:, cols], np.round(his[:, cols]))
+        assert (los >= box.hull_lower).all() and (his <= box.hull_upper).all()
+        assert (los <= his).all()
 
 
 def nan_above_03() -> tuple:

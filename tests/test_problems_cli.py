@@ -149,7 +149,12 @@ class TestCliSolve:
         (yaml.safe_dump(dict(SIN_FILE, constraints=5)), "constraints must be a list"),
         (yaml.safe_dump(dict(SIN_FILE, constraints=["x1"])), "constraint 1 must be a mapping"),
         (yaml.safe_dump(dict(SIN_FILE, bounds=[0, 1])), "bounds must be a list of [lower, upper] pairs"),
-    ], ids=["invalid-yaml", "constraints-not-a-list", "constraint-not-a-mapping", "bounds-not-pairs"])
+        (yaml.safe_dump(dict(SIN_FILE, integral=5)), "integral must be a list of booleans"),
+        (yaml.safe_dump(dict(SIN_FILE, constraints=[{"expr": "x1", "mask": 5}])),
+         "constraint 1 mask must be a list of coordinate indices"),
+        (yaml.safe_dump(dict(SIN_FILE, constraints=[{"L": 1.0}])), "constraint 1 is missing required key 'expr'"),
+    ], ids=["invalid-yaml", "constraints-not-a-list", "constraint-not-a-mapping", "bounds-not-pairs",
+            "integral-not-a-list", "mask-not-a-list", "constraint-without-expr"])
     def test_malformed_file_is_an_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
