@@ -155,7 +155,7 @@ def _cmd_solve(args) -> int:
     if outcome.final_point is not None:
         print("final point: " + ", ".join(f"{v:.17g}" for v in outcome.final_point))
         print(f"objective: {outcome.trace[-1].objective:.17g}")
-    print(f"lower bound: {outcome.lower_bound:.17g}")
+    print(f"certified lower bound: {outcome.lower_bound:.17g}")
     print(f"iterations: {len(outcome.trace)}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="\n") as handle:

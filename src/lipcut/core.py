@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -115,10 +116,11 @@ def cut_radius(r_value, L: float, image_norm: NormKind) -> float:
     return norm_eval(image_norm, positive_part(r_value)) / L
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxDomain:
     """A compact axis-aligned box of dimension at least 1, optionally
-    integer-valued per coordinate.
+    integer-valued per coordinate.  Boxes compare and hash by identity:
+    equal bounds do not make two boxes equal.
 
     An integral coordinate takes the integers in [lower, upper], of which
     there must be at least one; ``contains`` accepts a value within
@@ -209,12 +211,13 @@ def _all_true_mask(n: int) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cut:
     """One norm-ball exclusion: points x with masked-norm(x - center) < radius
     are infeasible.  The boundary (distance exactly equal to the radius) is
     feasible; a radius-0 cut excludes nothing.  ``mask`` selects the
     coordinates over which the distance is measured (all-true by default).
+    Cuts compare and hash by identity, like boxes.
     """
 
     center: np.ndarray
@@ -482,8 +485,8 @@ class ObjectiveSpec:
     batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not self.lipschitz_f > 0:
-            raise ValueError(f"objective Lipschitz constant must be positive, got {self.lipschitz_f}")
+        if not 0 < self.lipschitz_f < math.inf:
+            raise ValueError(f"objective Lipschitz constant must be finite and positive, got {self.lipschitz_f}")
         object.__setattr__(self, "_checks_finite", bool(getattr(self.batch_evaluator, "checks_finite", False)))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
@@ -529,14 +532,14 @@ class ConstraintSpec:
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise ValueError("constraint has no components")
-        if not self.global_L > 0:
-            raise ValueError(f"global Lipschitz constant must be positive, got {self.global_L}")
+        if not 0 < self.global_L < math.inf:
+            raise ValueError(f"global Lipschitz constant must be finite and positive, got {self.global_L}")
         if self.component_L is not None:
             comp = tuple(float(v) for v in self.component_L)
             if len(comp) != len(self.components):
                 raise ValueError("component_L length mismatch")
-            if any(v <= 0 for v in comp):
-                raise ValueError("component Lipschitz constants must be positive")
+            if not all(0 < v < math.inf for v in comp):
+                raise ValueError(f"component Lipschitz constants must be finite and positive, got {comp}")
             object.__setattr__(self, "component_L", comp)
         if self.active_mask is not None:
             masks = tuple(np.atleast_1d(np.asarray(m, dtype=bool)) for m in self.active_mask)

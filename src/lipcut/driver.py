@@ -108,9 +108,13 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Driver outcome.  ``lower_bound`` is the last oracle value; with a
-    global oracle every relaxed minimum bounds the true optimum from
-    below."""
+    """Driver outcome.  ``lower_bound`` is the last oracle value minus its
+    gap (+inf when the first oracle call certifies infeasibility).  The
+    region only shrinks from one iteration to the next, so the relaxed
+    minimum never exceeds the true optimum, and with the global oracle,
+    whose value exceeds the relaxed minimum by at most its gap, the bound
+    is certified.  The local oracle reports an infinite gap, so its bound
+    is -inf."""
 
     status: SolveStatus
     trace: tuple
@@ -149,13 +153,7 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
         except ResourceLimitError as exc:
             raise DriverResourceError(exc, tuple(trace)) from exc
         if result.status is OracleStatus.Infeasible:
-            return SolveOutcome(
-                SolveStatus.InfeasibleCertified,
-                tuple(trace),
-                None,
-                trace[-1].objective if trace else math.inf,
-                region,
-            )
+            return SolveOutcome(SolveStatus.InfeasibleCertified, tuple(trace), None, _lower_bound(trace), region)
 
         x = np.asarray(result.point, dtype=float)
         violations = constraint.evaluate_batch(x[None, :])[0]
@@ -168,7 +166,7 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
             trace.append(
                 IterationRecord(k, x, result.value, viol_norm, viol_max, 0.0, None, result.nodes, result.gap)
             )
-            return SolveOutcome(SolveStatus.Solved, tuple(trace), x, result.value, region)
+            return SolveOutcome(SolveStatus.Solved, tuple(trace), x, _lower_bound(trace), region)
 
         radius, component, mask = _cut_geometry(problem, violations, x, config)
         if config.epsilon_floor:
@@ -181,13 +179,12 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
         region = region.with_cut(cut)
         start = cut.center
 
-    return SolveOutcome(
-        SolveStatus.IterationLimit,
-        tuple(trace),
-        None,
-        trace[-1].objective if trace else math.inf,
-        region,
-    )
+    return SolveOutcome(SolveStatus.IterationLimit, tuple(trace), None, _lower_bound(trace), region)
+
+
+def _lower_bound(trace) -> float:
+    """The last oracle value minus its gap; +inf for an empty trace."""
+    return trace[-1].objective - trace[-1].oracle_gap if trace else math.inf
 
 
 def _cut_geometry(problem: Problem, violations: np.ndarray, x: np.ndarray, config: DriverConfig):
@@ -230,8 +227,9 @@ def _union_mask(constraint: ConstraintSpec, components, dimension: int):
 
 def lower_bound_sequence(trace) -> list[float]:
     """Objective values per iteration.  With a global oracle these are
-    nondecreasing (within twice the oracle tolerance) and each is a valid
-    lower bound on the true optimum."""
+    nondecreasing (within twice the oracle tolerance), and each minus its
+    record's ``oracle_gap`` is a certified lower bound on the true
+    optimum."""
     return [record.objective for record in trace]
 
 

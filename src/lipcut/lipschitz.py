@@ -16,12 +16,13 @@ Two estimators are provided:
 Induced norms ||A||_{p,q} = sup{||Ax||_q : ||x||_p <= 1} are computed
 exactly for all nine {1,2,inf}^2 pairs: column/row reductions where closed
 forms exist, the spectral norm (the Euclidean norm of a one-row or
-one-column matrix, the batched SVD otherwise), and sign-vertex enumeration
-for the (inf,1), (inf,2) and (2,1) pairs.  Enumeration is exact because
-the maximum of a convex function over the unit cube is attained at a
-vertex; beyond ``_ENUM_LIMIT`` dimensions it is replaced by a sigma_max
-bound scaled by norm-equivalence constants and the estimate is flagged as
-inexact.
+one-column matrix, the closed-form 2-by-2 Gram eigenvalue of a two-row or
+two-column one, the batched SVD only when both sides are at least 3), and
+sign-vertex enumeration for the (inf,1), (inf,2) and (2,1) pairs.
+Enumeration is exact because the maximum of a convex function over the
+unit cube is attained at a vertex; beyond ``_ENUM_LIMIT`` dimensions it is
+replaced by a sigma_max bound scaled by norm-equivalence constants and the
+estimate is flagged as inexact.
 
 Grid and pair evaluations are order-independent reductions (max), so
 results do not depend on evaluation scheduling; sampled pairs are generated
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -53,8 +55,10 @@ class EstimateMethod(enum.Enum):
 @dataclass(frozen=True)
 class LipschitzEstimate:
     """An estimated Lipschitz constant.  ``value`` already includes the
-    safety/inflation factor; ``exact_norms`` is False when an induced-norm
-    fallback bound was used."""
+    safety/inflation factor and must be finite and positive (an infinite
+    value, e.g. from an overflowing difference quotient, would make every
+    cut radius 0); ``exact_norms`` is False when an induced-norm fallback
+    bound was used."""
 
     value: float
     method: EstimateMethod
@@ -63,21 +67,36 @@ class LipschitzEstimate:
     exact_norms: bool = True
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("Lipschitz estimate must be positive")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"Lipschitz estimate must be finite and positive, got {self.value}")
         if self.safety_factor < 1 and self.method is not EstimateMethod.SlopeSampling:
             raise ValueError("safety factor must be >= 1")
 
 
 def spectral_norms(jacobians: np.ndarray) -> np.ndarray:
-    """Largest singular value per matrix of an (N, m, n) stack, exact: the
-    Euclidean norm of the one row or column when m == 1 or n == 1, the
-    batched SVD otherwise (Golub & Van Loan, Matrix Computations, 2.3 and
-    8.6)."""
+    """Largest singular value per matrix of an (N, m, n) stack, exact:
+
+    * m == 1 or n == 1: the Euclidean norm of the one row or column;
+    * m == 2 or n == 2: the closed form of the 2-by-2 symmetric eigenproblem
+      for the Gram matrix [[a, b], [b, c]] of the two columns (or rows),
+      sigma_max = s * sqrt((a + c)/2 + hypot((a - c)/2, b)), where s is the
+      matrix's largest |entry| and a, b, c come from the entries divided by
+      s, so the squares neither overflow nor underflow (a zero matrix
+      gives 0);
+    * otherwise the batched SVD.
+
+    See Golub & Van Loan, Matrix Computations, 2.3, 8.5 (the 2-by-2
+    symmetric Schur decomposition) and 8.6."""
     jacobians = np.asarray(jacobians, dtype=float)
     _, m, n = jacobians.shape
     if m == 1 or n == 1:
         return np.sqrt(np.einsum("kij,kij->k", jacobians, jacobians))
+    if m == 2 or n == 2:
+        pairs = jacobians if n == 2 else np.swapaxes(jacobians, 1, 2)  # (N, k, 2)
+        scale = np.abs(pairs).max(axis=(1, 2), initial=0.0)
+        u = pairs / np.where(scale > 0, scale, 1.0)[:, None, None]
+        a, b, c = (np.einsum("ki,ki->k", u[:, :, i], u[:, :, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+        return scale * np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
     return np.linalg.svd(jacobians, compute_uv=False)[:, 0]
 
 

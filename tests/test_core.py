@@ -5,8 +5,10 @@ import pytest
 
 from lipcut.core import (
     BoxDomain,
+    ConstraintSpec,
     Cut,
     NormKind,
+    ObjectiveSpec,
     RelaxedRegion,
     cut_radius,
     cut_satisfied,
@@ -210,8 +212,32 @@ class TestBoxDomain:
         assert box.integral.tolist() == [False, True]
         assert not any(a.flags.writeable for a in (box.lower, box.upper, box.integral))
 
+    def test_compares_and_hashes_by_identity(self):
+        box, twin = BoxDomain((0, 0), (1, 1)), BoxDomain((0, 0), (1, 1))
+        assert box == box and not box != box
+        assert not box == twin and box != twin
+        assert box in {box} and twin not in {box} and len({box, twin}) == 2
+        cut, cut_twin = Cut((0.5, 0.5), 0.25), Cut((0.5, 0.5), 0.25)
+        assert cut == cut and cut != cut_twin and not cut == cut_twin
+        assert cut in {cut} and cut_twin not in {cut} and len({cut, cut_twin}) == 2
+        assert RelaxedRegion(box, (cut,)) == RelaxedRegion(box, (cut,))
+        assert RelaxedRegion(box, (cut,)) != RelaxedRegion(box, (cut_twin,))
+
     def test_diameter(self):
         box = BoxDomain((1.0, 0.0), (10.0, 4.0))
         assert box.diameter(NormKind.Two) == pytest.approx(math.sqrt(81 + 16))
         assert box.diameter(NormKind.One) == pytest.approx(13.0)
         assert box.diameter(NormKind.Inf) == pytest.approx(9.0)
+
+
+class TestSpecConstants:
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_lipschitz_constants_must_be_finite_and_positive(self, value):
+        components = (lambda x: x[0],)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ObjectiveSpec(evaluator=lambda x: x[0], lipschitz_f=value)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ConstraintSpec(components=components, global_L=value)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ConstraintSpec(components=components * 2, global_L=1.0, component_L=(1.0, value))
+        ConstraintSpec(components=components * 2, global_L=1.0, component_L=(1.0, 2.0))

@@ -93,6 +93,14 @@ class TestSinExampleTrace:
         assert np.allclose(rec.point, 0.0, atol=1e-2)
         assert outcome.final_point is not None
 
+    def test_lower_bound_is_the_last_value_minus_its_gap(self, outcome):
+        # the oracle value exceeds the relaxed minimum by up to its gap, so
+        # only value - gap is certified
+        last = outcome.trace[-1]
+        assert last.oracle_gap > 0
+        assert outcome.lower_bound == last.objective - last.oracle_gap
+        assert outcome.lower_bound < last.objective
+
     def test_lower_bounds_nondecreasing(self, outcome):
         seq = lower_bound_sequence(outcome.trace)
         assert len(seq) == 4
@@ -131,7 +139,9 @@ class TestInfeasibleCertification:
         built = build(get_builtin("infeasible-1d"))
         outcome = run(built.problem, global_oracle(), DriverConfig(max_iterations=10))
         assert outcome.final_point is None
-        assert outcome.lower_bound == pytest.approx(0.5)  # last relaxed minimum
+        last = outcome.trace[-1]
+        assert last.objective == pytest.approx(0.5)  # last relaxed minimum
+        assert outcome.lower_bound == last.objective - last.oracle_gap
 
 
 class TestImmediateAcceptance:
@@ -307,6 +317,13 @@ class TestLocalOracleDriver:
             assert current == pytest.approx(prev - prev**3 / 3.0, abs=1e-5)
             assert current > prev
         assert all(p < 0 for p in points)
+
+    def test_local_lower_bound_is_minus_inf(self):
+        # a local solution carries an infinite gap: it certifies nothing
+        built = build(get_builtin("bad-local"))
+        outcome = run(built.problem, LocalOracle(), DriverConfig(max_iterations=3))
+        assert outcome.trace[-1].oracle_gap == math.inf
+        assert outcome.lower_bound == -math.inf
 
     def test_bad_local_global_oracle_finds_the_optimum(self):
         built = build(get_builtin("bad-local"))

@@ -7,6 +7,7 @@ from lipcut.core import BoxDomain, NormKind
 from lipcut.expr import evaluate, parse
 from lipcut.lipschitz import (
     EstimateMethod,
+    LipschitzEstimate,
     induced_norm,
     induced_norms,
     jacobian_sup_bound,
@@ -92,18 +93,65 @@ class TestSpectralNorms:
         assert values[0] == pytest.approx(math.sqrt(3.0), rel=1e-12)
         assert np.allclose(values, np.linalg.svd(A[None], compute_uv=False)[:, 0], rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("shape", [(64, 1, 5), (64, 4, 1), (64, 1, 1), (64, 2, 2), (64, 3, 5)])
+    @pytest.mark.parametrize("shape", [(64, 1, 5), (64, 4, 1), (64, 1, 1), (64, 2, 2), (64, 3, 5)]
+                             + [s for k in range(3, 7) for s in ((64, 2, k), (64, k, 2))])
     def test_random_stacks_match_svd(self, shape):
         rng = np.random.default_rng(53)
         batch = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=(shape[0], 1, 1))
         reference = np.linalg.svd(batch, compute_uv=False)[:, 0]
         assert np.allclose(spectral_norms(batch), reference, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("shape", [(3, 1, 4), (3, 4, 1), (3, 2, 2), (3, 3, 5), (0, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3, 1, 4), (3, 4, 1), (3, 2, 2), (3, 2, 5), (3, 5, 2), (3, 3, 5),
+                                       (0, 2, 2), (0, 2, 6), (0, 6, 2)])
     def test_zero_matrices(self, shape):
         values = spectral_norms(np.zeros(shape))
         assert values.shape == (shape[0],)
         assert (values == 0.0).all()
+
+    def test_rank_one_and_equal_singular_values(self):
+        rng = np.random.default_rng(67)
+        u, v = rng.normal(size=(50, 2)), rng.normal(size=(50, 4))
+        rank_one = np.einsum("ki,kj->kij", u, v)  # (50, 2, 4), sigma_max = |u| |v|
+        expected = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        assert np.allclose(spectral_norms(rank_one), expected, rtol=1e-12, atol=0)
+        assert np.allclose(spectral_norms(np.swapaxes(rank_one, 1, 2)), expected, rtol=1e-12, atol=0)
+        # s times a rotation: orthogonal columns of equal length (b = 0, a = c)
+        t, s = rng.uniform(0.0, 2.0 * math.pi, 50), rng.uniform(0.5, 2.0, 50)
+        rotations = np.stack([np.stack([np.cos(t), -np.sin(t)], 1), np.stack([np.sin(t), np.cos(t)], 1)], 1)
+        assert np.allclose(spectral_norms(s[:, None, None] * rotations), s, rtol=1e-12, atol=0)
+        assert spectral_norms(np.array([[[3.0, 0.0], [0.0, 3.0]]]))[0] == 3.0
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_entry_scales(self, scale):
+        # unscaled squares of these entries underflow to 0 or overflow to inf
+        rng = np.random.default_rng(71)
+        for shape in ((40, 2, 2), (40, 2, 5), (40, 5, 2)):
+            batch = rng.normal(size=shape) * scale
+            reference = np.linalg.svd(batch, compute_uv=False)[:, 0]
+            values = spectral_norms(batch)
+            assert np.isfinite(values).all() and (values > 0).all()
+            assert np.allclose(values, reference, rtol=1e-12, atol=0)
+
+    def test_two_wide_stacks_never_reach_the_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        rng = np.random.default_rng(73)
+        batches = [rng.normal(size=shape) for k in range(1, 7) for shape in ((16, 2, k), (16, k, 2))]
+        references = [np.linalg.svd(b, compute_uv=False)[:, 0] for b in batches]
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for batch, reference in zip(batches, references):
+            assert np.allclose(spectral_norms(batch), reference, rtol=1e-12, atol=0)
+            values, exact = induced_norms(batch, NormKind.Two, NormKind.Two)
+            assert exact and np.allclose(values, reference, rtol=1e-12, atol=0)
+        # the (inf, 2) and (2, 1) sigma_max fallbacks beyond the enumeration cap
+        wide = rng.normal(size=(4, 2, 16))
+        assert not induced_norms(wide, NormKind.Inf, NormKind.Two)[1]
+        assert not induced_norms(np.swapaxes(wide, 1, 2), NormKind.Two, NormKind.One)[1]
+        # a two-constraint grid estimate on a 2-D box: (4096, 2, 2) Jacobians
+        exprs = [parse("sin(x1) * x2", 2), parse("x1 - cos(x2)", 2)]
+        box = BoxDomain((-1.0, -1.0), (1.0, 1.0))
+        assert jacobian_sup_bound(exprs, box, NormKind.Two, NormKind.Two).value > 0
 
     @pytest.mark.parametrize("q", [NormKind.One, NormKind.Two])
     def test_sigma_max_fallback_beyond_the_enumeration_cap(self, q):
@@ -169,6 +217,18 @@ class TestJacobianSupBound:
             grid_per_dim=16, safety=1.05,
         )
         assert est.safety_factor == pytest.approx(2.1)
+
+    def test_overflowing_difference_quotient_is_refused(self):
+        # the slope of exp(709*x1) near x1 = 1 overflows the double range
+        box = BoxDomain((0.0,), (1.0,))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="finite and positive, got inf"):
+                jacobian_sup_bound([parse("exp(709*x1) - 0.5", 1)], box, NormKind.Two, NormKind.Two)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_estimate_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            LipschitzEstimate(value, EstimateMethod.JacobianGrid, 1.05, 64)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):

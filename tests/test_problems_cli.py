@@ -172,6 +172,27 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite value nan at [-1.] in 'sqrt(x1)'")
 
+    @pytest.mark.parametrize("command", ["solve", "estimate-lipschitz"])
+    def test_overflowing_lipschitz_estimate_is_an_error_line(self, tmp_path, capsys, command):
+        # the difference quotient of exp(709*x1) near x1 = 1 overflows to inf
+        data = {k: v for k, v in SIN_FILE.items() if k != "global_L"}
+        data.update(dimension=1, bounds=[[0.0, 1.0]], objective="x1", objective_L=1.0,
+                    constraints=[{"expr": "exp(709*x1) - 0.5"}])
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main([command, "--problem", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Lipschitz estimate must be finite and positive, got inf")
+        assert "trace" not in captured.out and "status" not in captured.out
+
+    def test_infinite_given_constant_is_an_error_line(self, tmp_path, capsys):
+        path = tmp_path / "inf.yaml"
+        path.write_text(yaml.safe_dump(dict(SIN_FILE, global_L=math.inf)))
+        assert main(["solve", "--problem", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: global Lipschitz constant must be finite and positive, got inf")
+
     def test_exit_code_contract_over_all_builtins(self):
         # 0 solved / 2 infeasible / 3 iteration limit, nothing else
         expected = {
