@@ -29,7 +29,6 @@ from .core import (
     Problem,
     RelaxedRegion,
     cut_radius,
-    cut_satisfied,
     norm_eval,
     positive_part,
     region_membership,
@@ -41,7 +40,6 @@ from .driver import (
     IterationRecord,
     SolveOutcome,
     SolveStatus,
-    lower_bound_sequence,
     normalized_problem,
     run,
     trace_to_csv,

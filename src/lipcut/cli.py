@@ -217,16 +217,16 @@ def _cmd_estimate(args) -> int:
             est = jacobian_sup_bound([e], box, norm, image_norm, grid_per_dim=args.grid, safety=1.0)
         else:
             est = slope_sampling_estimate(
-                None, box, norm, image_norm, pairs=args.pairs, inflation=args.inflation, seed=args.seed,
-                batch_evaluator=constraint.batch_components[p - 1],
+                constraint.batch_components[p - 1], box, norm, image_norm,
+                pairs=args.pairs, inflation=args.inflation, seed=args.seed,
             )
         one(est, f"constraint {p}")
     if args.method == "grid":
         est = jacobian_sup_bound(exprs, box, norm, image_norm, grid_per_dim=args.grid, safety=1.0)
     else:
         est = slope_sampling_estimate(
-            None, box, norm, image_norm, pairs=args.pairs, inflation=args.inflation, seed=args.seed,
-            batch_evaluator=constraint.evaluate_batch,
+            constraint.evaluate_batch, box, norm, image_norm,
+            pairs=args.pairs, inflation=args.inflation, seed=args.seed,
         )
     one(est, "vector")
     return _EXIT_SOLVED

@@ -109,10 +109,11 @@ def positive_part(v) -> np.ndarray:
 
 def cut_radius(r_value, L: float, image_norm: NormKind) -> float:
     """Radius of the exclusion ball for constraint values ``r_value``:
-    norm of the positive part divided by the Lipschitz constant L.
+    norm of the positive part divided by the Lipschitz constant L, which
+    must be finite and positive.
     """
-    if L <= 0:
-        raise ValueError(f"Lipschitz constant must be positive, got {L}")
+    if not 0 < L < math.inf:
+        raise ValueError(f"Lipschitz constant must be finite and positive, got {L}")
     return norm_eval(image_norm, positive_part(r_value)) / L
 
 
@@ -251,17 +252,6 @@ class Cut:
     @property
     def dimension(self) -> int:
         return self.center.size
-
-
-def cut_satisfied(cut: Cut, x) -> bool:
-    """True iff x lies on or outside the cut's exclusion ball."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != cut.center.shape:
-        raise ValueError("dimension mismatch between cut and point")
-    if cut.radius == 0.0:
-        return True
-    d = (x - cut.center)[cut.mask]
-    return norm_eval(cut.norm, d) >= cut.radius
 
 
 @dataclass(frozen=True)
@@ -471,20 +461,25 @@ def region_membership(region: RelaxedRegion, x) -> bool:
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Black-box objective with a Lipschitz constant valid for the chosen
-    domain norm.  The solver evaluates through ``evaluate_batch`` only:
-    ``batch_evaluator`` maps an (N, n) array to N values, and when it is
-    absent the one-point ``evaluator`` is looped over the rows.
+    domain norm, given in one of two forms: ``batch_evaluator`` maps an
+    (N, n) array to N values, the one-point ``evaluator`` (which may be
+    None when ``batch_evaluator`` is given) maps one point to its value.
+    The solver evaluates through ``evaluate_batch`` only, which calls
+    ``batch_evaluator`` when given and loops ``evaluator`` over the rows
+    otherwise.
 
     A ``batch_evaluator`` with a true ``checks_finite`` attribute raises on
     every NaN or infinite value itself, as ``lipcut.expr.batch_evaluator``
     does with an ``EvaluationError`` naming the node; its values are not
     scanned again."""
 
-    evaluator: Callable[[np.ndarray], float]
+    evaluator: Callable[[np.ndarray], float] | None
     lipschitz_f: float
     batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        if self.evaluator is None and self.batch_evaluator is None:
+            raise ValueError("objective needs an evaluator or a batch_evaluator")
         if not 0 < self.lipschitz_f < math.inf:
             raise ValueError(f"objective Lipschitz constant must be finite and positive, got {self.lipschitz_f}")
         object.__setattr__(self, "_checks_finite", bool(getattr(self.batch_evaluator, "checks_finite", False)))
@@ -507,16 +502,19 @@ class ObjectiveSpec:
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Vector-valued constraint r(x) <= 0 given as m one-point evaluators.
-    The solver evaluates through ``evaluate_batch`` only, which calls the m
-    ``batch_components`` (each an (N, n) array to N values) when given and
-    loops the one-point ``components`` over the rows otherwise.
+    """Vector-valued constraint r(x) <= 0 with m components, given in one
+    of two forms: ``batch_components``, m callables each mapping an (N, n)
+    array to N values, or ``components``, m one-point callables (an empty
+    tuple when ``batch_components`` is given).  When both are given their
+    lengths must match.  The solver evaluates through ``evaluate_batch``
+    only, which calls ``batch_components`` when given and loops
+    ``components`` over the rows otherwise.
 
     ``global_L`` is a Lipschitz constant of the whole vector map with
     respect to (domain norm, image_norm); ``component_L`` optionally gives
     per-component constants; ``pointwise_L`` optionally evaluates a
-    point-dependent constant (never exceeding ``global_L``), which the
-    driver's vector cuts use whenever it is given.
+    point-dependent constant (never exceeding ``global_L``) at one point,
+    which the driver's vector cuts use whenever it is given.
     ``active_mask`` rows mark which coordinates each component depends on.
     """
 
@@ -530,30 +528,30 @@ class ConstraintSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
-            raise ValueError("constraint has no components")
+        if self.batch_components is not None:
+            object.__setattr__(self, "batch_components", tuple(self.batch_components))
+            if self.components and len(self.batch_components) != len(self.components):
+                raise ValueError("batch_components length mismatch")
+        if not (self.components or self.batch_components):
+            raise ValueError("constraint needs components or batch_components")
         if not 0 < self.global_L < math.inf:
             raise ValueError(f"global Lipschitz constant must be finite and positive, got {self.global_L}")
         if self.component_L is not None:
             comp = tuple(float(v) for v in self.component_L)
-            if len(comp) != len(self.components):
+            if len(comp) != self.m:
                 raise ValueError("component_L length mismatch")
             if not all(0 < v < math.inf for v in comp):
                 raise ValueError(f"component Lipschitz constants must be finite and positive, got {comp}")
             object.__setattr__(self, "component_L", comp)
         if self.active_mask is not None:
             masks = tuple(np.atleast_1d(np.asarray(m, dtype=bool)) for m in self.active_mask)
-            if len(masks) != len(self.components):
+            if len(masks) != self.m:
                 raise ValueError("active_mask length mismatch")
             object.__setattr__(self, "active_mask", masks)
-        if self.batch_components is not None:
-            object.__setattr__(self, "batch_components", tuple(self.batch_components))
-            if len(self.batch_components) != len(self.components):
-                raise ValueError("batch_components length mismatch")
 
     @property
     def m(self) -> int:
-        return len(self.components)
+        return len(self.components or self.batch_components)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """(N, n) points -> (N, m) constraint values."""

@@ -193,14 +193,12 @@ def _cut_geometry(problem: Problem, violations: np.ndarray, x: np.ndarray, confi
     if config.cut_mode is CutMode.Vector:
         L = constraint.global_L
         if constraint.pointwise_L is not None:
-            L_x = float(constraint.pointwise_L(x))
-            if L_x > constraint.global_L:
+            L = float(constraint.pointwise_L(x))
+            if not 0 < L <= constraint.global_L:
                 raise ValueError(
-                    f"pointwise Lipschitz value {L_x} exceeds the global constant {constraint.global_L}"
+                    f"point-dependent Lipschitz constant pointwise_L at {x} must lie in "
+                    f"(0, global_L = {constraint.global_L}], got {L}"
                 )
-            if L_x <= 0:
-                raise ValueError("pointwise Lipschitz value must be positive")
-            L = L_x
         radius = cut_radius(violations, L, constraint.image_norm)
         mask = _union_mask(constraint, range(constraint.m), problem.domain.dimension)
         return radius, None, mask
@@ -223,14 +221,6 @@ def _union_mask(constraint: ConstraintSpec, components, dimension: int):
     for p in components:
         mask |= constraint.active_mask[p]
     return mask if mask.any() else None
-
-
-def lower_bound_sequence(trace) -> list[float]:
-    """Objective values per iteration.  With a global oracle these are
-    nondecreasing (within twice the oracle tolerance), and each minus its
-    record's ``oracle_gap`` is a certified lower bound on the true
-    optimum."""
-    return [record.objective for record in trace]
 
 
 def normalized_problem(problem: Problem) -> Problem:

@@ -12,6 +12,8 @@ Two estimators are provided:
 * ``slope_sampling_estimate`` takes the maximum difference quotient over
   random point pairs and inflates it.  It estimates from below and is
   therefore heuristic; drivers should refuse it unless explicitly allowed.
+  It evaluates the function through one batch callable, (N, n) points to
+  N values or (N, m) rows, called once for each side of the pairs.
 
 Induced norms ||A||_{p,q} = sup{||Ax||_q : ||x||_p <= 1} are computed
 exactly for all nine {1,2,inf}^2 pairs: column/row reductions where closed
@@ -49,7 +51,6 @@ _VALUE_FLOOR = 1e-12  # reported for a function that reads as constant
 class EstimateMethod(enum.Enum):
     JacobianGrid = "jacobian-grid"
     SlopeSampling = "slope-sampling"
-    UserSupplied = "user-supplied"
 
 
 @dataclass(frozen=True)
@@ -223,14 +224,12 @@ def slope_sampling_estimate(
     pairs: int,
     inflation: float = 0.1,
     seed: int = 0,
-    batch_evaluator=None,
 ) -> LipschitzEstimate:
     """Maximum difference quotient over ``pairs`` random point pairs,
     multiplied by (1 + inflation).
 
-    ``batch_evaluator`` maps an (N, n) array to N values or (N, m) rows;
-    when it is None, the one-point ``evaluator`` is looped over the points
-    (otherwise it is unused and may be None).
+    ``evaluator`` maps an (N, n) array of points to N values or to (N, m)
+    rows.
 
     This is a lower estimate of the true constant (before inflation it
     equals the largest observed slope), so it is heuristic.  A constant
@@ -253,13 +252,8 @@ def slope_sampling_estimate(
                 raise ValueError("could not draw a non-degenerate point pair in 100 tries")
             ys[i] = _sample_points(rng, box, 1)[0]
 
-    if batch_evaluator is not None:
-        rx = np.atleast_2d(np.asarray(batch_evaluator(xs), dtype=float).T).T
-        ry = np.atleast_2d(np.asarray(batch_evaluator(ys), dtype=float).T).T
-    else:
-        rx = np.array([np.atleast_1d(evaluator(x)) for x in xs], dtype=float)
-        ry = np.array([np.atleast_1d(evaluator(y)) for y in ys], dtype=float)
-
+    rx = np.asarray(evaluator(xs), dtype=float).reshape(pairs, -1)
+    ry = np.asarray(evaluator(ys), dtype=float).reshape(pairs, -1)
     num = norm_eval_rows(image_norm, rx - ry)
     den = norm_eval_rows(domain_norm, xs - ys)
     best = float((num / den).max())

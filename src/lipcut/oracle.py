@@ -51,7 +51,6 @@ from .core import (
     NormKind,
     ObjectiveSpec,
     RelaxedRegion,
-    cut_satisfied,
     norm_eval,
     norm_eval_rows,
     region_membership,
@@ -396,9 +395,13 @@ def solve_local(
         raise ValueError("start must lie within the region's box")
     x = np.clip(x, box.lower, box.upper)
 
-    violated = [c for c in region.cuts if not cut_satisfied(c, x)]
-    if violated:
-        nearest = min(violated, key=lambda c: norm_eval(c.norm, (x - c.center)[c.mask]))
+    # the nearest violated cut: the first at the least masked distance
+    nearest, least = None, math.inf
+    for c in region.cuts:
+        d = norm_eval(c.norm, (x - c.center)[c.mask])
+        if d < c.radius and d < least:
+            nearest, least = c, d
+    if nearest is not None:
         x = _project_off_cut(x, nearest, box)
         if not region_membership(region, x):
             raise InfeasibleStartError("projected start is still infeasible for the region")

@@ -28,7 +28,6 @@ traces stay reproducible and independent of estimator drift.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +36,7 @@ import yaml
 
 from .core import BoxDomain, ConstraintSpec, NormKind, ObjectiveSpec, Problem
 from .driver import CutMode
-from .expr import batch_evaluator, evaluate, parse
+from .expr import batch_evaluator, parse
 from .lipschitz import LipschitzEstimate, jacobian_sup_bound, slope_sampling_estimate
 
 _KEYS = {
@@ -171,7 +170,8 @@ def build(
     ``jacobian_sup_bound`` with its defaults (64 points per dimension,
     safety 1.05), anything else ``slope_sampling_estimate`` over
     ``_SAMPLING_PAIRS`` = 10,000 pairs from ``seed`` with its default
-    inflation 0.1."""
+    inflation 0.1.  A failed estimate raises ValueError prefixed with the
+    constant's ``BuiltProblem.estimated`` key."""
     box = BoxDomain(
         [b[0] for b in definition.bounds],
         [b[1] for b in definition.bounds],
@@ -181,42 +181,40 @@ def build(
     constraint_exprs = [parse(c.expr, definition.dimension) for c in definition.constraints]
     estimated: dict[str, LipschitzEstimate] = {}
 
-    def estimate(exprs, image_norm) -> LipschitzEstimate:
-        if estimator == "grid":
-            return jacobian_sup_bound(exprs, box, definition.norm, image_norm)
-        return slope_sampling_estimate(
-            None,
-            box,
-            definition.norm,
-            image_norm,
-            pairs=_SAMPLING_PAIRS,
-            seed=seed,
-            batch_evaluator=_stack_batch([batch_evaluator(e) for e in exprs]),
-        )
+    def estimate(key: str, exprs) -> float:
+        # one missing constant, recorded under ``key``, which names it in any
+        # error; an overflowing slope reads inf, which LipschitzEstimate refuses
+        try:
+            with np.errstate(over="ignore"):
+                if estimator == "grid":
+                    est = jacobian_sup_bound(exprs, box, definition.norm, definition.image_norm)
+                else:
+                    est = slope_sampling_estimate(
+                        _stack_batch([batch_evaluator(e) for e in exprs]), box, definition.norm,
+                        definition.image_norm, pairs=_SAMPLING_PAIRS, seed=seed,
+                    )
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        estimated[key] = est
+        return est.value
 
     objective_L = definition.objective_L
     if objective_L is None:
-        est = estimate([objective_expr], definition.image_norm)
-        estimated["objective_L"] = est
-        objective_L = est.value
+        objective_L = estimate("objective_L", [objective_expr])
 
     component_L = [c.L for c in definition.constraints]
     want_components = need_component_L or definition.cut_mode is CutMode.Component
     if want_components or all(v is not None for v in component_L):
         for p, value in enumerate(component_L):
             if value is None:
-                est = estimate([constraint_exprs[p]], definition.image_norm)
-                estimated[f"constraint_{p + 1}_L"] = est
-                component_L[p] = est.value
+                component_L[p] = estimate(f"constraint_{p + 1}_L", [constraint_exprs[p]])
         component_L_out = tuple(float(v) for v in component_L)
     else:
         component_L_out = None
 
     global_L = definition.global_L
     if global_L is None:
-        est = estimate(constraint_exprs, definition.image_norm)
-        estimated["global_L"] = est
-        global_L = est.value
+        global_L = estimate("global_L", constraint_exprs)
 
     masks = None
     if any(c.mask for c in definition.constraints):
@@ -231,7 +229,7 @@ def build(
         masks = tuple(masks)
 
     constraint = ConstraintSpec(
-        components=tuple(functools.partial(evaluate, e) for e in constraint_exprs),
+        components=(),
         global_L=float(global_L),
         image_norm=definition.image_norm,
         component_L=component_L_out,
@@ -239,7 +237,7 @@ def build(
         batch_components=tuple(batch_evaluator(e) for e in constraint_exprs),
     )
     objective = ObjectiveSpec(
-        evaluator=functools.partial(evaluate, objective_expr),
+        evaluator=None,
         lipschitz_f=float(objective_L),
         batch_evaluator=batch_evaluator(objective_expr),
     )

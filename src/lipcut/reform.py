@@ -170,15 +170,9 @@ def verify_by_enumeration(system: ReformSystem, x) -> bool:
     for assignment in itertools.product((0.0, 1.0), repeat=n_bin):
         fixed = dict(fixed_base)
         fixed.update(zip(system.binary_vars, assignment))
-        if _assignment_feasible(system, fixed, free_names):
+        if _propagate(system, fixed, free_names) is not None:
             return True
     return False
-
-
-def _assignment_feasible(system: ReformSystem, fixed: dict, free_names) -> bool:
-    lo = {v: -math.inf for v in free_names}
-    hi = {v: math.inf for v in free_names}
-    return _assignment_feasible_with(system, fixed, free_names, lo, hi)
 
 
 def _tighten(lo: dict, hi: dict, var: str, coef: float, bound: float, lower: bool) -> bool:
@@ -206,15 +200,15 @@ def feasible_interval(system: ReformSystem, x, assignment: dict):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     fixed = {f"x{i + 1}": float(x[i]) for i in range(system.n)}
     fixed.update({k: float(v) for k, v in assignment.items()})
-    free_names = [v for v in system.continuous_vars if v not in fixed]
+    return _propagate(system, fixed, [v for v in system.continuous_vars if v not in fixed])
+
+
+def _propagate(system: ReformSystem, fixed: dict, free_names):
+    """The propagated {var: (lo, hi)} intervals of the ``free_names`` with
+    every other variable held at its ``fixed`` value, or None when some
+    row cannot be satisfied."""
     lo = {v: -math.inf for v in free_names}
     hi = {v: math.inf for v in free_names}
-    if not _assignment_feasible_with(system, fixed, free_names, lo, hi):
-        return None
-    return {v: (lo[v], hi[v]) for v in free_names}
-
-
-def _assignment_feasible_with(system, fixed, free_names, lo, hi) -> bool:
     # reduce each row to (free coefs, residual rhs); rows without free
     # variables are checked immediately (this filters non-one-hot u's)
     reduced = []
@@ -233,7 +227,7 @@ def _assignment_feasible_with(system, fixed, free_names, lo, hi) -> bool:
                 or (row.sense == "=" and abs(rhs) <= _FEASTOL)
             )
             if not ok:
-                return False
+                return None
             continue
         reduced.append((coefs, row.sense, rhs))
     for _ in range(2 * len(free_names) + 4):
@@ -252,17 +246,17 @@ def _assignment_feasible_with(system, fixed, free_names, lo, hi) -> bool:
                     changed |= _tighten(lo, hi, var, coef, rhs - rest_min, lower=False)
         for v in free_names:
             if lo[v] > hi[v] + _FEASTOL:
-                return False
+                return None
         if not changed:
             break
     for coefs, sense, rhs in reduced:
         best_max = sum(c * (hi[v] if c > 0 else lo[v]) for v, c in coefs)
         best_min = sum(c * (lo[v] if c > 0 else hi[v]) for v, c in coefs)
         if sense in (">=", "=") and best_max < rhs - _FEASTOL:
-            return False
+            return None
         if sense in ("<=", "=") and best_min > rhs + _FEASTOL:
-            return False
-    return True
+            return None
+    return {v: (lo[v], hi[v]) for v in free_names}
 
 
 # --------------------------------------------------------------------------

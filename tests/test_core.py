@@ -11,7 +11,6 @@ from lipcut.core import (
     ObjectiveSpec,
     RelaxedRegion,
     cut_radius,
-    cut_satisfied,
     norm_eval,
     positive_part,
     region_membership,
@@ -79,6 +78,10 @@ class TestCutRadius:
             cut_radius((1.0,), 0.0, NormKind.Two)
         with pytest.raises(ValueError):
             cut_radius((1.0,), -2.0, NormKind.One)
+        # a NaN constant would give a NaN radius and an infinite one a radius of 0
+        for L in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                cut_radius((1.0,), L, NormKind.Two)
 
     def test_radius_scales_inversely_with_L(self):
         rng = np.random.default_rng(3)
@@ -92,29 +95,34 @@ class TestCutRadius:
                 )
 
 
+def satisfies(cut, x, box=BoxDomain((-10.0, -10.0), (10.0, 10.0))) -> bool:
+    """One cut's verdict on x, read off a one-cut region whose box holds x."""
+    return region_membership(RelaxedRegion(box, (cut,)), x)
+
+
 class TestCutSatisfied:
     def test_outside_ball(self):
         cut = Cut((-1.0, -1.0), 1.302, norm=NormKind.Two)
-        assert cut_satisfied(cut, (0.0, 0.0))  # distance sqrt(2) >= 1.302
+        assert satisfies(cut, (0.0, 0.0))  # distance sqrt(2) >= 1.302
 
     def test_center_always_excluded(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             center = rng.normal(size=2)
             cut = Cut(center, float(rng.uniform(1e-8, 2.0)), norm=NormKind.One)
-            assert not cut_satisfied(cut, center)
+            assert not satisfies(cut, center)
 
     def test_zero_radius_excludes_nothing(self):
         cut = Cut((0.5, 0.5), 0.0)
-        assert cut_satisfied(cut, (0.5, 0.5))
+        assert satisfies(cut, (0.5, 0.5))
 
     def test_boundary_is_feasible(self):
         cut = Cut((0.0, 0.0), 1.0, norm=NormKind.Inf)
-        assert cut_satisfied(cut, (1.0, 0.3))
+        assert satisfies(cut, (1.0, 0.3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            cut_satisfied(Cut((0.0, 0.0), 1.0), (1.0,))
+            satisfies(Cut((0.0, 0.0), 1.0), (1.0,))
 
     def test_non_finite_center_or_radius_rejected(self):
         # a NaN radius would otherwise reach the cut kernel, where it
@@ -135,8 +143,8 @@ class TestCutSatisfied:
     def test_masked_distance(self):
         # distance measured over the first coordinate only
         cut = Cut((0.0, 0.0), 1.0, mask=(True, False), norm=NormKind.Two)
-        assert not cut_satisfied(cut, (0.5, 5.0))
-        assert cut_satisfied(cut, (1.0, 0.0))
+        assert not satisfies(cut, (0.5, 5.0))
+        assert satisfies(cut, (1.0, 0.0))
 
 
 class TestRegionMembership:
@@ -241,3 +249,19 @@ class TestSpecConstants:
         with pytest.raises(ValueError, match="finite and positive"):
             ConstraintSpec(components=components * 2, global_L=1.0, component_L=(1.0, value))
         ConstraintSpec(components=components * 2, global_L=1.0, component_L=(1.0, 2.0))
+
+    def test_batch_only_specs(self):
+        batch = (lambda p: p[:, 0], lambda p: -p[:, 1])
+        constraint = ConstraintSpec(components=(), global_L=1.0, batch_components=batch)
+        assert constraint.m == 2
+        assert constraint.evaluate_batch(np.array([[1.0, 2.0]])).tolist() == [[1.0, -2.0]]
+        objective = ObjectiveSpec(None, 1.0, batch_evaluator=lambda p: p[:, 0])
+        assert objective.evaluate_batch(np.array([[3.0, 0.0]])).tolist() == [3.0]
+        # component_L and active_mask are checked against the batch form's m
+        with pytest.raises(ValueError, match="component_L length mismatch"):
+            ConstraintSpec(components=(), global_L=1.0, batch_components=batch, component_L=(1.0,))
+        with pytest.raises(ValueError, match="active_mask length mismatch"):
+            ConstraintSpec(components=(), global_L=1.0, batch_components=batch, active_mask=((True, False),))
+        with pytest.raises(ValueError, match="batch_components length mismatch"):
+            ConstraintSpec(components=(lambda x: x[0],), global_L=1.0, batch_components=batch)
+

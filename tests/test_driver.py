@@ -20,7 +20,6 @@ from lipcut.driver import (
     DriverConfig,
     DriverResourceError,
     SolveStatus,
-    lower_bound_sequence,
     normalized_problem,
     run,
     trace_to_csv,
@@ -102,7 +101,7 @@ class TestSinExampleTrace:
         assert outcome.lower_bound < last.objective
 
     def test_lower_bounds_nondecreasing(self, outcome):
-        seq = lower_bound_sequence(outcome.trace)
+        seq = [r.objective for r in outcome.trace]
         assert len(seq) == 4
         for a, b in zip(seq, seq[1:]):
             assert b >= a - 2e-8
@@ -259,7 +258,15 @@ class TestPointwiseL:
 
     def test_pointwise_above_global_is_rejected(self):
         problem = self.base_problem(lambda x: 3.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"pointwise_L at \[0\.\] must lie in \(0, global_L = 2\.0\], got 3\.0"):
+            run(problem, global_oracle(), DriverConfig(max_iterations=2))
+
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
+    def test_pointwise_outside_its_range_names_the_constant(self, value):
+        # the error names the point-dependent constant, not the cut that a
+        # NaN radius would reach
+        problem = self.base_problem(lambda x: value)
+        with pytest.raises(ValueError, match=r"point-dependent Lipschitz constant pointwise_L at \[0\.\] must lie in"):
             run(problem, global_oracle(), DriverConfig(max_iterations=2))
 
     def test_pointwise_with_component_mode_rejected(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lipcut.core import BoxDomain, NormKind
-from lipcut.expr import evaluate, parse
+from lipcut.expr import batch_evaluator, parse
 from lipcut.lipschitz import (
     EstimateMethod,
     LipschitzEstimate,
@@ -240,9 +240,8 @@ class TestSlopeSampling:
     def test_linear_function(self):
         box = BoxDomain((0.0,), (1.0,))
         est = slope_sampling_estimate(
-            lambda x: np.array([2.0 * x[0]]), box, NormKind.Two, NormKind.Two,
+            lambda pts: 2.0 * pts, box, NormKind.Two, NormKind.Two,
             pairs=10_000, inflation=0.0, seed=1,
-            batch_evaluator=lambda pts: 2.0 * pts,
         )
         assert 1.9 <= est.value <= 2.0
         assert est.method is EstimateMethod.SlopeSampling
@@ -251,29 +250,26 @@ class TestSlopeSampling:
         box = BoxDomain((0.0,), (1.0,))
         with pytest.warns(UserWarning):
             est = slope_sampling_estimate(
-                lambda x: np.array([3.0]), box, NormKind.Two, NormKind.Two, pairs=100, seed=0,
+                lambda pts: np.full(len(pts), 3.0), box, NormKind.Two, NormKind.Two, pairs=100, seed=0,
             )
         assert est.value == 1e-12
 
     def test_sin_example_bounded_by_true_constant(self):
         box = BoxDomain((-1.0, -1.0), (1.0, 1.0))
-        e = parse("-sin(x1) - x2", 2)
-        from lipcut.expr import batch_evaluator
-
-        run = batch_evaluator(e)
         est = slope_sampling_estimate(
-            lambda x: np.array([evaluate(e, x)]), box, NormKind.Two, NormKind.Two,
+            batch_evaluator(parse("-sin(x1) - x2", 2)), box, NormKind.Two, NormKind.Two,
             pairs=100_000, inflation=0.0, seed=3,
-            batch_evaluator=lambda pts: run(pts)[:, None],
         )
         assert 1.30 <= est.value <= 1.4143
 
     def test_soundness_on_the_sample(self):
         # with zero inflation, every sampled slope is <= the estimate and
-        # the argmax pair attains it; re-derive the slopes independently
+        # the argmax pair attains it; re-derive the slopes independently,
+        # one pair at a time
         box = BoxDomain((-2.0, 0.5), (1.0, 2.0))
         fn = lambda x: np.array([math.sin(2 * x[0]) + x[1] ** 2, x[0] * x[1]])
-        est = slope_sampling_estimate(fn, box, NormKind.Two, NormKind.Two, pairs=500,
+        batch = lambda p: np.stack([np.sin(2 * p[:, 0]) + p[:, 1] ** 2, p[:, 0] * p[:, 1]], axis=1)
+        est = slope_sampling_estimate(batch, box, NormKind.Two, NormKind.Two, pairs=500,
                                       inflation=0.0, seed=9)
         rng = np.random.default_rng(9)
         xs = box.lower + rng.random((500, 2)) * box.widths
@@ -286,7 +282,7 @@ class TestSlopeSampling:
 
     def test_seed_determinism(self):
         box = BoxDomain((0.0, 0.0), (1.0, 1.0))
-        fn = lambda x: np.array([x[0] ** 2 - x[1]])
+        fn = lambda p: (p[:, 0] ** 2 - p[:, 1])[:, None]
         a = slope_sampling_estimate(fn, box, NormKind.Two, NormKind.Two, pairs=200, seed=5)
         b = slope_sampling_estimate(fn, box, NormKind.Two, NormKind.Two, pairs=200, seed=5)
         assert a.value == b.value
@@ -295,8 +291,7 @@ class TestSlopeSampling:
         # four lattice points: 6 of the 8 first pairs are degenerate
         box = BoxDomain((0.0, 0.0), (1.0, 1.0), (True, True))
         f = lambda p: p[:, 0] + 2.0 * p[:, 1] + 4.0 * p[:, 0] * p[:, 1]
-        est = slope_sampling_estimate(None, box, NormKind.Two, NormKind.Two, pairs=8,
-                                      inflation=0.0, seed=8, batch_evaluator=f)
+        est = slope_sampling_estimate(f, box, NormKind.Two, NormKind.Two, pairs=8, inflation=0.0, seed=8)
         # re-derived: each degenerate pair, in pair order, redraws its
         # second point until the two differ
         rng = np.random.default_rng(8)
@@ -312,10 +307,9 @@ class TestSlopeSampling:
     def test_one_point_box_cannot_draw_a_pair(self):
         box = BoxDomain((0.0,), (0.5,), (True,))  # the one integer 0
         with pytest.raises(ValueError, match="could not draw"):
-            slope_sampling_estimate(None, box, NormKind.Two, NormKind.Two, pairs=3,
-                                    batch_evaluator=lambda p: p[:, 0])
+            slope_sampling_estimate(lambda p: p[:, 0], box, NormKind.Two, NormKind.Two, pairs=3)
 
     def test_pairs_validation(self):
         with pytest.raises(ValueError):
-            slope_sampling_estimate(lambda x: x, BoxDomain((0.0,), (1.0,)), NormKind.Two,
+            slope_sampling_estimate(lambda p: p, BoxDomain((0.0,), (1.0,)), NormKind.Two,
                                     NormKind.Two, pairs=0)

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 import yaml
 
@@ -88,6 +90,32 @@ class TestProblemFiles:
         assert est.value == pytest.approx(math.sqrt(2.0) * 1.05, rel=1e-3)
         # the objective contains abs: safety doubled
         assert built.estimated["objective_L"].safety_factor == pytest.approx(2.1)
+
+    @pytest.mark.parametrize("estimator", ["grid", "sampling"])
+    @pytest.mark.parametrize("key", ["objective_L", "constraint_1_L", "global_L"])
+    def test_a_failed_estimate_names_its_constant(self, key, estimator):
+        # exp(709*x1) overflows its difference quotients near x1 = 1
+        blowup = "exp(709*x1) - 0.5"
+        data = dict(SIN_FILE, dimension=1, bounds=[[0.0, 1.0]], objective="x1", objective_L=1.0,
+                    constraints=[{"expr": "x1 - 0.5", "L": 1.0}], global_L=1.0)
+        if key == "objective_L":
+            data.update(objective=blowup, objective_L=None)
+        elif key == "constraint_1_L":
+            data.update(constraints=[{"expr": blowup}])
+        else:
+            data.update(constraints=[{"expr": blowup, "L": 1.0}], global_L=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{key}: Lipschitz estimate must be finite and positive, got inf"):
+                build(definition_from_dict(data), estimator=estimator, need_component_L=True)
+
+    def test_built_specs_are_batch_only(self):
+        built = build(get_builtin("comp-example"))
+        objective, constraint = built.problem.objective, built.problem.constraint
+        assert objective.evaluator is None and constraint.components == ()
+        assert constraint.m == 2
+        values = constraint.evaluate_batch(np.array([[1.0, 0.0], [2.0, 1.0]]))
+        assert values.shape == (2, 2)
 
     def test_constraint_mask(self):
         data = dict(SIN_FILE)
@@ -180,10 +208,12 @@ class TestCliSolve:
                     constraints=[{"expr": "exp(709*x1) - 0.5"}])
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(data))
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        # the message names the constant, and no bare numpy warning precedes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main([command, "--problem", str(path)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: Lipschitz estimate must be finite and positive, got inf")
+        assert captured.err.startswith("error: global_L: Lipschitz estimate must be finite and positive, got inf")
         assert "trace" not in captured.out and "status" not in captured.out
 
     def test_infinite_given_constant_is_an_error_line(self, tmp_path, capsys):
