@@ -206,29 +206,28 @@ def _cmd_estimate(args) -> int:
     image_norm = constraint.image_norm
     squared = norm is NormKind.Two and image_norm is NormKind.Two
 
-    def one(estimate, label):
+    def one(label, exprs, evaluate_batch):
+        # as in build(): an overflowing slope reads inf, which
+        # LipschitzEstimate refuses, and the error names the estimate
+        try:
+            with np.errstate(over="ignore"):
+                if args.method == "grid":
+                    estimate = jacobian_sup_bound(exprs, box, norm, image_norm, grid_per_dim=args.grid, safety=1.0)
+                else:
+                    estimate = slope_sampling_estimate(
+                        evaluate_batch, box, norm, image_norm,
+                        pairs=args.pairs, inflation=args.inflation, seed=args.seed,
+                    )
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from None
         extra = f" (L^2 = {estimate.value ** 2:.17g})" if squared else ""
         note = "" if estimate.exact_norms else " [norm-equivalence bound]"
         print(f"{label}: L = {estimate.value:.17g}{extra} "
               f"[{estimate.method.value}, {estimate.samples_used} samples]{note}")
 
     for p, e in enumerate(exprs, start=1):
-        if args.method == "grid":
-            est = jacobian_sup_bound([e], box, norm, image_norm, grid_per_dim=args.grid, safety=1.0)
-        else:
-            est = slope_sampling_estimate(
-                constraint.batch_components[p - 1], box, norm, image_norm,
-                pairs=args.pairs, inflation=args.inflation, seed=args.seed,
-            )
-        one(est, f"constraint {p}")
-    if args.method == "grid":
-        est = jacobian_sup_bound(exprs, box, norm, image_norm, grid_per_dim=args.grid, safety=1.0)
-    else:
-        est = slope_sampling_estimate(
-            constraint.evaluate_batch, box, norm, image_norm,
-            pairs=args.pairs, inflation=args.inflation, seed=args.seed,
-        )
-    one(est, "vector")
+        one(f"constraint {p}", [e], constraint.batch_components[p - 1])
+    one("vector", exprs, constraint.evaluate_batch)
     return _EXIT_SOLVED
 
 

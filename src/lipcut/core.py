@@ -471,7 +471,16 @@ class ObjectiveSpec:
     A ``batch_evaluator`` with a true ``checks_finite`` attribute raises on
     every NaN or infinite value itself, as ``lipcut.expr.batch_evaluator``
     does with an ``EvaluationError`` naming the node; its values are not
-    scanned again."""
+    scanned again.
+
+    A ``batch_evaluator``'s value for a row must not depend on the other
+    rows of its batch, bit for bit, as with ``lipcut.expr``'s elementwise
+    numpy evaluation.  The branch and bound measures boxes of several
+    tree levels in one call and replays its decisions from those values,
+    so its results are those of one call per level only under this
+    requirement.  It also evaluates centers of boxes that the replay then
+    prunes, so a NaN or infinite value anywhere in the box can stop a
+    solve that a one-level search would have finished."""
 
     evaluator: Callable[[np.ndarray], float] | None
     lipschitz_f: float

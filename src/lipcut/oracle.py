@@ -18,21 +18,43 @@ The root box is the domain's lattice hull (``BoxDomain.hull_lower`` and
 ``hull_upper``).  Splitting keeps integral bounds integers and makes no
 empty child, so every box of the search has integer bounds on its
 integral coordinates.  The node queue is processed in waves of up to 64
-boxes, each split with array operations.  The children of a wave go
-through one pass over the region's stacked cuts
-(``RelaxedRegion.box_relations``), which says for each (box, cut) pair
+boxes: a wave's boxes are split, parents in wave order, lower child
+first, and the children admitted, pruned and pushed.
+
+Kernel passes.  The per-box quantities are measured in batches several
+tree levels deep (``_Search.descend``).  When a wave pops boxes whose
+children are not measured yet, one pass splits them and the levels below,
+as deep as ``_BATCH_BOXES`` = 128 boxes allow for a full tree (one box
+gets its children and five levels below them, 22 or more boxes their
+children only), and measures every box of every level at once: one
+``RelaxedRegion.box_relations`` call, which says for each (box, cut) pair
 it is given whether the box lies inside the ball, whether the ball
-touches the box, and whether it holds the box's snapped center.  The
-root is given every cut.  Every box keeps on the heap the cuts that
-touch it, and its children are given only those: a child lies inside its
-parent, so a cut that misses the parent (widened by the pass's margin)
-misses the child too, and the answers are those of a pass over every
-cut.  Corners and Halton samples of a box are then tested only against
-the cuts that touch it; every other cut provably holds for them.
-Candidate evaluations are batched, and a wave offers all its feasible
-points to the incumbent at once; the incumbent reduction (value, then
-lexicographic point) and the global-bound termination test make results
-independent of the order within a wave.
+touches the box, and whether it holds the box's snapped center; one
+objective call on the live centers, for the lower bounds f(c) - L_f * rho;
+and one harvest.  The root is measured alone and given every cut.  Each
+box is given only the cuts that touch the wave box it descends from: it
+lies inside that box, so a cut that misses that box (widened by the
+pass's margin) misses it too, and the answers are those of a pass over
+every cut.  The harvest takes the snapped centers, box corners and Halton
+samples of the live boxes whose bound is below the incumbent minus tol,
+tests corners and samples only against the cuts that touch their box
+(every other cut provably holds for them), evaluates the feasible ones,
+and keeps each box's best point.
+
+Replay.  Each measured quantity depends only on its box, and the
+objective's value for a row does not depend on the other rows of its
+batch (``ObjectiveSpec``).  So the waves are then replayed one by one
+from the measurements, and every decision that reads the incumbent is
+taken at replay time, as a search that measures one level per wave takes
+it: the pop order by (lower bound, push counter), the prune at pop time,
+the bound prune at admission, the discard floor, the push order, the
+``offer`` of the pushed boxes' best points, the termination test and the
+node limit.  The incumbent only improves, so every box that the replay
+pushes was harvested.  Traces are byte-identical whatever the depth of a
+pass; the price is objective evaluations at boxes that the replay prunes.
+The incumbent reduction (value, then lexicographic point) and the
+global-bound termination test make results independent of the order
+within a wave.
 """
 
 from __future__ import annotations
@@ -42,6 +64,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +80,16 @@ from .core import (
 )
 
 _WAVE_SIZE = 64
+# One kernel pass measures at most this many boxes, over as many tree
+# levels as fit: the children of a full wave, the largest batch of one level.
+_BATCH_BOXES = 2 * _WAVE_SIZE
 _BOX_MIN_WIDTH = 1e-10  # edges narrower than this are not split
 _MAX_SAMPLES = 32
 _CORNER_DIM_LIMIT = 5
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# ``_Batch.kid`` markers: no splittable edge; children not measured yet
+_LEAF = -2
+_UNMEASURED = -1
 
 
 class OracleStatus(enum.Enum):
@@ -137,6 +166,26 @@ def _corner_pattern(dim: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class _Batch:
+    """The boxes of one kernel pass, several tree levels deep, and what the
+    replay reads of them.  For box i: ``los[i]`` and ``his[i]``; its
+    column ``touching[:, i]`` of the cuts that touch it; ``dead[i]``, it
+    lies inside an exclusion ball; ``lb[i]``, its lower bound (NaN when
+    dead); ``kid[i]``, the index of its lower child in this batch (the
+    upper child follows it), ``_LEAF`` or ``_UNMEASURED``; ``best[i]``,
+    None or the (kind, value, point) it offers the incumbent.  The
+    per-box fields are lists, which the replay reads faster than arrays."""
+
+    los: np.ndarray
+    his: np.ndarray
+    touching: np.ndarray
+    dead: list
+    lb: list
+    kid: list
+    best: list
+
+
 class _Search:
     def __init__(self, objective, region, config, domain_norm):
         self.objective = objective
@@ -193,28 +242,29 @@ class _Search:
 
     def run(self) -> OracleResult:
         tol = self.config.tolerance
+        # the root alone, tested against every cut: the incumbent its harvest
+        # finds spares the harvest of the boxes that the first pass measures
         every_cut = np.ones((1, self.region.stacked_cuts), dtype=bool)
-        self.admit(self.box.hull_lower[None, :], self.box.hull_upper[None, :], every_cut)
+        root = self.measure(*self.grow(self.box.hull_lower[None, :], self.box.hull_upper[None, :], every_cut, 1))
+        self.admit([(root, 0)])
         while self.heap:
             if self.best_point is not None and self.best_value - self.heap[0][0] <= tol:
                 return self.finish(self.best_value - self.heap[0][0])
-            lbs, los, his, touching = [], [], [], []
+            lbs, wave = [], []
             while self.heap and len(lbs) < _WAVE_SIZE:
-                lb, _, lo, hi, cuts = heapq.heappop(self.heap)
+                lb, _, batch, i = heapq.heappop(self.heap)
                 if self.best_point is not None and lb >= self.best_value - tol:
                     self.discard_floor = min(self.discard_floor, lb)
                     continue
                 lbs.append(lb)
-                los.append(lo)
-                his.append(hi)
-                touching.append(cuts)
+                wave.append((batch, i))
             if not lbs:
                 break
             self.nodes += len(lbs)
             if self.nodes > self.config.node_limit:
                 gap = self.best_value - min(lbs) if self.best_point is not None else math.inf
                 raise ResourceLimitError(self.nodes, self.best_point, self.best_value, max(gap, 0.0))
-            self.expand(lbs, np.array(los), np.array(his), np.array(touching))
+            self.expand(lbs, wave)
 
         if self.best_point is None:
             return OracleResult(OracleStatus.Infeasible, None, math.inf, 0.0, self.nodes)
@@ -224,95 +274,178 @@ class _Search:
         gap = max(0.0, gap) if math.isfinite(gap) else 0.0
         return OracleResult(OracleStatus.Solved, self.best_point, self.best_value, gap, self.nodes)
 
-    def expand(self, lbs: list, los: np.ndarray, his: np.ndarray, touching: np.ndarray) -> None:
-        """Split each box of a wave at the middle of its longest splittable
-        edge (lowest index on ties; integral edges at floor(mid), the upper
-        child from floor(mid) + 1) and admit the children: parents in wave
-        order, lower child first.  Each child's candidate cuts are the
-        cuts that touch its parent, the parent's row of the (boxes, K)
-        ``touching``.  Boxes with no splittable edge go into the discard
-        floor.  No child is empty and integral bounds stay integers: an
-        integral edge [a, b] has an integer width, so it is splittable only
-        when b - a >= 1, and then a <= floor(mid) < b; a continuous mid
-        lies in [a, b]."""
+    def expand(self, lbs: list, wave: list) -> None:
+        """Admit the children of a wave of measured boxes, (batch, index)
+        pairs: parents in wave order, lower child first.  Boxes with no
+        splittable edge go into the discard floor.  The boxes whose
+        children no kernel pass has measured yet get one pass
+        (``descend``) for all of them."""
+        kids = [batch.kid[i] for batch, i in wave]
+        if _LEAF in kids:
+            self.discard_floor = min(self.discard_floor, *(lb for lb, k in zip(lbs, kids) if k == _LEAF))
+        fresh = [box for box, k in zip(wave, kids) if k == _UNMEASURED]
+        if fresh:
+            measured = self.descend(
+                np.array([batch.los[i] for batch, i in fresh]),
+                np.array([batch.his[i] for batch, i in fresh]),
+                np.array([batch.touching[:, i] for batch, i in fresh]),
+            )
+            lower = itertools.count(0, 2)
+        children = []
+        for (batch, i), k in zip(wave, kids):
+            if k == _UNMEASURED:
+                batch, k = measured, next(lower)
+            if k != _LEAF:
+                children += ((batch, k), (batch, k + 1))
+        self.admit(children)
+
+    def admit(self, boxes: list) -> None:
+        """Admit measured boxes, (batch, index) pairs, in order: drop those
+        inside an exclusion ball, put those whose bound is not below the
+        incumbent minus tol into the discard floor, push the rest, and
+        offer the pushed boxes' best points in one ``offer``, sorted by kind
+        (center, corner, sample) and then by box.  That is the order in
+        which one harvest of the pushed boxes would list its points, so
+        ``offer`` breaks ties between equal points (0.0 and -0.0) alike."""
+        limit = self.best_value - self.config.tolerance  # inf with no incumbent
+        pruned, offered = [], []
+        for batch, i in boxes:
+            if batch.dead[i]:
+                continue
+            lb = batch.lb[i]
+            if lb < limit:
+                heapq.heappush(self.heap, (lb, next(self.counter), batch, i))
+                if batch.best[i] is not None:
+                    offered.append(batch.best[i])
+            else:
+                pruned.append(lb)
+        if pruned:
+            self.discard_floor = min(self.discard_floor, *pruned)
+        if offered:
+            offered.sort(key=operator.itemgetter(0))
+            self.offer(np.array([point for _, _, point in offered]), np.array([value for _, value, _ in offered]))
+
+    # -- kernel passes ----------------------------------------------------
+
+    def descend(self, los: np.ndarray, his: np.ndarray, touching: np.ndarray) -> "_Batch":
+        """One kernel pass over the children of the splittable boxes
+        [los, his], each tested against its parent's row of the (boxes, K)
+        ``touching``, and over their descendants: d levels in all, d the
+        largest (at least 1) with children * (2^d - 1) <= ``_BATCH_BOXES``,
+        the size of a full tree.  Boxes 2j and 2j + 1 of the batch are the
+        children of box j."""
+        _, clos, chis = self.split(los, his)
+        depth = 1
+        while len(clos) * (2 ** (depth + 1) - 1) <= _BATCH_BOXES:
+            depth += 1
+        return self.measure(*self.grow(clos, chis, touching.repeat(2, axis=0), depth))
+
+    def split(self, los: np.ndarray, his: np.ndarray):
+        """Split each box that has an edge at least ``_BOX_MIN_WIDTH`` wide
+        at the middle of its longest such edge (lowest index on ties;
+        integral edges at floor(mid), the upper child from floor(mid) + 1).
+        Returns the indices of the split boxes and their children, lower
+        child first.  No child is empty and integral bounds stay integers:
+        an integral edge [a, b] has an integer width, so it is splittable
+        only when b - a >= 1, and then a <= floor(mid) < b; a continuous
+        mid lies in [a, b]."""
         widths = his - los
-        splittable = widths >= _BOX_MIN_WIDTH
-        can = splittable.any(axis=1)
-        if not can.all():
-            self.discard_floor = min(self.discard_floor, *itertools.compress(lbs, ~can))
-            los, his, widths, splittable, touching = los[can], his[can], widths[can], splittable[can], touching[can]
-            if len(los) == 0:
-                return
-        j = np.where(splittable, widths, -np.inf).argmax(axis=1)
-        rows = np.arange(len(j))
-        a, b = los[rows, j], his[rows, j]
+        widths[widths < _BOX_MIN_WIDTH] = -np.inf
+        j = widths.argmax(axis=1)
+        can = np.flatnonzero(widths[np.arange(len(j)), j] > -np.inf)
+        j = j[can]
+        a, b = los[can, j], his[can, j]
         mid = 0.5 * (a + b)
         upper = mid
         if self.has_integral:
             integral = self.integral[j]
             mid = np.where(integral, np.floor(mid), mid)
             upper = np.where(integral, mid + 1.0, mid)
-        clos, chis = los.repeat(2, axis=0), his.repeat(2, axis=0)
-        chis[2 * rows, j] = mid
-        clos[2 * rows + 1, j] = upper
-        self.admit(clos, chis, touching.repeat(2, axis=0))
+        clos, chis = los[can].repeat(2, axis=0), his[can].repeat(2, axis=0)
+        rows = 2 * np.arange(len(can))
+        chis[rows, j] = mid
+        clos[rows + 1, j] = upper
+        return can, clos, chis
 
-    def admit(self, los: np.ndarray, his: np.ndarray, candidates: np.ndarray) -> None:
-        """Prune, bound and push a batch of non-empty boxes inside the
-        domain's lattice hull, with integer bounds on integral coordinates,
-        each tested only against its candidate cuts, the rows of the
-        (boxes, K) ``candidates``, then harvest incumbent candidates from
-        the survivors.  A box's heap entry keeps the cuts that touch it, a
-        row view of this batch's answer, for its children."""
+    def grow(self, los: np.ndarray, his: np.ndarray, candidates: np.ndarray, depth: int):
+        """The boxes [los, his] and the tree levels below them, every
+        splittable box split by ``split``, ``depth`` levels in all.
+        Returns the boxes level by level; the (K, boxes) candidate cuts of
+        each, its first-level ancestor's row of the (boxes, K)
+        ``candidates``; and ``_Batch.kid``."""
+        levels, ancestors, kids = [(los, his)], [np.arange(len(los))], []
+        end = 0
+        for level in range(depth):
+            lo, hi = levels[-1]
+            end += len(lo)
+            kid = np.full(len(lo), _LEAF)
+            kids.append(kid)
+            if level == depth - 1:
+                kid[(hi - lo >= _BOX_MIN_WIDTH).any(axis=1)] = _UNMEASURED
+                break
+            can, clos, chis = self.split(lo, hi)
+            kid[can] = end + 2 * np.arange(len(can))
+            levels.append((clos, chis))
+            ancestors.append(ancestors[-1][can].repeat(2))
+        los, his = (np.concatenate(side) for side in zip(*levels))
+        return los, his, candidates[np.concatenate(ancestors)].T, np.concatenate(kids)
+
+    def measure(self, los: np.ndarray, his: np.ndarray, candidates: np.ndarray, kid: np.ndarray) -> "_Batch":
+        """One kernel pass over boxes of several tree levels, each tested
+        only against its candidate cuts, the columns of the (K, boxes)
+        ``candidates``: ``box_relations``, one objective call on the live
+        centers, and the harvest of the live boxes whose bound is below
+        the incumbent minus tol.  The incumbent only improves, so the
+        replay (``admit``) pushes no other box."""
         centers = 0.5 * (los + his)
         snapped = self.snap(centers)  # centers itself when nothing is integral
-        dead, touching, mid_violated = self.region.box_relations(los, his, snapped, candidates.T)
-        if dead.any():
-            live = ~dead
-            los, his, centers, touching, mid_violated = (
-                los[live], his[live], centers[live], touching[:, live], mid_violated[live],
-            )
-            snapped = snapped[live] if self.has_integral else centers
-        if len(los) == 0:
-            return
-
-        f_centers = self.objective.evaluate_batch(centers)
-        lbs = f_centers - self.objective.lipschitz_f * self.rho(los, his)
-        if self.best_point is not None:
-            keep = lbs < self.best_value - self.config.tolerance
-            if not keep.all():
-                self.discard_floor = min(self.discard_floor, float(lbs[~keep].min()))
-                los, his, snapped, f_centers, lbs, touching, mid_violated = (
-                    los[keep], his[keep], snapped[keep], f_centers[keep], lbs[keep],
-                    touching[:, keep], mid_violated[keep],
-                )
-        for lo, hi, lb, cuts in zip(los, his, lbs, touching.T):
-            heapq.heappush(self.heap, (float(lb), next(self.counter), lo, hi, cuts))
-        if len(los):
+        dead, touching, mid_violated = self.region.box_relations(los, his, snapped, candidates)
+        live = np.flatnonzero(~dead)
+        f_centers = np.full(len(los), math.nan)
+        lbs = f_centers.copy()
+        if live.size:
+            f_centers[live] = self.objective.evaluate_batch(centers[live])
+            lbs[live] = f_centers[live] - self.objective.lipschitz_f * self.rho(los[live], his[live])
+        kept = live[lbs[live] < self.best_value - self.config.tolerance]
+        best = [None] * len(los)
+        if kept.size:
             # a snapped center lies in its box, which lies in the domain's
             # lattice hull: only the cuts can reject it
-            self.harvest(los, his, snapped, f_centers, ~mid_violated, touching)
+            found = self.harvest(los[kept], his[kept], snapped[kept], f_centers[kept],
+                                 ~mid_violated[kept], touching[:, kept])
+            for i, kind, value, point in zip(*found):
+                best[kept[i]] = (kind, value, point)
+        return _Batch(los, his, touching, dead.tolist(), lbs.tolist(), kid.tolist(), best)
 
-    def harvest(self, los, his, snapped, f_centers, center_ok, touching) -> None:
-        """Offer the feasible (snapped) centers, box corners, and Halton
-        samples of the boxes whose center is infeasible, in one ``offer``.
+    def harvest(self, los, his, snapped, f_centers, center_ok, touching):
+        """Each box's best feasible point among its (snapped) center, its
+        corners, and its Halton samples when its center is infeasible.
         Corners and samples are tested against the domain and only against
         the cuts that touch their box (``touching``); every other cut
-        provably holds for them (``RelaxedRegion.box_relations``)."""
+        provably holds for them (``RelaxedRegion.box_relations``).  Returns
+        the boxes that have one, ascending, and for each the point's kind
+        (0 center, 1 corner, 2 sample), value and the point: the least
+        (value, point), the first listed in the order kind, pattern."""
         count = len(los)
-        found, values = [], []
+        boxes = np.arange(count)
+        # each point's key: kind * count + box
+        found, values, keys = [], [], []
         if not self.has_integral:
             # feasible centers already carry their objective value
             found.append(snapped[center_ok])
             values.append(f_centers[center_ok])
-        blocks = [snapped] if self.has_integral else []
+            keys.append(boxes[center_ok])
+        # the blocks of points still to evaluate, with their keys
+        blocks, block_keys = ([snapped], [boxes]) if self.has_integral else ([], [])
         per_box = 0
         if self.corner_pattern is not None:
             per_box = len(self.corner_pattern)
             blocks.append(self.spread(self.corner_pattern, los, his))
+            block_keys.append(boxes.repeat(per_box) + count)
         bad = np.flatnonzero(~center_ok)
         if bad.size:
             blocks.append(self.spread(self.samples, los[bad], his[bad]))
+            block_keys.append(bad.repeat(_MAX_SAMPLES) + 2 * count)
         if blocks:
             pts = np.concatenate(blocks)
             first = count if self.has_integral else 0
@@ -322,19 +455,32 @@ class _Search:
             if touching.any():
                 # the rows of ``tested`` drawn from each box: its corners, then
                 # its samples if it has any, else -1
-                owners = np.empty((count, per_box + (_MAX_SAMPLES if bad.size else 0)), dtype=np.intp)
-                owners[:, :per_box] = np.arange(count * per_box).reshape(count, per_box)
+                table = np.empty((count, per_box + (_MAX_SAMPLES if bad.size else 0)), dtype=np.intp)
+                table[:, :per_box] = np.arange(count * per_box).reshape(count, per_box)
                 if bad.size:
-                    owners[:, per_box:] = -1
-                    owners[bad, per_box:] = np.arange(count * per_box, len(tested)).reshape(bad.size, _MAX_SAMPLES)
-                ok[first:] = self.region.touching_membership(tested, owners, touching)
+                    table[:, per_box:] = -1
+                    table[bad, per_box:] = np.arange(count * per_box, len(tested)).reshape(bad.size, _MAX_SAMPLES)
+                ok[first:] = self.region.touching_membership(tested, table, touching)
             else:
                 ok[first:] = self.box.contains_mask(tested)
             if ok.any():
                 found.append(pts.compress(ok, axis=0))
                 values.append(self.objective.evaluate_batch(found[-1]))
-        if found:
-            self.offer(np.concatenate(found), np.concatenate(values))
+                keys.append(np.concatenate(block_keys).compress(ok))
+        if not sum(map(len, found)):
+            return (), (), (), ()
+        pts, values, keys = (np.concatenate(part) for part in (found, values, keys))
+        owners = keys % count
+        least = np.full(count, np.inf)
+        np.minimum.at(least, owners, values)
+        tied = np.flatnonzero(values == least[owners])
+        # stable: equal keys keep the listed order, kind by kind
+        order = tied[np.lexsort(tuple(pts[tied, j] for j in range(self.n - 1, -1, -1)) + (owners[tied],))]
+        head = np.empty(len(order), dtype=bool)  # the first of each box
+        head[0] = True
+        np.not_equal(owners[order[1:]], owners[order[:-1]], out=head[1:])
+        firsts = order[head]
+        return owners[firsts].tolist(), (keys[firsts] // count).tolist(), values[firsts].tolist(), pts[firsts]
 
     def spread(self, pattern, los, his) -> np.ndarray:
         """The points lo + pattern * (hi - lo) of each box, box-major, with

@@ -9,9 +9,10 @@ CSV bytes depend on every such comparison.
 The branch and bound tests the points it harvests from a box only against
 the cuts that touch the box (``box_relations``, ``touching_membership``).  The
 last tests check, on points built by the branch and bound's own code, that
-this gives exactly the dense kernel's answer, and that a child box given
-only the cuts that touch its parent gets exactly the answers of a box
-pass over every cut.
+this gives exactly the dense kernel's answer, and that the descendants of
+a box that one kernel pass measures, several tree levels deep, given only
+the cuts that touch that box, get exactly the answers of a box pass over
+every cut.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from lipcut.core import (
     RelaxedRegion,
     region_membership,
 )
-from lipcut.oracle import OracleConfig, _Search
+from lipcut.oracle import _BOX_MIN_WIDTH, OracleConfig, _Search
 
 
 def ref_norm_rows(norm, m):
@@ -384,29 +385,31 @@ def test_overshooting_corner_stays_rejected():
 # -- inherited candidate cuts -------------------------------------------------
 
 
-def children(region, los, his, touching):
-    """The children of the boxes [los, his], split by the branch and
-    bound's own ``expand``, with their snapped centers, and the
-    (K, children) candidate mask each inherits from the (K, boxes)
-    ``touching`` of its parent."""
+def descendants(region, los, his, touching):
+    """What one kernel pass of the branch and bound measures below the
+    splittable boxes [los, his] (its own ``descend``): their children and
+    the tree levels below those, with their snapped centers, and the
+    (K, descendants) candidate mask each gets, the column of the
+    (K, boxes) ``touching`` of its ancestor among the boxes."""
     s = _Search(None, region, OracleConfig(), NormKind.Two)
     made = []
-    s.admit = lambda *batch: made.append(batch)
-    s.expand([0.0] * len(los), los, his, touching.T)
-    if not made:
+    s.measure = lambda *batch: made.append(batch)
+    can = (his - los >= _BOX_MIN_WIDTH).any(axis=1)
+    if not can.any():
         return los[:0], his[:0], los[:0], touching[:, :0]
-    clos, chis, candidates = made[0]
-    return clos, chis, s.snap(0.5 * (clos + chis)), candidates.T
+    s.descend(los[can], his[can], touching.T[can])
+    dlos, dhis, candidates, _ = made[0]
+    return dlos, dhis, s.snap(0.5 * (dlos + dhis)), candidates
 
 
 @st.composite
 def inheritance_cases(draw):
     """Parent boxes (``sub_boxes``) and cuts about the points the branch
-    and bound harvests from the parents and from their children."""
+    and bound harvests from the parents and from their descendants."""
     box, los, his = draw(sub_boxes())
     bare = RelaxedRegion(box)
-    clos, chis, *_ = children(bare, los, his, every_cut(bare, len(los)))
-    points = np.vstack((harvested(bare, los, his)[3], harvested(bare, clos, chis)[3]))
+    dlos, dhis, *_ = descendants(bare, los, his, every_cut(bare, len(los)))
+    points = np.vstack((harvested(bare, los, his)[3], harvested(bare, dlos, dhis)[3]))
     return RelaxedRegion(box, cuts_about(draw, box, points)), los, his
 
 
@@ -427,14 +430,14 @@ def test_children_tested_against_their_parents_touching_cuts_match_every_cut(cas
     region, los, his = case
     los, his, snapped, *_ = harvested(region, los, his)
     touching = region.box_relations(los, his, snapped, every_cut(region, len(los)))[1]
-    clos, chis, csnapped, candidates = children(region, los, his, touching)
-    inherited = region.box_relations(clos, chis, csnapped, candidates)
-    full = region.box_relations(clos, chis, csnapped, every_cut(region, len(clos)))
+    dlos, dhis, dsnapped, candidates = descendants(region, los, his, touching)
+    inherited = region.box_relations(dlos, dhis, dsnapped, candidates)
+    full = region.box_relations(dlos, dhis, dsnapped, every_cut(region, len(dlos)))
     for mine, every in zip(inherited, full):  # excluded, touching, mid_violated
         assert np.array_equal(mine, every)
-    # and what the branch and bound then harvests from the live children
+    # and what the branch and bound then harvests from the live descendants
     # gets the dense kernel's answer
-    _, _, _, points, owners = harvested(region, clos, chis)
+    _, _, _, points, owners = harvested(region, dlos, dhis)
     live = owners[~inherited[0]]
     kept = live[live >= 0]
     ok = region.touching_membership(points, owners, inherited[1])

@@ -1,11 +1,13 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipcut import oracle
 from lipcut.core import (
     BoxDomain,
     Cut,
@@ -248,13 +250,13 @@ def test_every_box_of_the_search_lies_on_the_lattice_hull(case):
     box = region.domain
     search = _Search(objective, region, OracleConfig(tolerance=1e-2, node_limit=2000), NormKind.Two)
     batches = []
-    admit = search.admit
+    measure = search.measure
 
-    def recorded(los, his, candidates):
+    def recorded(los, his, *rest):  # every box of a kernel pass, at every level
         batches.append((los.copy(), his.copy()))
-        admit(los, his, candidates)
+        return measure(los, his, *rest)
 
-    search.admit = recorded
+    search.measure = recorded
     try:
         search.run()
     except ResourceLimitError:
@@ -266,6 +268,89 @@ def test_every_box_of_the_search_lies_on_the_lattice_hull(case):
         assert np.array_equal(his[:, cols], np.round(his[:, cols]))
         assert (los >= box.hull_lower).all() and (his <= box.hull_upper).all()
         assert (los <= his).all()
+
+
+@st.composite
+def replay_cases(draw):
+    """A 1-3 dim domain with some integral coordinates, the nonconvex
+    objective sum_j a_j sin(b_j x_j) + c_j x_j evaluated row by row
+    (``lipcut.expr``), 0-6 cuts of mixed norms and masks, a domain norm,
+    and a tolerance and node limit, some small enough to stop the search.
+    The continuous values come from a seeded generator: hypothesis favors
+    zero widths and coefficients, whose searches end at the root."""
+    n = draw(st.integers(1, 3))
+    integral = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lower = rng.integers(-3, 4, n) + np.where(integral, 0.0, rng.uniform(0.0, 1.0, n))
+    upper = lower + np.where(integral, rng.integers(0, 7, n), rng.uniform(0.5, 4.0, n))
+    box = BoxDomain(lower, upper, integral)
+    a, b, c = rng.uniform(-2.0, 2.0, n), rng.uniform(1.0, 20.0, n), rng.uniform(-1.0, 1.0, n)
+    text = " + ".join(f"({a[j].item()!r})*sin(({b[j].item()!r})*x{j + 1}) + ({c[j].item()!r})*x{j + 1}"
+                     for j in range(n))
+    # the 1-norm of the gradient bound holds for every domain norm
+    objective = ObjectiveSpec(None, float(np.sum(np.abs(a * b) + np.abs(c))),
+                              batch_evaluator=batch_evaluator(parse(text, n)))
+    cuts = []
+    for _ in range(draw(st.integers(0, 6))):
+        mask = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+        radius = rng.uniform(0.0, 0.6) * max(float(box.widths.max()), 1.0)
+        cuts.append(Cut(lower + rng.uniform(0.0, 1.0, n) * box.widths, radius, mask,
+                        draw(st.sampled_from(list(NormKind)))))
+    config = OracleConfig(tolerance=draw(st.sampled_from((1e-3, 1e-5))),
+                          node_limit=draw(st.sampled_from((60, 600, 6000))))
+    return objective, RelaxedRegion(box, tuple(cuts)), config, draw(st.sampled_from(list(NormKind)))
+
+
+def global_outcome(objective, region, config, domain_norm):
+    """The bytes of a global solve's result or of its ResourceLimitError
+    and the number of boxes it pushed on its heap; and the size of each
+    kernel pass it made."""
+    search = _Search(objective, region, config, domain_norm)
+    passes = []
+    measure = search.measure
+
+    def counted(*batch):
+        passes.append(len(batch[0]))
+        return measure(*batch)
+
+    search.measure = counted
+    try:
+        r = search.run()
+        point = r.point
+        out = ("result", r.status, np.float64(r.value).tobytes(), np.float64(r.gap).tobytes(), r.nodes)
+    except ResourceLimitError as exc:
+        point = exc.point
+        out = ("limit", np.float64(exc.value).tobytes(), np.float64(exc.gap).tobytes(), exc.nodes)
+    return out + (None if point is None else point.tobytes(), next(search.counter)), passes
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=replay_cases())
+def test_batched_levels_replay_the_one_level_search(case):
+    # the default measures several tree levels per kernel pass and replays
+    # them; with _BATCH_BOXES = 0 each pass measures one level, the
+    # children of one wave, and each wave is admitted as it is measured
+    batched, passes = global_outcome(*case)
+    with mock.patch.object(oracle, "_BATCH_BOXES", 0):
+        one_level, level_passes = global_outcome(*case)
+    assert batched == one_level
+    assert len(passes) <= len(level_passes)
+    assert passes[0] == level_passes[0] == 1  # the root, alone
+
+
+def test_kernel_passes_span_several_levels():
+    # min |x1 - x2| + x1 over the square minus a ball: the same answer from
+    # fewer kernel passes, each over several levels of the tree
+    region = RelaxedRegion(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (Cut((-0.5, -0.5), 0.6),))
+    config = OracleConfig(tolerance=1e-6)
+    batched, passes = global_outcome(sin_objective(), region, config, NormKind.Two)
+    with mock.patch.object(oracle, "_BATCH_BOXES", 0):
+        one_level, level_passes = global_outcome(sin_objective(), region, config, NormKind.Two)
+    assert batched == one_level
+    # the root alone, then its children and the five levels below them
+    assert passes[:2] == [1, 2 + 4 + 8 + 16 + 32 + 64]
+    assert max(passes) <= oracle._BATCH_BOXES and level_passes[1] == 2
+    assert 2 * len(passes) < len(level_passes)
 
 
 def nan_above_03() -> tuple:

@@ -216,6 +216,25 @@ class TestCliSolve:
         assert captured.err.startswith("error: global_L: Lipschitz estimate must be finite and positive, got inf")
         assert "trace" not in captured.out and "status" not in captured.out
 
+    @pytest.mark.parametrize("method", ["grid", "sampling"])
+    @pytest.mark.parametrize("label", ["constraint 1", "vector"])
+    def test_estimate_lipschitz_names_its_failed_estimate(self, tmp_path, capsys, method, label):
+        # every constant is given, so only the command's own estimates fail:
+        # exp(709*x1) overflows its slopes near x1 = 1; two finite slopes of
+        # 9e307 overflow only in the stacked (1, 1) norm, their sum
+        data = dict(SIN_FILE, dimension=1, bounds=[[0.0, 1.0]], objective="x1", objective_L=1.0, global_L=1.0)
+        if label == "constraint 1":
+            data.update(constraints=[{"expr": "exp(709*x1) - 0.5", "L": 1.0}])
+        else:
+            data.update(norm="1", image_norm="1",
+                        constraints=[{"expr": "9e307*x1 - 1", "L": 1.0}, {"expr": "9e307*x1 - 2", "L": 1.0}])
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate-lipschitz", "--problem", str(path), "--method", method]) == 1
+        assert capsys.readouterr().err == f"error: {label}: Lipschitz estimate must be finite and positive, got inf\n"
+
     def test_infinite_given_constant_is_an_error_line(self, tmp_path, capsys):
         path = tmp_path / "inf.yaml"
         path.write_text(yaml.safe_dump(dict(SIN_FILE, global_L=math.inf)))
