@@ -9,11 +9,9 @@ each infeasible incumbent gets a Euclidean exclusion ball of radius
 branch-and-bound oracle.
 """
 
-import io
-
 import numpy as np
 
-from lipcut import DriverConfig, GlobalOracle, OracleConfig, run, write_trace_csv
+from lipcut import DriverConfig, GlobalOracle, OracleConfig, run, trace_to_csv
 from lipcut.problems import build, get_builtin
 
 built = build(get_builtin("sin-example"))
@@ -49,6 +47,4 @@ print(f"\nfinal point: {outcome.final_point}")
 print(f"objective:   {outcome.trace[-1].objective:.9f}")
 print(f"lower bound: {outcome.lower_bound:.9f}")
 
-buffer = io.StringIO()
-write_trace_csv(outcome.trace, problem.domain.dimension, buffer)
-print("\ntrace CSV:\n" + buffer.getvalue())
+print("\ntrace CSV:\n" + trace_to_csv(outcome.trace, problem.domain.dimension))

@@ -9,8 +9,6 @@ iteration budget runs out.
 """
 
 from .bounds import (
-    BoundKind,
-    BoundReport,
     ball_packing_bound,
     box_packing_bound,
     box_radius,
@@ -43,7 +41,6 @@ from .driver import (
     normalized_problem,
     run,
     trace_to_csv,
-    write_trace_csv,
 )
 from .expr import (
     EvaluationError,
@@ -52,13 +49,13 @@ from .expr import (
     evaluate,
     finite_diff_jacobian,
     parse,
-    to_string,
 )
 from .lipschitz import (
     EstimateMethod,
     LipschitzEstimate,
     induced_norm,
     jacobian_sup_bound,
+    labelled_estimate,
     slope_sampling_estimate,
 )
 from .oracle import (
@@ -69,8 +66,6 @@ from .oracle import (
     OracleResult,
     OracleStatus,
     ResourceLimitError,
-    solve_global,
-    solve_local,
 )
 from .problems import builtin_problems, build, get_builtin, load_problem_file
 from .reform import (

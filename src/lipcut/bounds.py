@@ -6,38 +6,18 @@ iteration count is bounded by a packing number.  The functions here
 evaluate the closed-form packing bounds for boxes, lattices and balls, the
 radius/asphericity of a box in each norm, and the iteration-complexity
 envelopes for epsilon-approximate solving.  Pure arithmetic, safe
-everywhere.
+everywhere: an upper bound past the float range reads inf (true but
+vacuous), and a lower bound there raises ValueError.
 """
 
 from __future__ import annotations
 
-import enum
+import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import BoxDomain, NormKind, norm_eval
-
-
-class BoundKind(enum.Enum):
-    BoxPacking = "box-packing"
-    LatticeCount = "lattice-count"
-    BallPacking = "ball-packing"
-    ComplexityLower = "complexity-lower"
-    ComplexityUpper = "complexity-upper"
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    kind: BoundKind
-    value: float
-    inputs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        packing = (BoundKind.BoxPacking, BoundKind.BallPacking)
-        if self.kind in packing and self.value < 1.0:
-            raise ValueError("a packing bound is at least 1 (one point always packs)")
 
 
 def box_packing_bound(box: BoxDomain, L: float, delta: float) -> float:
@@ -48,18 +28,21 @@ def box_packing_bound(box: BoxDomain, L: float, delta: float) -> float:
     _check_positive(L=L, delta=delta)
     if delta / L >= 1.0:
         warnings.warn(f"packing bound derived for delta/L < 1, got {delta / L}")
-    return float(np.prod((L / delta) * box.widths + 1.0))
+    with np.errstate(over="ignore"):
+        return float(np.prod((L / delta) * box.widths + 1.0))
 
 
-def lattice_count(box: BoxDomain) -> int:
+def lattice_count(box: BoxDomain) -> int | float:
     """prod_j (floor(upper_j) - ceil(lower_j) + 1): lattice points in the
-    box.  Returns 0 with a warning when some coordinate admits no integer
-    (the bound is then vacuous)."""
+    box, inf past the float range.  Returns 0 with a warning when some
+    coordinate admits no integer (the bound is then vacuous)."""
     per_coord = np.floor(box.upper) - np.ceil(box.lower) + 1.0
     if np.any(per_coord < 1.0):
         warnings.warn("box contains no lattice point in some coordinate; bound vacuous")
         return 0
-    return int(round(float(np.prod(per_coord))))
+    with np.errstate(over="ignore"):
+        count = float(np.prod(per_coord))
+    return int(count) if count < math.inf else math.inf
 
 
 def ball_packing_bound(D: float, L: float, delta: float, n: int) -> float:
@@ -67,14 +50,14 @@ def ball_packing_bound(D: float, L: float, delta: float, n: int) -> float:
     _check_positive(L=L, delta=delta, n=n)
     if D < 0:
         raise ValueError("ball radius must be nonnegative")
-    return float((2.0 * L * D / delta + 1.0) ** n)
+    return _power(2.0 * L * D / delta + 1.0, n)
 
 
 def complexity_upper(rho: float, epsilon: float, n: int) -> float:
     """((2 rho + epsilon) / epsilon)^n: oracle calls until an
     epsilon-approximate solution, for a domain of radius rho."""
     _check_positive(rho=rho, epsilon=epsilon, n=n)
-    return float(((2.0 * rho + epsilon) / epsilon) ** n)
+    return _power((2.0 * rho + epsilon) / epsilon, n)
 
 
 def complexity_lower(alpha: float, epsilon: float, n: int, c: float = 1.0) -> float:
@@ -86,7 +69,10 @@ def complexity_lower(alpha: float, epsilon: float, n: int, c: float = 1.0) -> fl
     if alpha < 1.0:
         raise ValueError("asphericity is at least 1 by definition")
     _check_positive(epsilon=epsilon, n=n, c=c)
-    return float((c / (alpha * epsilon)) ** n)
+    value = _power(c / (alpha * epsilon), n)
+    if value == math.inf:
+        raise ValueError(f"complexity lower bound (c / (alpha * epsilon))^n overflows for epsilon = {epsilon}")
+    return value
 
 
 def box_radius(box: BoxDomain, norm: NormKind) -> float:
@@ -107,16 +93,16 @@ def box_radius_asphericity(box: BoxDomain, norm: NormKind) -> tuple[float, float
     return radius, radius / min_half
 
 
+def _power(base: float, n: int) -> float:
+    """base^n, inf past the float range (a Python float power raises)."""
+    try:
+        return float(base**n)
+    except OverflowError:
+        return math.inf
+
+
 def _check_positive(**values):
     for name, value in values.items():
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
 
-
-def termination_report(box: BoxDomain, L: float, delta: float) -> BoundReport:
-    """The applicable packing bound: lattice count for all-integral boxes,
-    the box bound otherwise."""
-    if box.integral.all():
-        return BoundReport(BoundKind.LatticeCount, float(lattice_count(box)), {"delta": delta, "L": L})
-    value = box_packing_bound(box, L, delta)
-    return BoundReport(BoundKind.BoxPacking, value, {"delta": delta, "L": L})

@@ -29,10 +29,10 @@ from .driver import (
     SolveStatus,
     normalized_problem,
     run,
-    write_trace_csv,
+    trace_to_csv,
 )
 from .expr import EvaluationError
-from .lipschitz import EstimateMethod, jacobian_sup_bound, slope_sampling_estimate
+from .lipschitz import EstimateMethod, labelled_estimate
 from .oracle import GlobalOracle, InfeasibleStartError, LocalOracle, OracleConfig
 from .problems import build, builtin_problems, get_builtin, load_problem_file
 from .reform import default_big_M, export_lp, reformulate_1norm, reformulate_infnorm
@@ -159,7 +159,7 @@ def _cmd_solve(args) -> int:
     print(f"iterations: {len(outcome.trace)}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="\n") as handle:
-            write_trace_csv(outcome.trace, problem.domain.dimension, handle)
+            handle.write(trace_to_csv(outcome.trace, problem.domain.dimension))
         print(f"trace written to {args.trace}")
     return {
         SolveStatus.Solved: _EXIT_SOLVED,
@@ -176,8 +176,11 @@ def _cmd_bounds(args) -> int:
     problem = built.problem
     box = problem.domain
     if args.delta is not None:
-        report = bounds_mod.termination_report(box, problem.constraint.global_L, args.delta)
-        print(f"packing bound ({report.kind.value}): {report.value:.17g}")
+        if box.integral.all():  # the lattice count, else the box packing
+            kind, value = "lattice-count", bounds_mod.lattice_count(box)
+        else:
+            kind, value = "box-packing", bounds_mod.box_packing_bound(box, problem.constraint.global_L, args.delta)
+        print(f"packing bound ({kind}): {value:.17g}")
     radius = bounds_mod.box_radius(box, problem.domain_norm)
     print(f"radius: {radius:.17g}")
     try:
@@ -200,34 +203,18 @@ def _cmd_estimate(args) -> int:
     definition = get_builtin(args.builtin) if args.builtin else load_problem_file(args.problem)
     built = build(definition)  # uses the file's constants; estimates below are fresh
     exprs = built.exprs["constraints"]
-    constraint = built.problem.constraint
-    box = built.problem.domain
-    norm = built.problem.domain_norm
-    image_norm = constraint.image_norm
-    squared = norm is NormKind.Two and image_norm is NormKind.Two
-
-    def one(label, exprs, evaluate_batch):
-        # as in build(): an overflowing slope reads inf, which
-        # LipschitzEstimate refuses, and the error names the estimate
-        try:
-            with np.errstate(over="ignore"):
-                if args.method == "grid":
-                    estimate = jacobian_sup_bound(exprs, box, norm, image_norm, grid_per_dim=args.grid, safety=1.0)
-                else:
-                    estimate = slope_sampling_estimate(
-                        evaluate_batch, box, norm, image_norm,
-                        pairs=args.pairs, inflation=args.inflation, seed=args.seed,
-                    )
-        except ValueError as exc:
-            raise ValueError(f"{label}: {exc}") from None
+    problem = built.problem
+    squared = problem.domain_norm is NormKind.Two and problem.constraint.image_norm is NormKind.Two
+    groups = [(f"constraint {p}", [e]) for p, e in enumerate(exprs, start=1)] + [("vector", exprs)]
+    for label, group in groups:
+        estimate = labelled_estimate(
+            label, group, problem.domain, problem.domain_norm, problem.constraint.image_norm, args.method,
+            grid_per_dim=args.grid, safety=1.0, pairs=args.pairs, inflation=args.inflation, seed=args.seed,
+        )
         extra = f" (L^2 = {estimate.value ** 2:.17g})" if squared else ""
         note = "" if estimate.exact_norms else " [norm-equivalence bound]"
         print(f"{label}: L = {estimate.value:.17g}{extra} "
               f"[{estimate.method.value}, {estimate.samples_used} samples]{note}")
-
-    for p, e in enumerate(exprs, start=1):
-        one(f"constraint {p}", [e], constraint.batch_components[p - 1])
-    one("vector", exprs, constraint.evaluate_batch)
     return _EXIT_SOLVED
 
 

@@ -29,7 +29,6 @@ Independent problems may run concurrently.
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -251,13 +250,13 @@ def normalized_problem(problem: Problem) -> Problem:
 # --------------------------------------------------------------------------
 # trace serialization
 
-def write_trace_csv(trace, dimension: int, stream) -> None:
+def trace_to_csv(trace, dimension: int) -> str:
     """CSV with header k,x1..xn,f,viol_norm,viol_max,radius,component,
     oracle_nodes,oracle_gap; 17 significant digits, UNIX newlines."""
     cols = ["k"] + [f"x{j + 1}" for j in range(dimension)] + [
         "f", "viol_norm", "viol_max", "radius", "component", "oracle_nodes", "oracle_gap",
     ]
-    stream.write(",".join(cols) + "\n")
+    lines = [",".join(cols)]
     for rec in trace:
         row = [str(rec.k)]
         row += [_fmt(v) for v in rec.point]
@@ -265,13 +264,8 @@ def write_trace_csv(trace, dimension: int, stream) -> None:
         row.append("" if rec.attaining_component is None else str(rec.attaining_component))
         row.append(str(rec.oracle_nodes))
         row.append(_fmt(rec.oracle_gap))
-        stream.write(",".join(row) + "\n")
-
-
-def trace_to_csv(trace, dimension: int) -> str:
-    buf = io.StringIO()
-    write_trace_csv(trace, dimension, buf)
-    return buf.getvalue()
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(value: float) -> str:

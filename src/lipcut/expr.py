@@ -70,6 +70,7 @@ class Expr:
         raise NotImplementedError
 
     def __str__(self) -> str:
+        """Text that re-parses to an equivalent expression."""
         return self._fmt()
 
     def _fmt(self, parent: int = 0) -> str:
@@ -399,11 +400,6 @@ def _locate(node: Expr, row: list) -> Expr:
         if not np.isfinite(child._eval_batch(row)[0]):
             return _locate(child, row)
     return node
-
-
-def to_string(expression: Expr) -> str:
-    """Render to text that re-parses to an equivalent expression."""
-    return str(expression)
 
 
 def contains_abs(expression: Expr) -> bool:

@@ -26,6 +26,9 @@ unit cube is attained at a vertex; beyond ``_ENUM_LIMIT`` dimensions it is
 replaced by a sigma_max bound scaled by norm-equivalence constants and the
 estimate is flagged as inexact.
 
+``labelled_estimate``, which ``build()`` and ``lipcut estimate-lipschitz``
+both call, runs either one under a label that names the constant in errors.
+
 Grid and pair evaluations are order-independent reductions (max), so
 results do not depend on evaluation scheduling; sampled pairs are generated
 sequentially from the seed before any evaluation.
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BoxDomain, NormKind, norm_eval_rows
-from .expr import contains_abs, finite_diff_jacobian_batch
+from .expr import batch_evaluator, contains_abs, finite_diff_jacobian_batch
 
 _ENUM_LIMIT = 14  # sign-enumeration cap: 2^(k-1) vertices
 _VALUE_FLOOR = 1e-12  # reported for a function that reads as constant
@@ -261,3 +264,25 @@ def slope_sampling_estimate(
         warnings.warn("all sampled slopes are zero (constant function?); reporting floor")
         return LipschitzEstimate(_VALUE_FLOOR, EstimateMethod.SlopeSampling, 1.0 + inflation, pairs)
     return LipschitzEstimate(best * (1.0 + inflation), EstimateMethod.SlopeSampling, 1.0 + inflation, pairs)
+
+
+def labelled_estimate(label: str, exprs, box: BoxDomain, domain_norm: NormKind, image_norm: NormKind,
+                      method: str = "grid", *, grid_per_dim: int = 64, safety: float = 1.05,
+                      pairs: int = 10_000, inflation: float = 0.1, seed: int = 0) -> LipschitzEstimate:
+    """The constant of the expressions stacked as one vector function:
+    ``jacobian_sup_bound`` when ``method`` is ``"grid"``, else
+    ``slope_sampling_estimate`` over their stacked batch evaluators.  An
+    overflowing slope reads inf without a numpy warning, which
+    ``LipschitzEstimate`` refuses; every ValueError is re-raised prefixed
+    with ``"{label}: "``."""
+    try:
+        with np.errstate(over="ignore"):
+            if method == "grid":
+                return jacobian_sup_bound(exprs, box, domain_norm, image_norm, grid_per_dim, safety)
+            evaluators = [batch_evaluator(e) for e in exprs]
+            return slope_sampling_estimate(
+                lambda points: np.stack([e(points) for e in evaluators], axis=1),
+                box, domain_norm, image_norm, pairs, inflation, seed,
+            )
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None

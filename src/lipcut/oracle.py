@@ -1,6 +1,6 @@
 """Subproblem oracles: minimize an objective over a box minus norm balls.
 
-``solve_global`` is a branch-and-bound scheme driven by the objective's
+``GlobalOracle`` is a branch-and-bound scheme driven by the objective's
 Lipschitz constant: a sub-box with center c and half-diagonal rho (in the
 domain norm) has the lower bound f(c) - L_f * rho.  Sub-boxes lying
 strictly inside an exclusion ball are discarded; boxes straddling a ball
@@ -9,7 +9,7 @@ deterministic (longest edge, lowest index; incumbent preference by value,
 then lexicographically smallest point), so runs are reproducible
 bit-for-bit for a fixed configuration.
 
-``solve_local`` is a compass/pattern search intended to model a purely
+``LocalOracle`` is a compass/pattern search intended to model a purely
 local subproblem oracle.  It deliberately has no restart mechanism, so it
 can exhibit convergence to poor feasible points when used inside the
 cutting driver.
@@ -48,10 +48,11 @@ from the measurements, and every decision that reads the incumbent is
 taken at replay time, as a search that measures one level per wave takes
 it: the pop order by (lower bound, push counter), the prune at pop time,
 the bound prune at admission, the discard floor, the push order, the
-``offer`` of the pushed boxes' best points, the termination test and the
-node limit.  The incumbent only improves, so every box that the replay
-pushes was harvested.  Traces are byte-identical whatever the depth of a
-pass; the price is objective evaluations at boxes that the replay prunes.
+incumbent update from the pushed boxes' best points, the termination test
+and the node limit.  The incumbent only improves, so every box that the
+replay pushes was harvested.  Traces are byte-identical whatever the depth
+of a pass; the price is objective evaluations at boxes that the replay
+prunes.
 The incumbent reduction (value, then lexicographic point) and the
 global-bound termination test make results independent of the order
 within a wave.
@@ -64,7 +65,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,23 +205,6 @@ class _Search:
         self.corner_pattern = _corner_pattern(self.n) if self.n <= _CORNER_DIM_LIMIT else None
         self.samples = _halton(self.n)
 
-    # -- evaluation -----------------------------------------------------
-
-    def offer(self, points: np.ndarray, values: np.ndarray) -> None:
-        """Order-independent incumbent update: min value, ties broken by the
-        lexicographically smallest point."""
-        if len(values) == 0:
-            return
-        order = np.lexsort(tuple(points[:, j] for j in range(self.n - 1, -1, -1)) + (values,))
-        i = order[0]
-        value, point = float(values[i]), points[i]
-        if value < self.best_value or (
-            value == self.best_value
-            and self.best_point is not None
-            and tuple(point) < tuple(self.best_point)
-        ):
-            self.best_value, self.best_point = value, point.copy()
-
     # -- geometry -------------------------------------------------------
 
     def snap(self, points: np.ndarray) -> np.ndarray:
@@ -303,10 +286,12 @@ class _Search:
         """Admit measured boxes, (batch, index) pairs, in order: drop those
         inside an exclusion ball, put those whose bound is not below the
         incumbent minus tol into the discard floor, push the rest, and
-        offer the pushed boxes' best points in one ``offer``, sorted by kind
-        (center, corner, sample) and then by box.  That is the order in
-        which one harvest of the pushed boxes would list its points, so
-        ``offer`` breaks ties between equal points (0.0 and -0.0) alike."""
+        update the incumbent from the pushed boxes' best points.  The
+        least (value, point) replaces it when its value is lower, or equal
+        with a smaller point, so the update does not depend on the order
+        within a wave.  Equal points (0.0 and -0.0) go to the least kind
+        (center, corner, sample), then to the first pushed box: the order
+        in which one harvest of the pushed boxes would list them."""
         limit = self.best_value - self.config.tolerance  # inf with no incumbent
         pruned, offered = [], []
         for batch, i in boxes:
@@ -322,8 +307,13 @@ class _Search:
         if pruned:
             self.discard_floor = min(self.discard_floor, *pruned)
         if offered:
-            offered.sort(key=operator.itemgetter(0))
-            self.offer(np.array([point for _, _, point in offered]), np.array([value for _, value, _ in offered]))
+            _, value, point = min(offered, key=lambda o: (o[1], tuple(o[2]), o[0]))
+            if value < self.best_value or (
+                value == self.best_value
+                and self.best_point is not None
+                and tuple(point) < tuple(self.best_point)
+            ):
+                self.best_value, self.best_point = value, point.copy()
 
     # -- kernel passes ----------------------------------------------------
 
@@ -491,33 +481,28 @@ class _Search:
         return self.snap((lo + pattern.T[:, None, :] * span).transpose(1, 2, 0).reshape(-1, self.n))
 
 
-def solve_global(
-    objective: ObjectiveSpec,
-    region: RelaxedRegion,
-    config: OracleConfig | None = None,
-    domain_norm: NormKind = NormKind.Two,
-) -> OracleResult:
+class GlobalOracle:
     """Certified global minimization over the region.
 
     ``objective.lipschitz_f`` must be valid for ``domain_norm`` over the
-    region's box.  Returns Infeasible when the branch tree is exhausted
-    without any feasible point (certification is exact up to sub-boxes
-    narrower than ``_BOX_MIN_WIDTH`` = 1e-10, which are never split), else
-    Solved once the incumbent minus the smallest surviving lower bound
-    drops to the tolerance.  Raises ResourceLimitError past ``node_limit``
-    processed nodes.
+    region's box.  ``solve`` returns Infeasible when the branch tree is
+    exhausted without any feasible point (certification is exact up to
+    sub-boxes narrower than ``_BOX_MIN_WIDTH`` = 1e-10, which are never
+    split), else Solved once the incumbent minus the smallest surviving
+    lower bound drops to the tolerance.  It raises ResourceLimitError past
+    ``node_limit`` processed nodes, and ignores ``start``.
     """
-    config = config or OracleConfig()
-    return _Search(objective, region, config, domain_norm).run()
+
+    def __init__(self, config: OracleConfig | None = None, domain_norm: NormKind = NormKind.Two):
+        self.config = config or OracleConfig()
+        self.domain_norm = domain_norm
+
+    def solve(self, objective: ObjectiveSpec, region: RelaxedRegion, start=None) -> OracleResult:
+        return _Search(objective, region, self.config, self.domain_norm).run()
 
 
-def solve_local(
-    objective: ObjectiveSpec,
-    region: RelaxedRegion,
-    start,
-    config: OracleConfig | None = None,
-) -> OracleResult:
-    """Compass/pattern search from ``start``.
+class LocalOracle:
+    """Compass/pattern search from a start point, which ``solve`` requires.
 
     Probes +/- step along each coordinate (initial step: a quarter of the
     longest box edge; all 2n probes of a step in one membership test and
@@ -530,51 +515,57 @@ def solve_local(
     InfeasibleStartError.  The reported gap is infinite: local solutions
     carry no global certificate.
     """
-    config = config or OracleConfig()
-    box = region.domain
-    if box.integral.any():
-        raise ValueError("the local oracle supports continuous domains only")
-    x = np.asarray(start, dtype=float).copy()
-    if x.shape != box.lower.shape:
-        raise ValueError("start dimension mismatch")
-    if np.any(x < box.lower - 1e-12) or np.any(x > box.upper + 1e-12):
-        raise ValueError("start must lie within the region's box")
-    x = np.clip(x, box.lower, box.upper)
 
-    # the nearest violated cut: the first at the least masked distance
-    nearest, least = None, math.inf
-    for c in region.cuts:
-        d = norm_eval(c.norm, (x - c.center)[c.mask])
-        if d < c.radius and d < least:
-            nearest, least = c, d
-    if nearest is not None:
-        x = _project_off_cut(x, nearest, box)
-        if not region_membership(region, x):
-            raise InfeasibleStartError("projected start is still infeasible for the region")
+    def __init__(self, config: OracleConfig | None = None):
+        self.config = config or OracleConfig()
 
-    fx = float(objective.evaluate_batch(x[None, :])[0])
-    evaluations = 1
-    step = float(np.max(box.widths)) / 4.0
-    # probe 2j + 0 is x - step e_j, probe 2j + 1 is x + step e_j
-    probe_rows = np.arange(2 * box.dimension)
-    probe_axes = probe_rows // 2
-    signs = np.tile((-1.0, 1.0), box.dimension)
-    while step >= 1e-9:
-        probes = x[None, :].repeat(len(probe_rows), axis=0)
-        probes[probe_rows, probe_axes] += signs * step
-        feasible = probes[region.membership_mask(probes)]
-        evaluations += len(feasible)
-        best = None
-        for cand, fc in zip(feasible, objective.evaluate_batch(feasible).tolist()):
-            if fc >= fx:
-                continue
-            if best is None or fc < best[0] or (fc == best[0] and tuple(cand) < tuple(best[1])):
-                best = (fc, cand)
-        if best is None:
-            step *= 0.5
-        else:
-            fx, x = best[0], best[1].copy()
-    return OracleResult(OracleStatus.Solved, x, fx, math.inf, evaluations)
+    def solve(self, objective: ObjectiveSpec, region: RelaxedRegion, start=None) -> OracleResult:
+        if start is None:
+            raise ValueError("the local oracle requires a start point")
+        box = region.domain
+        if box.integral.any():
+            raise ValueError("the local oracle supports continuous domains only")
+        x = np.asarray(start, dtype=float).copy()
+        if x.shape != box.lower.shape:
+            raise ValueError("start dimension mismatch")
+        if np.any(x < box.lower - 1e-12) or np.any(x > box.upper + 1e-12):
+            raise ValueError("start must lie within the region's box")
+        x = np.clip(x, box.lower, box.upper)
+
+        # the nearest violated cut: the first at the least masked distance
+        nearest, least = None, math.inf
+        for c in region.cuts:
+            d = norm_eval(c.norm, (x - c.center)[c.mask])
+            if d < c.radius and d < least:
+                nearest, least = c, d
+        if nearest is not None:
+            x = _project_off_cut(x, nearest, box)
+            if not region_membership(region, x):
+                raise InfeasibleStartError("projected start is still infeasible for the region")
+
+        fx = float(objective.evaluate_batch(x[None, :])[0])
+        evaluations = 1
+        step = float(np.max(box.widths)) / 4.0
+        # probe 2j + 0 is x - step e_j, probe 2j + 1 is x + step e_j
+        probe_rows = np.arange(2 * box.dimension)
+        probe_axes = probe_rows // 2
+        signs = np.tile((-1.0, 1.0), box.dimension)
+        while step >= 1e-9:
+            probes = x[None, :].repeat(len(probe_rows), axis=0)
+            probes[probe_rows, probe_axes] += signs * step
+            feasible = probes[region.membership_mask(probes)]
+            evaluations += len(feasible)
+            best = None
+            for cand, fc in zip(feasible, objective.evaluate_batch(feasible).tolist()):
+                if fc >= fx:
+                    continue
+                if best is None or fc < best[0] or (fc == best[0] and tuple(cand) < tuple(best[1])):
+                    best = (fc, cand)
+            if best is None:
+                step *= 0.5
+            else:
+                fx, x = best[0], best[1].copy()
+        return OracleResult(OracleStatus.Solved, x, fx, math.inf, evaluations)
 
 
 def _project_off_cut(x: np.ndarray, cut, box: BoxDomain) -> np.ndarray:
@@ -591,30 +582,3 @@ def _project_off_cut(x: np.ndarray, cut, box: BoxDomain) -> np.ndarray:
     out = x.copy()
     out[mask] = cut.center[mask] + direction * ((cut.radius + 1e-9) / t)
     return np.clip(out, box.lower, box.upper)
-
-
-class GlobalOracle:
-    """Oracle-interface adapter for the certified global solver."""
-
-    name = "global"
-
-    def __init__(self, config: OracleConfig | None = None, domain_norm: NormKind = NormKind.Two):
-        self.config = config or OracleConfig()
-        self.domain_norm = domain_norm
-
-    def solve(self, objective: ObjectiveSpec, region: RelaxedRegion, start=None) -> OracleResult:
-        return solve_global(objective, region, self.config, self.domain_norm)
-
-
-class LocalOracle:
-    """Oracle-interface adapter for the pattern search; requires a start."""
-
-    name = "local"
-
-    def __init__(self, config: OracleConfig | None = None):
-        self.config = config or OracleConfig()
-
-    def solve(self, objective: ObjectiveSpec, region: RelaxedRegion, start=None) -> OracleResult:
-        if start is None:
-            raise ValueError("the local oracle requires a start point")
-        return solve_local(objective, region, start, self.config)

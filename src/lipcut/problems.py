@@ -29,6 +29,7 @@ traces stay reproducible and independent of estimator drift.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ import yaml
 from .core import BoxDomain, ConstraintSpec, NormKind, ObjectiveSpec, Problem
 from .driver import CutMode
 from .expr import batch_evaluator, parse
-from .lipschitz import LipschitzEstimate, jacobian_sup_bound, slope_sampling_estimate
+from .lipschitz import LipschitzEstimate, labelled_estimate
 
 _KEYS = {
     "dimension", "bounds", "integral", "norm", "image_norm", "objective",
@@ -102,7 +103,7 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
     for key in ("dimension", "bounds", "norm", "image_norm", "objective", "constraints"):
         if key not in data:
             raise ValueError(f"problem file is missing required key {key!r}")
-    dimension = int(data["dimension"])
+    dimension = _integer(data["dimension"], "dimension")
     if dimension < 1:
         raise ValueError("dimension must be positive")
     if not isinstance(data["bounds"], (list, tuple)) or not all(
@@ -116,7 +117,9 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
     if data.get("integral") is not None:
         if not isinstance(data["integral"], (list, tuple)):
             raise ValueError("integral must be a list of booleans, one per coordinate")
-        integral = tuple(bool(b) for b in data["integral"])
+        integral = tuple(data["integral"])
+        if not all(isinstance(b, (bool, np.bool_)) for b in integral):
+            raise ValueError(f"integral must be a list of booleans, one per coordinate, got {data['integral']!r}")
         if len(integral) != dimension:
             raise ValueError("integral length does not match dimension")
     if not isinstance(data["constraints"], (list, tuple)):
@@ -133,7 +136,7 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
         mask = entry.get("mask")
         if mask and not isinstance(mask, (list, tuple)):
             raise ValueError(f"constraint {p} mask must be a list of coordinate indices, got {mask!r}")
-        mask = tuple(int(i) for i in mask) if mask else None
+        mask = tuple(_integer(i, f"constraint {p} mask entry") for i in mask) if mask else None
         if mask and not all(1 <= i <= dimension for i in mask):
             raise ValueError(f"constraint mask indices out of range: {mask}")
         constraints.append(
@@ -159,6 +162,14 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
     )
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, a string or a fractional number raises."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build(
     definition: ProblemDefinition,
     estimator: str = "grid",
@@ -171,7 +182,7 @@ def build(
     safety 1.05), anything else ``slope_sampling_estimate`` over
     ``_SAMPLING_PAIRS`` = 10,000 pairs from ``seed`` with its default
     inflation 0.1.  A failed estimate raises ValueError prefixed with the
-    constant's ``BuiltProblem.estimated`` key."""
+    constant's ``BuiltProblem.estimated`` key (``labelled_estimate``)."""
     box = BoxDomain(
         [b[0] for b in definition.bounds],
         [b[1] for b in definition.bounds],
@@ -182,19 +193,8 @@ def build(
     estimated: dict[str, LipschitzEstimate] = {}
 
     def estimate(key: str, exprs) -> float:
-        # one missing constant, recorded under ``key``, which names it in any
-        # error; an overflowing slope reads inf, which LipschitzEstimate refuses
-        try:
-            with np.errstate(over="ignore"):
-                if estimator == "grid":
-                    est = jacobian_sup_bound(exprs, box, definition.norm, definition.image_norm)
-                else:
-                    est = slope_sampling_estimate(
-                        _stack_batch([batch_evaluator(e) for e in exprs]), box, definition.norm,
-                        definition.image_norm, pairs=_SAMPLING_PAIRS, seed=seed,
-                    )
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
+        est = labelled_estimate(key, exprs, box, definition.norm, definition.image_norm, estimator,
+                                pairs=_SAMPLING_PAIRS, seed=seed)
         estimated[key] = est
         return est.value
 
@@ -250,13 +250,6 @@ def build(
         cut_mode=definition.cut_mode or CutMode.Vector,
         estimated=estimated,
     )
-
-
-def _stack_batch(evaluators):
-    def run(points):
-        return np.stack([e(points) for e in evaluators], axis=1)
-
-    return run
 
 
 # --------------------------------------------------------------------------

@@ -85,10 +85,12 @@ def _shared_block(center: np.ndarray, big_M: float):
 
 def _validate(center, radius: float, big_M: float) -> np.ndarray:
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if radius <= 0:
-        raise ValueError(f"cut radius must be positive, got {radius}")
-    if big_M <= 0:
-        raise ValueError(f"big-M must be positive, got {big_M}")
+    if not np.isfinite(center).all():
+        raise ValueError(f"cut center must be finite, got {center}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"cut radius must be finite and positive, got {radius}")
+    if not 0 < big_M < math.inf:
+        raise ValueError(f"big-M must be finite and positive, got {big_M}")
     return center
 
 

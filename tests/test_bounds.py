@@ -1,11 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lipcut.bounds import (
-    BoundKind,
-    BoundReport,
     ball_packing_bound,
     box_packing_bound,
     box_radius,
@@ -13,7 +12,6 @@ from lipcut.bounds import (
     complexity_lower,
     complexity_upper,
     lattice_count,
-    termination_report,
 )
 from lipcut.core import BoxDomain, NormKind
 from lipcut.expr import evaluate, parse
@@ -38,6 +36,19 @@ class TestBoxPacking:
         box = BoxDomain((0.0, 0.0), (2.0, 3.0))
         for delta in (0.8, 0.4, 0.2, 0.1):
             assert box_packing_bound(box, 1.0, delta / 2) >= box_packing_bound(box, 1.0, delta)
+
+    def test_packing_bounds_are_at_least_one(self):
+        # one point always packs: every factor of both products is >= 1
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # delta/L >= 1 is outside the derivation regime
+            for _ in range(200):
+                n = int(rng.integers(1, 4))
+                lower = rng.uniform(-5.0, 5.0, n)
+                widths = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 5.0, n))
+                L, delta, D = rng.uniform(1e-3, 10.0, 3)
+                assert box_packing_bound(BoxDomain(lower, lower + widths), L, delta) >= 1.0
+                assert ball_packing_bound(D * rng.integers(0, 2), L, delta, n) >= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,18 +139,27 @@ class TestRadiusAsphericity:
         assert box_radius(box, NormKind.Inf) == 2.0  # radius still available
 
 
-class TestReports:
-    def test_termination_report_picks_lattice_for_integral_boxes(self):
-        box = BoxDomain((0.0, 0.0), (3.0, 2.0), integral=(True, True))
-        report = termination_report(box, 2.0, 1.0)
-        assert report.kind is BoundKind.LatticeCount
-        assert report.value == 12
+class TestOverflow:
+    # past the float range an upper bound is true but vacuous, and reads inf
+    # with no warning; inf is no lower bound, so the lower envelope raises
 
-    def test_termination_report_box(self):
-        report = termination_report(BoxDomain((-1.0,), (1.0,)), 2.0, 1.0)
-        assert report.kind is BoundKind.BoxPacking
-        assert report.value == pytest.approx(5.0)
+    def test_box_packing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert box_packing_bound(BoxDomain((0.0, 0.0), (1e200, 1e200)), 1.0, 0.5) == math.inf
 
-    def test_packing_report_validates(self):
-        with pytest.raises(ValueError):
-            BoundReport(BoundKind.BoxPacking, 0.5)
+    def test_lattice_count(self):
+        box = BoxDomain((0.0, 0.0), (1e200, 1e200), integral=(True, True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lattice_count(box) == math.inf
+
+    def test_ball_packing(self):
+        assert ball_packing_bound(1.0, 1.0, 1e-200, 2) == math.inf
+
+    def test_complexity_upper(self):
+        assert complexity_upper(1.0, 1e-200, 2) == math.inf
+
+    def test_complexity_lower_raises(self):
+        with pytest.raises(ValueError, match="complexity lower bound"):
+            complexity_lower(1.0, 1e-200, 2)

@@ -12,7 +12,6 @@ from lipcut.expr import (
     evaluate,
     finite_diff_jacobian,
     parse,
-    to_string,
 )
 
 
@@ -117,7 +116,7 @@ class TestPrinterRoundTrip:
         rng = np.random.default_rng(17)
         for text, dim in self.CASES:
             e = parse(text, dim)
-            e2 = parse(to_string(e), dim)
+            e2 = parse(str(e), dim)
             for _ in range(100):
                 x = rng.uniform(0.1, 1.0, size=dim)
                 assert evaluate(e2, x) == pytest.approx(evaluate(e, x), rel=1e-15, abs=1e-15)

@@ -26,8 +26,6 @@ from lipcut.oracle import (
     OracleStatus,
     ResourceLimitError,
     _Search,
-    solve_global,
-    solve_local,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -60,7 +58,7 @@ class TestSolveGlobal:
     def test_sin_example_root_relaxation(self):
         # min |x1-x2| + x1 over the square: the corner (-1,-1), value -1
         region = RelaxedRegion(BoxDomain((-1.0, -1.0), (1.0, 1.0)))
-        result = solve_global(sin_objective(), region, OracleConfig(tolerance=1e-8))
+        result = GlobalOracle(OracleConfig(tolerance=1e-8)).solve(sin_objective(), region)
         assert result.status is OracleStatus.Solved
         assert result.point.tolist() == [-1.0, -1.0]
         assert result.value == -1.0
@@ -69,7 +67,7 @@ class TestSolveGlobal:
     def test_fully_covered_box_is_infeasible(self):
         region = RelaxedRegion(BoxDomain((0.0,), (1.0,)))
         region = region.with_cut(Cut((0.5,), 2.0, norm=NormKind.One))
-        result = solve_global(
+        result = GlobalOracle().solve(
             ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0]), region
         )
         assert result.status is OracleStatus.Infeasible
@@ -79,7 +77,7 @@ class TestSolveGlobal:
         # box, so it is never drawn, and the minimum is 2.
         region = RelaxedRegion(BoxDomain((1.0 + 1e-10,), (4.0,), integral=(True,)))
         obj = ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0])
-        result = solve_global(obj, region, OracleConfig(tolerance=1e-8))
+        result = GlobalOracle(OracleConfig(tolerance=1e-8)).solve(obj, region)
         assert region_membership(region, result.point)
         assert result.point.tolist() == [2.0]
 
@@ -87,7 +85,7 @@ class TestSolveGlobal:
         # the lattice hull of [0.5, 3 - 1e-10] is [1, 2]: 3 lies above the box
         region = RelaxedRegion(BoxDomain((0.5,), (3.0 - 1e-10,), integral=(True,)))
         obj = ObjectiveSpec(lambda x: -x[0], 1.0, batch_evaluator=lambda p: -p[:, 0])
-        result = solve_global(obj, region, OracleConfig(tolerance=1e-8))
+        result = GlobalOracle(OracleConfig(tolerance=1e-8)).solve(obj, region)
         assert result.point.tolist() == [2.0]
 
     def test_integral_membership_agrees_with_the_certificate(self):
@@ -96,7 +94,7 @@ class TestSolveGlobal:
         region = RelaxedRegion(BoxDomain((1.0 + 1e-10,), (2.0,), integral=(True,)))
         region = region.with_cut(Cut((2.0,), 0.5, norm=NormKind.Two))
         obj = ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0])
-        assert solve_global(obj, region).status is OracleStatus.Infeasible
+        assert GlobalOracle().solve(obj, region).status is OracleStatus.Infeasible
         assert not region_membership(region, (1.0 + 1.5e-10,))
         assert not region.domain.contains((1.0 + 1.5e-10,))
         # within the tolerance of an integer in the box is still in
@@ -108,7 +106,7 @@ class TestSolveGlobal:
             lambda x: x[0] + 4 * x[1], math.sqrt(17.0),
             batch_evaluator=lambda p: p[:, 0] + 4 * p[:, 1],
         )
-        result = solve_global(obj, region, OracleConfig(tolerance=1e-8))
+        result = GlobalOracle(OracleConfig(tolerance=1e-8)).solve(obj, region)
         assert result.point.tolist() == [1.0, 0.0]
         assert result.value == 1.0
 
@@ -117,7 +115,7 @@ class TestSolveGlobal:
         region = RelaxedRegion(BoxDomain((-1.0,), (1.0,)))
         region = region.with_cut(Cut((-1.0,), 1.0, norm=NormKind.Two))
         obj = ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0])
-        result = solve_global(obj, region, OracleConfig(tolerance=1e-9))
+        result = GlobalOracle(OracleConfig(tolerance=1e-9)).solve(obj, region)
         assert result.value == pytest.approx(0.0, abs=1e-9)
         assert region_membership(region, result.point)
 
@@ -136,7 +134,7 @@ class TestSolveGlobal:
                 lipschitz_f=float(np.hypot(a, 3 * b)) + 0.1,
                 batch_evaluator=lambda p, a=a, b=b: a * p[:, 0] + b * np.sin(3 * p[:, 1]),
             )
-            result = solve_global(obj, region, OracleConfig(tolerance=1e-6))
+            result = GlobalOracle(OracleConfig(tolerance=1e-6)).solve(obj, region)
             if result.status is OracleStatus.Solved:
                 assert region_membership(region, result.point)
                 assert result.gap <= 1e-6
@@ -157,7 +155,7 @@ class TestSolveGlobal:
                 batch_evaluator=lambda p, c=c: np.cos(2 * p[:, 0]) * c[0] + c[1] * p[:, 1],
             )
             tol = 1e-6
-            result = solve_global(obj, region, OracleConfig(tolerance=tol))
+            result = GlobalOracle(OracleConfig(tolerance=tol)).solve(obj, region)
             ref_value, _ = grid_minimum(obj, region)
             if result.status is OracleStatus.Infeasible:
                 assert ref_value is None
@@ -177,12 +175,12 @@ class TestSolveGlobal:
         )
         tol = 1e-7
         region = RelaxedRegion(BoxDomain((-1.0, -1.0), (1.0, 1.0)))
-        prev = solve_global(obj, region, OracleConfig(tolerance=tol)).value
+        prev = GlobalOracle(OracleConfig(tolerance=tol)).solve(obj, region).value
         for _ in range(5):
             region = region.with_cut(
                 Cut(rng.uniform(-1, 1, size=2), float(rng.uniform(0.1, 0.6)), norm=NormKind.Two)
             )
-            result = solve_global(obj, region, OracleConfig(tolerance=tol))
+            result = GlobalOracle(OracleConfig(tolerance=tol)).solve(obj, region)
             if result.status is OracleStatus.Infeasible:
                 break
             assert result.value >= prev - 2 * tol
@@ -191,7 +189,7 @@ class TestSolveGlobal:
     def test_node_limit_raises_with_incumbent(self):
         region = RelaxedRegion(BoxDomain((-1.0, -1.0), (1.0, 1.0)))
         with pytest.raises(ResourceLimitError) as info:
-            solve_global(sin_objective(), region, OracleConfig(tolerance=1e-12, node_limit=8))
+            GlobalOracle(OracleConfig(tolerance=1e-12, node_limit=8)).solve(sin_objective(), region)
         assert info.value.nodes > 8 - 2
         assert info.value.point is not None
 
@@ -199,7 +197,7 @@ class TestSolveGlobal:
         box = BoxDomain((0.0,), (3.0,), integral=(True,))
         obj = ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0])
         region = RelaxedRegion(box).with_cut(Cut((0.0,), 0.5, norm=NormKind.Two))
-        result = solve_global(obj, region, OracleConfig(tolerance=1e-8))
+        result = GlobalOracle(OracleConfig(tolerance=1e-8)).solve(obj, region)
         assert result.point.tolist() == [1.0]
         assert result.value == 1.0
 
@@ -210,7 +208,7 @@ class TestSolveGlobal:
         region = RelaxedRegion(box)
         # exclude every lattice point: a huge inf-ball around the center
         region = region.with_cut(Cut((1.0, 1.0), 1.5, norm=NormKind.Inf))
-        result = solve_global(obj, region)
+        result = GlobalOracle().solve(obj, region)
         assert result.status is OracleStatus.Infeasible
 
 
@@ -233,8 +231,12 @@ def off_lattice_cases(draw):
             upper.append(lower[-1] + draw(st.floats(0.0, 3.0)))
     box = BoxDomain(lower, upper, integral)
     slope = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
-    objective = ObjectiveSpec(lambda x: float(x @ slope), max(float(np.linalg.norm(slope)), 1e-3),
-                              batch_evaluator=lambda p: p @ slope)
+
+    def linear(p):  # a per-column sum: each row's value is the same in any batch
+        return sum(p[..., j] * slope[j] for j in range(n))
+
+    objective = ObjectiveSpec(lambda x: float(linear(x)), max(float(np.linalg.norm(slope)), 1e-3),
+                              batch_evaluator=linear)
     cuts = []
     for _ in range(draw(st.integers(0, 5))):
         center = box.lower + np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) * box.widths
@@ -370,26 +372,26 @@ class TestNonFiniteObjective:
         f, fb = nan_above_03()
         objective = ObjectiveSpec(f, 1.0, batch_evaluator=fb if batch else None)
         with pytest.raises(NonFiniteValueError, match="finite") as info:
-            solve_global(objective, RelaxedRegion(BoxDomain((-1.0,), (1.0,))))
+            GlobalOracle().solve(objective, RelaxedRegion(BoxDomain((-1.0,), (1.0,))))
         assert info.value.point[0] > 0.3 and math.isnan(info.value.value)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_global_rejects_infinities(self, value):
         objective = ObjectiveSpec(lambda x: value, 1.0, batch_evaluator=lambda p: np.full(len(p), value))
         with pytest.raises(NonFiniteValueError, match="finite"):
-            solve_global(objective, RelaxedRegion(BoxDomain((-1.0,), (1.0,))))
+            GlobalOracle().solve(objective, RelaxedRegion(BoxDomain((-1.0,), (1.0,))))
 
     def test_local_raises(self):
         f, _ = nan_above_03()
         with pytest.raises(NonFiniteValueError, match="finite") as info:
-            solve_local(ObjectiveSpec(f, 1.0), RelaxedRegion(BoxDomain((-1.0,), (1.0,))), (0.0,))
+            LocalOracle().solve(ObjectiveSpec(f, 1.0), RelaxedRegion(BoxDomain((-1.0,), (1.0,))), (0.0,))
         assert info.value.point.tolist() == [0.5] and math.isnan(info.value.value)
 
     def test_expression_objective_names_the_node(self):
         e = parse("-x1 + sqrt(0.3 - x1)", 1)
         objective = ObjectiveSpec(functools.partial(evaluate, e), 2.0, batch_evaluator=batch_evaluator(e))
         with pytest.raises(EvaluationError) as info:
-            solve_global(objective, RelaxedRegion(BoxDomain((-1.0,), (1.0,))))
+            GlobalOracle().solve(objective, RelaxedRegion(BoxDomain((-1.0,), (1.0,))))
         assert str(info.value.subexpression) == "sqrt(0.3 - x1)"
 
     def test_checking_evaluator_is_not_scanned_again(self):
@@ -414,24 +416,24 @@ class TestSolveLocal:
         return ObjectiveSpec(lambda x: -abs(x[0]), 1.0)
 
     def test_stays_at_left_endpoint(self):
-        result = solve_local(self.abs_objective(), self.local_region(), start=(-1.0,))
+        result = LocalOracle().solve(self.abs_objective(), self.local_region(), start=(-1.0,))
         assert result.point[0] == -1.0
         assert math.isinf(result.gap)
 
     def test_projected_off_first_cut(self):
         # after excluding ball(-1, 1/3) the start -1 projects to -2/3
         cuts = [Cut((-1.0,), 1.0 / 3.0, norm=NormKind.Two)]
-        result = solve_local(self.abs_objective(), self.local_region(cuts), start=(-1.0,))
+        result = LocalOracle().solve(self.abs_objective(), self.local_region(cuts), start=(-1.0,))
         assert result.point[0] == pytest.approx(-2.0 / 3.0, abs=1e-8)
 
     def test_convex_quadratic(self):
         obj = ObjectiveSpec(lambda x: x[0] ** 2, 2.0)
-        result = solve_local(obj, self.local_region(), start=(0.7,))
+        result = LocalOracle().solve(obj, self.local_region(), start=(0.7,))
         assert abs(result.point[0]) <= 1e-8
 
     def test_start_outside_box_rejected(self):
         with pytest.raises(ValueError):
-            solve_local(self.abs_objective(), self.local_region(), start=(2.0,))
+            LocalOracle().solve(self.abs_objective(), self.local_region(), start=(2.0,))
 
     def test_infeasible_start_error(self):
         # projection lands inside another cut: no feasible point reachable
@@ -439,12 +441,12 @@ class TestSolveLocal:
                 Cut((-0.5,), 0.4, norm=NormKind.Two), Cut((1.0,), 0.4, norm=NormKind.Two),
                 Cut((-1.0,), 0.4, norm=NormKind.Two)]
         with pytest.raises(InfeasibleStartError):
-            solve_local(self.abs_objective(), self.local_region(cuts), start=(0.1,))
+            LocalOracle().solve(self.abs_objective(), self.local_region(cuts), start=(0.1,))
 
     def test_integral_rejected(self):
         region = RelaxedRegion(BoxDomain((0.0,), (3.0,), integral=(True,)))
         with pytest.raises(ValueError):
-            solve_local(self.abs_objective(), region, start=(1.0,))
+            LocalOracle().solve(self.abs_objective(), region, start=(1.0,))
 
     def test_probes_go_through_evaluate_batch_only(self):
         calls = []
@@ -454,7 +456,7 @@ class TestSolveLocal:
             return -np.abs(p[:, 0])
 
         obj = ObjectiveSpec(lambda x: pytest.fail("one-point evaluator called"), 1.0, batch_evaluator=batch)
-        result = solve_local(obj, self.local_region(), start=(-0.5,))
+        result = LocalOracle().solve(obj, self.local_region(), start=(-0.5,))
         assert result.point.tolist() == [-1.0]
         # the start, then one call per step with that step's feasible probes
         assert calls[0] == 1 and result.nodes == sum(calls)

@@ -117,6 +117,13 @@ class TestProblemFiles:
         values = constraint.evaluate_batch(np.array([[1.0, 0.0], [2.0, 1.0]]))
         assert values.shape == (2, 2)
 
+    def test_integral_valued_numbers_are_accepted(self):
+        data = dict(SIN_FILE, dimension=2.0, integral=[False, True])
+        data["constraints"] = [{"expr": "-sin(x1) - x2", "L": 1.5, "mask": [2.0]}]
+        definition = definition_from_dict(data)
+        assert definition.dimension == 2 and definition.integral == (False, True)
+        assert definition.constraints[0].mask == (2,)
+
     def test_constraint_mask(self):
         data = dict(SIN_FILE)
         data["constraints"] = [{"expr": "-sin(x1) - x2", "L": 1.5, "mask": [1]}]
@@ -181,8 +188,18 @@ class TestCliSolve:
         (yaml.safe_dump(dict(SIN_FILE, constraints=[{"expr": "x1", "mask": 5}])),
          "constraint 1 mask must be a list of coordinate indices"),
         (yaml.safe_dump(dict(SIN_FILE, constraints=[{"L": 1.0}])), "constraint 1 is missing required key 'expr'"),
+        (yaml.safe_dump(dict(SIN_FILE, integral=["false", "true"])), "integral must be a list of booleans"),
+        (yaml.safe_dump(dict(SIN_FILE, integral=[0, 1])), "integral must be a list of booleans"),
+        (yaml.safe_dump(dict(SIN_FILE, dimension=2.7)), "dimension must be an integer, got 2.7"),
+        (yaml.safe_dump(dict(SIN_FILE, dimension="2")), "dimension must be an integer, got '2'"),
+        (yaml.safe_dump(dict(SIN_FILE, constraints=[{"expr": "x1", "mask": [1.9]}])),
+         "constraint 1 mask entry must be an integer, got 1.9"),
+        (yaml.safe_dump(dict(SIN_FILE, constraints=[{"expr": "x1", "mask": [True]}])),
+         "constraint 1 mask entry must be an integer, got True"),
     ], ids=["invalid-yaml", "constraints-not-a-list", "constraint-not-a-mapping", "bounds-not-pairs",
-            "integral-not-a-list", "mask-not-a-list", "constraint-without-expr"])
+            "integral-not-a-list", "mask-not-a-list", "constraint-without-expr", "integral-strings",
+            "integral-numbers", "fractional-dimension", "string-dimension", "fractional-mask",
+            "boolean-mask"])
     def test_malformed_file_is_an_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
@@ -291,6 +308,7 @@ class TestCliBounds:
         out = capsys.readouterr().out
         assert code == 0
         line = [l for l in out.splitlines() if "packing bound" in l][0]
+        assert "box-packing" in line
         assert float(line.split(":")[1]) == pytest.approx(5.0)
 
     def test_lattice_bound(self, tmp_path, capsys):
@@ -323,6 +341,35 @@ class TestCliBounds:
 
     def test_requires_delta_or_eps(self, capsys):
         assert main(["bounds", "--builtin", "sin-example"]) == 1
+
+    def test_mixed_box_uses_box_packing(self, tmp_path, capsys):
+        # the lattice count needs every coordinate integral
+        data = dict(SIN_FILE, bounds=[[0.0, 3.0], [0.0, 2.0]], integral=[True, False])
+        path = tmp_path / "mixed.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["bounds", "--problem", str(path), "--delta", "1"]) == 0
+        line = [l for l in capsys.readouterr().out.splitlines() if "packing bound" in l][0]
+        assert line.startswith("packing bound (box-packing): ")
+
+    def test_overflowing_complexity_bounds(self, capsys):
+        # the upper envelope is vacuous past the float range; the lower one
+        # has no value there, and says so on an error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", "--builtin", "sin-example", "--eps", "1e-200"]) == 1
+        captured = capsys.readouterr()
+        assert "complexity upper: inf\n" in captured.out
+        assert captured.err.startswith("error: complexity lower bound")
+
+    def test_overflowing_lattice_count(self, tmp_path, capsys):
+        # 1e330 lattice points; the radius, about 8.7e109, is still finite
+        data = dict(SIN_FILE, dimension=3, bounds=[[0.0, 1e110]] * 3, integral=[True] * 3)
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", "--problem", str(path), "--delta", "1"]) == 0
+        assert "packing bound (lattice-count): inf\n" in capsys.readouterr().out
 
 
 class TestCliEstimate:
@@ -391,3 +438,15 @@ class TestCliEmitMilp:
     def test_bad_cut_flag(self, tmp_path):
         assert main(["emit-milp", "--builtin", "sin-example", "--norm", "1",
                      "--cut", "garbage", "--out", str(tmp_path / "x.lp")]) == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--cut", "nan,0;1"], "cut center must be finite"),
+        (["--cut", "0,0;nan"], "cut radius must be finite and positive"),
+        (["--cut", "0,0;inf"], "cut radius must be finite and positive"),
+        (["--cut", "0,0;1", "--big-M", "inf"], "big-M must be finite and positive"),
+    ], ids=["nan-center", "nan-radius", "inf-radius", "inf-big-M"])
+    def test_non_finite_cut_is_an_error_line(self, tmp_path, capsys, flags, message):
+        out_path = tmp_path / "x.lp"
+        assert main(["emit-milp", "--builtin", "sin-example", "--norm", "1", "--out", str(out_path)] + flags) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out_path.exists()

@@ -33,6 +33,20 @@ class TestSystemShape:
         with pytest.raises(ValueError):
             reformulate_infnorm((0.0,), 1.0, -1.0)
 
+    @pytest.mark.parametrize("reformulate", [reformulate_1norm, reformulate_infnorm])
+    @pytest.mark.parametrize("center, radius, big_M, message", [
+        ((math.nan, 0.0), 1.0, 4.0, "cut center must be finite"),
+        ((0.0, math.inf), 1.0, 4.0, "cut center must be finite"),
+        ((0.0, 0.0), math.nan, 4.0, "cut radius must be finite and positive"),
+        ((0.0, 0.0), math.inf, 4.0, "cut radius must be finite and positive"),
+        ((0.0, 0.0), 1.0, math.inf, "big-M must be finite and positive"),
+        ((0.0, 0.0), 1.0, math.nan, "big-M must be finite and positive"),
+    ])
+    def test_non_finite_inputs_rejected(self, reformulate, center, radius, big_M, message):
+        # a non-finite value would be written into an LP row as nan or inf
+        with pytest.raises(ValueError, match=message):
+            reformulate(center, radius, big_M)
+
 
 class TestVerify1Norm:
     def test_boundary_point_feasible(self):
