@@ -16,8 +16,9 @@ closes the gap to the optimum (~6.7638) much faster.  Manipulating the
 instance so both components are identical (with deliberately slack
 component constants) reverses the effect.
 
-Full 100-iteration runs take ~10 s each; set ITERATIONS=100 to reproduce
-the published gap ordering (0.55% component vs 18.55% vector).
+Full 100-iteration runs take about a second each (0.8-0.9 s on a 2-core
+x86-64 host); set ITERATIONS=100 to reproduce the published gap ordering
+(0.55% component vs 18.55% vector).
 """
 
 import os

@@ -34,7 +34,6 @@ from .core import (
 from .driver import (
     CutMode,
     DriverConfig,
-    DriverResourceError,
     IterationRecord,
     SolveOutcome,
     SolveStatus,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .core import NormKind
 from .driver import (
     CutMode,
     DriverConfig,
-    DriverResourceError,
     SolveStatus,
     normalized_problem,
     run,
@@ -33,7 +33,7 @@ from .driver import (
 )
 from .expr import EvaluationError
 from .lipschitz import EstimateMethod, labelled_estimate
-from .oracle import GlobalOracle, InfeasibleStartError, LocalOracle, OracleConfig
+from .oracle import GlobalOracle, InfeasibleStartError, LocalOracle, OracleConfig, ResourceLimitError
 from .problems import build, builtin_problems, get_builtin, load_problem_file
 from .reform import default_big_M, export_lp, reformulate_1norm, reformulate_infnorm
 
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError, OSError, EvaluationError, DriverResourceError, InfeasibleStartError) as exc:
+    except (ValueError, KeyError, OSError, EvaluationError, ResourceLimitError, InfeasibleStartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 
@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="permit sampling-based Lipschitz estimates (unsafe: cuts may cut optima)")
     solve.add_argument("--lipschitz-method", choices=("grid", "sampling"), default="grid",
                        help="estimator for constants missing from the problem file")
-    solve.add_argument("--oracle-tol", type=float, default=1e-6)
+    solve.add_argument("--oracle-tol", type=float, default=None,
+                       help="global oracle tolerance (default 1e-6)")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--start", default=None, help="comma-separated start point (local oracle)")
     solve.add_argument("--normalize", action="store_true",
@@ -110,8 +111,10 @@ def _problem_flags(sub) -> None:
     group.add_argument("--builtin", help="builtin name: " + ", ".join(sorted(builtin_problems())))
 
 
-def _load(args, **build_kwargs):
+def _load(args, cut_mode=None, **build_kwargs):
     definition = get_builtin(args.builtin) if args.builtin else load_problem_file(args.problem)
+    if cut_mode is not None:
+        definition = replace(definition, cut_mode=cut_mode)
     built = build(definition, **build_kwargs)
     for label, est in built.estimated.items():
         print(f"estimated {label} = {est.value:.17g} ({est.method.value}, "
@@ -124,18 +127,21 @@ def _cmd_solve(args) -> int:
         print("error: sampling-based Lipschitz estimates are heuristic; pass --allow-heuristic-L to accept them",
               file=sys.stderr)
         return _EXIT_ERROR
+    if args.oracle_tol is not None and args.oracle == "local":
+        print("error: --oracle-tol sets the global oracle's tolerance; the local oracle has none", file=sys.stderr)
+        return _EXIT_ERROR
     mode = CutMode(args.mode) if args.mode else None
     built = _load(
         args,
+        mode,
         estimator=args.lipschitz_method,
         seed=args.seed,
-        need_component_L=mode is CutMode.Component,
     )
     if any(e.method is EstimateMethod.SlopeSampling for e in built.estimated.values()):
         print("warning: solving with heuristic (sampling-based) Lipschitz constants", file=sys.stderr)
 
     problem = normalized_problem(built.problem) if args.normalize else built.problem
-    oracle_config = OracleConfig(tolerance=args.oracle_tol)
+    oracle_config = OracleConfig() if args.oracle_tol is None else OracleConfig(tolerance=args.oracle_tol)
     if args.oracle == "global":
         oracle = GlobalOracle(oracle_config, problem.domain_norm)
     else:
@@ -146,7 +152,7 @@ def _cmd_solve(args) -> int:
     config = DriverConfig(
         epsilon=args.eps if args.eps is not None else built.epsilon,
         max_iterations=args.max_iters if args.max_iters is not None else built.max_iterations,
-        cut_mode=mode or built.cut_mode,
+        cut_mode=built.cut_mode,
         initial_start=start,
     )
     outcome = run(problem, oracle, config)

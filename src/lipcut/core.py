@@ -28,7 +28,6 @@ and chunks them.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -65,21 +64,12 @@ class NormKind(enum.Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "NormKind":
+        """The norm named by its value, "1", "2" or "inf", ignoring case
+        and surrounding spaces."""
         try:
-            return _NORM_ALIASES[str(text).strip().lower()]
-        except KeyError:
+            return cls(str(text).strip().lower())
+        except ValueError:
             raise ValueError(f"unknown norm {text!r}; expected '1', '2' or 'inf'") from None
-
-
-_NORM_ALIASES = {
-    "1": NormKind.One,
-    "one": NormKind.One,
-    "2": NormKind.Two,
-    "two": NormKind.Two,
-    "inf": NormKind.Inf,
-    "infinity": NormKind.Inf,
-    "max": NormKind.Inf,
-}
 
 
 def norm_eval(norm: NormKind, v) -> float:
@@ -203,15 +193,6 @@ class BoxDomain:
         return ok
 
 
-@functools.lru_cache(maxsize=None)
-def _all_true_mask(n: int) -> np.ndarray:
-    """The read-only all-true mask of dimension n, shared by every cut made
-    without a mask, so a region of K such cuts holds one mask, not K."""
-    mask = np.ones(n, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
 @dataclass(frozen=True, eq=False)
 class Cut:
     """One norm-ball exclusion: points x with masked-norm(x - center) < radius
@@ -235,7 +216,7 @@ class Cut:
         if radius < 0:
             raise ValueError(f"cut radius must be nonnegative, got {radius}")
         if mask is None:
-            mask = _all_true_mask(center.size)
+            mask = np.ones(center.size, dtype=bool)
         else:
             mask = np.atleast_1d(np.array(mask, dtype=bool))
             if mask.shape != center.shape:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +45,7 @@ from .core import (
     norm_eval,
     positive_part,
 )
-from .oracle import OracleResult, OracleStatus, ResourceLimitError
+from .oracle import GlobalOracle, OracleResult, OracleStatus, ResourceLimitError
 
 _EXACT_FEAS_TOL = 1e-14
 
@@ -79,10 +80,11 @@ class DriverConfig:
     initial_start: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
+        iterations = self.max_iterations
+        if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral) or iterations < 1:
+            raise ValueError(f"max_iterations must be a positive integer, got {iterations!r}")
         if self.epsilon_floor is None:
             object.__setattr__(self, "epsilon_floor", self.epsilon > 0)
         if self.epsilon_floor and self.epsilon == 0:
@@ -122,20 +124,19 @@ class SolveOutcome:
     final_region: RelaxedRegion
 
 
-class DriverResourceError(RuntimeError):
-    """Oracle ran out of nodes mid-run; carries the partial trace."""
-
-    def __init__(self, cause: ResourceLimitError, trace: tuple):
-        self.cause = cause
-        self.trace = trace
-        super().__init__(str(cause))
-
-
 def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOutcome:
     """Run the cutting loop on ``problem`` with the given subproblem oracle
-    (an object exposing solve(objective, region, start))."""
+    (an object exposing solve(objective, region, start)).  A
+    ``GlobalOracle`` must bound in the problem's domain norm, the norm of
+    its Lipschitz constants.  An oracle's ResourceLimitError is re-raised
+    with ``trace`` set to the iterations completed before it."""
     config = config or DriverConfig()
     constraint = problem.constraint
+    if isinstance(oracle, GlobalOracle) and oracle.domain_norm is not problem.domain_norm:
+        raise ValueError(
+            f"the global oracle bounds in the {oracle.domain_norm.value}-norm, "
+            f"but the problem's domain norm is the {problem.domain_norm.value}-norm"
+        )
     if config.cut_mode is CutMode.Component and constraint.component_L is None:
         raise ValueError("component cut mode requires per-component Lipschitz constants")
     if constraint.pointwise_L is not None and config.cut_mode is CutMode.Component:
@@ -150,7 +151,8 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
         try:
             result: OracleResult = oracle.solve(problem.objective, region, start=np.asarray(start, dtype=float))
         except ResourceLimitError as exc:
-            raise DriverResourceError(exc, tuple(trace)) from exc
+            exc.trace = tuple(trace)
+            raise
         if result.status is OracleStatus.Infeasible:
             return SolveOutcome(SolveStatus.InfeasibleCertified, tuple(trace), None, _lower_bound(trace), region)
 

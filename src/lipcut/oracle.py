@@ -100,7 +100,9 @@ class OracleStatus(enum.Enum):
 @dataclass(frozen=True)
 class OracleConfig:
     """Oracle tolerance and node limit (both positive).  The branch and
-    bound splits no edge narrower than ``_BOX_MIN_WIDTH`` = 1e-10."""
+    bound splits no edge narrower than ``_BOX_MIN_WIDTH`` = 1e-10.  The
+    local oracle has no tolerance to read: its node limit bounds its
+    objective evaluations."""
 
     tolerance: float = 1e-6
     node_limit: int = 10_000_000
@@ -124,13 +126,16 @@ class OracleResult:
 
 
 class ResourceLimitError(RuntimeError):
-    """Node limit exhausted; carries the best incumbent found so far."""
+    """Node limit exhausted; carries the best incumbent found so far.
+    ``trace`` is None from an oracle called directly; ``driver.run`` sets
+    it to the iterations completed before the call that ran out."""
 
     def __init__(self, nodes: int, point, value: float, gap: float):
         self.nodes = nodes
         self.point = point
         self.value = value
         self.gap = gap
+        self.trace = None
         super().__init__(f"node limit reached after {nodes} nodes (incumbent {value}, gap {gap})")
 
 
@@ -508,7 +513,9 @@ class LocalOracle:
     longest box edge; all 2n probes of a step in one membership test and
     the feasible ones in one objective evaluation),
     accepts the best feasible improving probe, halves the step on failure
-    and stops once the step falls below 1e-9.  A start
+    and stops once the step falls below 1e-9.  It raises
+    ResourceLimitError once its objective evaluations exceed
+    ``node_limit``.  A start
     violating some cut is first pushed radially off the nearest violated
     cut to just outside its boundary (clipped to the box); if that
     projection is still infeasible the search fails with
@@ -555,6 +562,8 @@ class LocalOracle:
             probes[probe_rows, probe_axes] += signs * step
             feasible = probes[region.membership_mask(probes)]
             evaluations += len(feasible)
+            if evaluations > self.config.node_limit:
+                raise ResourceLimitError(evaluations, x, fx, math.inf)
             best = None
             for cand, fc in zip(feasible, objective.evaluate_batch(feasible).tolist()):
                 if fc >= fx:

@@ -45,7 +45,6 @@ _KEYS = {
     "objective_L", "constraints", "global_L", "epsilon", "max_iterations", "cut_mode",
 }
 _CONSTRAINT_KEYS = {"expr", "L", "mask"}
-_SAMPLING_PAIRS = 10_000
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
         isinstance(b, (list, tuple)) and len(b) == 2 for b in data["bounds"]
     ):
         raise ValueError("bounds must be a list of [lower, upper] pairs, one per coordinate")
-    bounds = tuple((float(lo), float(hi)) for lo, hi in data["bounds"])
+    bounds = tuple((_number(lo, "bounds entry"), _number(hi, "bounds entry")) for lo, hi in data["bounds"])
     if len(bounds) != dimension:
         raise ValueError("bounds length does not match dimension")
     integral = None
@@ -139,9 +138,7 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
         mask = tuple(_integer(i, f"constraint {p} mask entry") for i in mask) if mask else None
         if mask and not all(1 <= i <= dimension for i in mask):
             raise ValueError(f"constraint mask indices out of range: {mask}")
-        constraints.append(
-            ConstraintDef(str(entry["expr"]), float(entry["L"]) if entry.get("L") is not None else None, mask)
-        )
+        constraints.append(ConstraintDef(str(entry["expr"]), _optional(entry, "L", _number, f"constraint {p} L"), mask))
     if not constraints:
         raise ValueError("a problem needs at least one constraint")
     cut_mode = CutMode(data["cut_mode"]) if data.get("cut_mode") else None
@@ -153,13 +150,25 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
         objective=str(data["objective"]),
         constraints=tuple(constraints),
         integral=integral,
-        objective_L=float(data["objective_L"]) if data.get("objective_L") is not None else None,
-        global_L=float(data["global_L"]) if data.get("global_L") is not None else None,
-        epsilon=float(data["epsilon"]) if data.get("epsilon") is not None else None,
-        max_iterations=int(data["max_iterations"]) if data.get("max_iterations") is not None else None,
+        objective_L=_optional(data, "objective_L", _number),
+        global_L=_optional(data, "global_L", _number),
+        epsilon=_optional(data, "epsilon", _number),
+        max_iterations=_optional(data, "max_iterations", _integer),
         cut_mode=cut_mode,
         name=name,
     )
+
+
+def _optional(data: dict, key: str, read, what: str | None = None):
+    """``read(data[key], what)``, or None when the key is absent or null."""
+    return read(data[key], what or key) if data.get(key) is not None else None
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a finite float; a bool, a string, NaN or inf raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, what: str) -> int:
@@ -174,15 +183,16 @@ def build(
     definition: ProblemDefinition,
     estimator: str = "grid",
     seed: int = 0,
-    need_component_L: bool = False,
 ) -> BuiltProblem:
     """Compile a definition to a runnable Problem, estimating any missing
     Lipschitz constants with the chosen estimator: ``"grid"`` is
     ``jacobian_sup_bound`` with its defaults (64 points per dimension,
-    safety 1.05), anything else ``slope_sampling_estimate`` over
-    ``_SAMPLING_PAIRS`` = 10,000 pairs from ``seed`` with its default
-    inflation 0.1.  A failed estimate raises ValueError prefixed with the
-    constant's ``BuiltProblem.estimated`` key (``labelled_estimate``)."""
+    safety 1.05), anything else ``slope_sampling_estimate`` over 10,000
+    pairs from ``seed`` with its default inflation 0.1.  Per-component
+    constants are estimated when ``cut_mode`` is component, and otherwise
+    kept only when the file gives all of them.  A failed estimate raises
+    ValueError prefixed with the constant's ``BuiltProblem.estimated`` key
+    (``labelled_estimate``)."""
     box = BoxDomain(
         [b[0] for b in definition.bounds],
         [b[1] for b in definition.bounds],
@@ -194,7 +204,7 @@ def build(
 
     def estimate(key: str, exprs) -> float:
         est = labelled_estimate(key, exprs, box, definition.norm, definition.image_norm, estimator,
-                                pairs=_SAMPLING_PAIRS, seed=seed)
+                                seed=seed)
         estimated[key] = est
         return est.value
 
@@ -203,8 +213,7 @@ def build(
         objective_L = estimate("objective_L", [objective_expr])
 
     component_L = [c.L for c in definition.constraints]
-    want_components = need_component_L or definition.cut_mode is CutMode.Component
-    if want_components or all(v is not None for v in component_L):
+    if definition.cut_mode is CutMode.Component or all(v is not None for v in component_L):
         for p, value in enumerate(component_L):
             if value is None:
                 component_L[p] = estimate(f"constraint_{p + 1}_L", [constraint_exprs[p]])

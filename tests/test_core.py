@@ -51,6 +51,19 @@ class TestNormEval:
                     assert norm_eval(kind, v) > 0.0
 
 
+class TestNormNames:
+    @pytest.mark.parametrize("text, kind", [
+        ("1", NormKind.One), (1, NormKind.One), (" 2 ", NormKind.Two), ("inf", NormKind.Inf), ("INF", NormKind.Inf),
+    ])
+    def test_the_enum_values_name_the_norms(self, text, kind):
+        assert NormKind.from_string(text) is kind
+
+    @pytest.mark.parametrize("text", ["one", "two", "infinity", "max", "2.0", ""])
+    def test_other_spellings_are_refused(self, text):
+        with pytest.raises(ValueError, match=r"expected '1', '2' or 'inf'"):
+            NormKind.from_string(text)
+
+
 class TestPositivePart:
     def test_mixed(self):
         assert positive_part((-1.0, 2.0)).tolist() == [0.0, 2.0]

@@ -18,13 +18,12 @@ from lipcut.core import (
 from lipcut.driver import (
     CutMode,
     DriverConfig,
-    DriverResourceError,
     SolveStatus,
     normalized_problem,
     run,
     trace_to_csv,
 )
-from lipcut.oracle import GlobalOracle, LocalOracle, OracleConfig
+from lipcut.oracle import GlobalOracle, LocalOracle, OracleConfig, ResourceLimitError
 from lipcut.problems import build, get_builtin
 
 from geometry import circle_intersections
@@ -311,6 +310,21 @@ class TestEpsilonFloor:
             DriverConfig(epsilon=0.0, epsilon_floor=True)
 
 
+class TestDriverConfig:
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1e-3])
+    def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
+        with pytest.raises(ValueError, match=f"^epsilon must be finite and nonnegative, got {epsilon!r}$"):
+            DriverConfig(epsilon=epsilon)
+
+    @pytest.mark.parametrize("iterations", [2.5, 3.0, True, 0, "5"])
+    def test_max_iterations_must_be_a_positive_integer(self, iterations):
+        with pytest.raises(ValueError, match=f"^max_iterations must be a positive integer, got {iterations!r}$"):
+            DriverConfig(max_iterations=iterations)
+
+    def test_numpy_integers_are_accepted(self):
+        assert DriverConfig(max_iterations=np.int64(4)).max_iterations == 4
+
+
 class TestLocalOracleDriver:
     def test_bad_local_recurrence(self):
         built = build(get_builtin("bad-local"))
@@ -360,10 +374,64 @@ class TestResourceError:
     def test_partial_trace_attached(self):
         built = build(get_builtin("sin-example"))
         oracle = GlobalOracle(OracleConfig(tolerance=1e-8, node_limit=200), NormKind.Two)
-        with pytest.raises(DriverResourceError) as info:
+        with pytest.raises(ResourceLimitError) as info:
             run(built.problem, oracle, DriverConfig(epsilon=1e-4, max_iterations=25))
-        assert info.value.trace is not None
-        assert info.value.cause.nodes > 0
+        assert isinstance(info.value.trace, tuple)
+        assert info.value.nodes > 200
+        # the trace holds the iterations completed before the call that ran out
+        assert [rec.k for rec in info.value.trace] == list(range(len(info.value.trace)))
+
+    def test_an_oracle_called_directly_attaches_no_trace(self):
+        built = build(get_builtin("sin-example"))
+        oracle = GlobalOracle(OracleConfig(tolerance=1e-8, node_limit=1), NormKind.Two)
+        with pytest.raises(ResourceLimitError) as info:
+            oracle.solve(built.problem.objective, RelaxedRegion(built.problem.domain))
+        assert info.value.trace is None
+
+
+def unit_peak(a: np.ndarray, w: float) -> Problem:
+    """f(x) = -max(0, 1 - ||x - a||_1 / w) on [-1, 1]^2: L_f = 1/w holds in
+    the 1-norm, and the minimum is -1, at x = a.  The constraint holds
+    everywhere, so a run solves at its first iterate."""
+    return Problem(
+        domain=BoxDomain((-1.0, -1.0), (1.0, 1.0)),
+        objective=ObjectiveSpec(
+            None, 1.0 / w, batch_evaluator=lambda p: -np.maximum(0.0, 1.0 - np.abs(p - a).sum(axis=1) / w),
+        ),
+        constraint=ConstraintSpec((), 1.0, batch_components=(lambda p: p[:, 0] - 2.0,)),
+        domain_norm=NormKind.One,
+    )
+
+
+_PEAK_DRAWS = np.random.default_rng(2024)
+# 200 seeded peaks (a, w)
+PEAK_CASES = [(_PEAK_DRAWS.uniform(-1.0, 1.0, 2), float(_PEAK_DRAWS.uniform(0.05, 1.0))) for _ in range(200)]
+
+
+class TestDomainNorm:
+    def test_the_problem_norm_certifies_the_true_minimum(self):
+        for a, w in PEAK_CASES:
+            outcome = run(unit_peak(a, w), GlobalOracle(OracleConfig(), NormKind.One))
+            assert outcome.status is SolveStatus.Solved
+            assert outcome.lower_bound <= -1.0 <= outcome.trace[-1].objective
+
+    @pytest.mark.parametrize("norm", [NormKind.Two, NormKind.Inf])
+    def test_another_norm_would_certify_too_high_a_bound(self, norm):
+        # why run() refuses it: called directly, the oracle bounds with a
+        # constant that does not hold in its norm
+        above = 0
+        for a, w in PEAK_CASES:
+            problem = unit_peak(a, w)
+            result = GlobalOracle(OracleConfig(), norm).solve(problem.objective, RelaxedRegion(problem.domain))
+            above += result.value - result.gap > -1.0
+        assert above > len(PEAK_CASES) // 2
+
+    @pytest.mark.parametrize("norm", [NormKind.Two, NormKind.Inf])
+    def test_run_refuses_a_global_oracle_in_another_norm(self, norm):
+        a, w = PEAK_CASES[0]
+        message = f"global oracle bounds in the {norm.value}-norm, but the problem's domain norm is the 1-norm"
+        with pytest.raises(ValueError, match=message):
+            run(unit_peak(a, w), GlobalOracle(OracleConfig(), norm))
 
 
 class TestNonFiniteConstraint:

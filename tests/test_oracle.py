@@ -193,6 +193,16 @@ class TestSolveGlobal:
         assert info.value.nodes > 8 - 2
         assert info.value.point is not None
 
+    def test_an_unsplittable_box_goes_into_the_discard_floor(self):
+        # the root [0, 5e-11] is narrower than the 1e-10 split floor: its
+        # bound f(c) - L_f * rho = -25 - 50 = -75 stays the certificate, and
+        # its corner x = 5e-11 is the incumbent, -50
+        obj = ObjectiveSpec(None, 2e12, batch_evaluator=lambda p: -1e12 * p[:, 0])
+        result = GlobalOracle().solve(obj, RelaxedRegion(BoxDomain((0.0,), (5e-11,))))
+        assert result.status is OracleStatus.Solved
+        assert (result.value, result.gap, result.nodes) == (-50.0, 25.0, 1)
+        assert result.point.tolist() == [5e-11]
+
     def test_integral_domain(self):
         box = BoxDomain((0.0,), (3.0,), integral=(True,))
         obj = ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0])
@@ -447,6 +457,28 @@ class TestSolveLocal:
         region = RelaxedRegion(BoxDomain((0.0,), (3.0,), integral=(True,)))
         with pytest.raises(ValueError):
             LocalOracle().solve(self.abs_objective(), region, start=(1.0,))
+
+    def test_start_at_a_cut_center_that_is_the_box_center(self):
+        # neither the start nor the box center gives a direction off the
+        # cut, so the start moves along the first masked coordinate
+        box = BoxDomain((-1.0, -1.0), (1.0, 1.0))
+        cut = Cut((0.0, 0.0), 0.5, norm=NormKind.Two)
+        assert oracle._project_off_cut(np.zeros(2), cut, box).tolist() == [0.5 + 1e-9, 0.0]
+        flat = ObjectiveSpec(None, 1.0, batch_evaluator=lambda p: np.zeros(len(p)))
+        result = LocalOracle().solve(flat, RelaxedRegion(box, (cut,)), start=(0.0, 0.0))
+        assert result.point.tolist() == [0.5 + 1e-9, 0.0]
+
+    def test_node_limit_bounds_the_evaluations(self):
+        obj = ObjectiveSpec(None, 2.0, batch_evaluator=lambda p: p[:, 0] ** 2)
+        region = self.local_region()
+        free = LocalOracle().solve(obj, region, start=(0.7,))
+        # a limit of exactly the evaluations made binds nowhere
+        assert LocalOracle(OracleConfig(node_limit=free.nodes)).solve(obj, region, start=(0.7,)).nodes == free.nodes
+        with pytest.raises(ResourceLimitError) as info:
+            LocalOracle(OracleConfig(node_limit=free.nodes - 1)).solve(obj, region, start=(0.7,))
+        error = info.value
+        assert error.nodes == free.nodes and math.isinf(error.gap) and error.trace is None
+        assert error.value == obj.evaluate_batch(error.point[None, :])[0]
 
     def test_probes_go_through_evaluate_batch_only(self):
         calls = []

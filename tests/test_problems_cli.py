@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -59,6 +60,31 @@ class TestBuiltins:
             get_builtin("nope")
 
 
+# (key, value, the error message) of a problem file with one bad number; a
+# key "constraint L" sets the first constraint's L
+BAD_NUMBERS = [
+    ("max_iterations", 2.7, "max_iterations must be an integer, got 2.7"),
+    ("max_iterations", True, "max_iterations must be an integer, got True"),
+    ("epsilon", True, "epsilon must be a finite number, got True"),
+    ("epsilon", math.nan, "epsilon must be a finite number, got nan"),
+    ("objective_L", "1e-3", "objective_L must be a finite number, got '1e-3'"),
+    ("bounds", [["-1", 1.0], [-1.0, 1.0]], "bounds entry must be a finite number, got '-1'"),
+    ("bounds", [[-1.0, 1.0], [-math.inf, 1.0]], "bounds entry must be a finite number, got -inf"),
+    ("bounds", [[False, 1.0], [-1.0, 1.0]], "bounds entry must be a finite number, got False"),
+    ("constraint L", math.nan, "constraint 1 L must be a finite number, got nan"),
+    ("constraint L", "2", "constraint 1 L must be a finite number, got '2'"),
+]
+BAD_NUMBER_IDS = ["fractional-max-iterations", "boolean-max-iterations", "boolean-epsilon", "nan-epsilon",
+                  "string-objective-L", "string-bound", "inf-bound", "boolean-bound",
+                  "nan-constraint-L", "string-constraint-L"]
+
+
+def bad_number_file(key, value) -> dict:
+    if key == "constraint L":
+        return dict(SIN_FILE, constraints=[dict(SIN_FILE["constraints"][0], L=value)])
+    return dict(SIN_FILE, **{key: value})
+
+
 class TestProblemFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "sin.yaml"
@@ -101,13 +127,14 @@ class TestProblemFiles:
         if key == "objective_L":
             data.update(objective=blowup, objective_L=None)
         elif key == "constraint_1_L":
-            data.update(constraints=[{"expr": blowup}])
+            # component mode estimates the missing per-component constant
+            data.update(constraints=[{"expr": blowup}], cut_mode="component")
         else:
             data.update(constraints=[{"expr": blowup, "L": 1.0}], global_L=None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{key}: Lipschitz estimate must be finite and positive, got inf"):
-                build(definition_from_dict(data), estimator=estimator, need_component_L=True)
+                build(definition_from_dict(data), estimator=estimator)
 
     def test_built_specs_are_batch_only(self):
         built = build(get_builtin("comp-example"))
@@ -129,6 +156,24 @@ class TestProblemFiles:
         data["constraints"] = [{"expr": "-sin(x1) - x2", "L": 1.5, "mask": [1]}]
         built = build(definition_from_dict(data))
         assert built.problem.constraint.active_mask[0].tolist() == [True, False]
+
+    def test_a_constraint_without_a_mask_is_active_everywhere(self):
+        data = dict(SIN_FILE, dimension=3, bounds=[[-1.0, 1.0]] * 3)
+        data["constraints"] = [{"expr": "x1 - 2", "L": 1.0, "mask": [1]}, {"expr": "x2 + x3 - 3", "L": 1.5},
+                               {"expr": "x3 - 2", "L": 1.0, "mask": [3]}]
+        masks = build(definition_from_dict(data)).problem.constraint.active_mask
+        assert [m.tolist() for m in masks] == [[True, False, False], [True, True, True], [False, False, True]]
+
+    @pytest.mark.parametrize("key, value, message", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
+    def test_a_bad_number_is_refused(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            definition_from_dict(bad_number_file(key, value))
+
+    def test_numbers_of_every_real_type_are_read(self):
+        data = dict(SIN_FILE, bounds=[[-1, 1], [np.float64(-1.0), 1.0]], epsilon=0, max_iterations=7.0)
+        definition = definition_from_dict(data)
+        assert definition.bounds == ((-1.0, 1.0), (-1.0, 1.0)) and definition.epsilon == 0.0
+        assert definition.max_iterations == 7 and type(definition.max_iterations) is int
 
 
 class TestCliSolve:
@@ -207,6 +252,44 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("key, value, message", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
+    def test_a_bad_number_is_an_error_line(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(bad_number_file(key, value)))
+        assert main(["solve", "--problem", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1e-3"])
+    def test_a_bad_eps_flag_is_an_error_line(self, capsys, eps):
+        # a NaN epsilon once ran silently in exact mode
+        assert main(["solve", "--builtin", "sin-example", f"--eps={eps}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: epsilon must be finite and nonnegative, got {float(eps)!r}\n"
+        assert captured.out == ""
+
+    def test_oracle_tol_with_the_local_oracle_is_an_error_line(self, capsys):
+        assert main(["solve", "--builtin", "bad-local", "--oracle", "local", "--start", "-1",
+                     "--oracle-tol", "1e-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --oracle-tol sets the global oracle's tolerance; the local oracle has none\n"
+        assert captured.out == ""
+
+    def test_oracle_tol_defaults_to_the_oracle_default(self, tmp_path, capsys):
+        traces = [tmp_path / "default.csv", tmp_path / "given.csv"]
+        assert main(["solve", "--builtin", "sin-example", "--trace", str(traces[0])]) == 0
+        assert main(["solve", "--builtin", "sin-example", "--oracle-tol", "1e-6", "--trace", str(traces[1])]) == 0
+        assert traces[0].read_bytes() == traces[1].read_bytes()
+
+    def test_mode_flag_replaces_the_file_cut_mode(self, tmp_path, capsys):
+        data = dict(SIN_FILE, cut_mode="component", constraints=[{"expr": "-sin(x1) - x2"}])
+        path = tmp_path / "component.yaml"
+        path.write_text(yaml.safe_dump(data))
+        # vector mode reads no per-component constant, so none is estimated
+        assert main(["solve", "--problem", str(path), "--mode", "vector"]) == 0
+        assert "constraint_1_L" not in capsys.readouterr().out
+        assert main(["solve", "--problem", str(path)]) == 0
+        assert "estimated constraint_1_L = " in capsys.readouterr().out
+
     def test_evaluation_error_exit_code(self, tmp_path, capsys):
         # sqrt(x1) is undefined at the first iterate, x1 = -1
         data = dict(SIN_FILE, dimension=1, bounds=[[-1.0, 1.0]], objective="x1", objective_L=1.0,
@@ -256,8 +339,7 @@ class TestCliSolve:
         path = tmp_path / "inf.yaml"
         path.write_text(yaml.safe_dump(dict(SIN_FILE, global_L=math.inf)))
         assert main(["solve", "--problem", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: global Lipschitz constant must be finite and positive, got inf")
+        assert capsys.readouterr().err == "error: global_L must be a finite number, got inf\n"
 
     def test_exit_code_contract_over_all_builtins(self):
         # 0 solved / 2 infeasible / 3 iteration limit, nothing else
@@ -350,6 +432,14 @@ class TestCliBounds:
         assert main(["bounds", "--problem", str(path), "--delta", "1"]) == 0
         line = [l for l in capsys.readouterr().out.splitlines() if "packing bound" in l][0]
         assert line.startswith("packing bound (box-packing): ")
+
+    def test_zero_width_coordinate_has_no_asphericity(self, tmp_path, capsys):
+        data = dict(SIN_FILE, bounds=[[-1.0, 1.0], [0.5, 0.5]])
+        path = tmp_path / "flat.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["bounds", "--problem", str(path), "--eps", "0.1"]) == 0
+        out = capsys.readouterr().out
+        assert out == "radius: 1\nasphericity: undefined (zero-width coordinate)\ncomplexity upper: 441\n"
 
     def test_overflowing_complexity_bounds(self, capsys):
         # the upper envelope is vacuous past the float range; the lower one

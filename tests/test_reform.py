@@ -216,6 +216,34 @@ class TestExportLp:
         rhs = 0.3**2 - (0.5**2 + 0.5**2)
         assert f">= {rhs:.17g}" in text
 
+    def test_integral_coordinates_are_listed_as_generals(self):
+        box = BoxDomain((0.0, -1.0), (3.0, 1.0), integral=(True, False))
+        system = reformulate_1norm((1.0, 0.5), 1.0, 6.0)
+        assert export_lp([system], {"x1": 1.0, "x2": -2.0}, box) == (
+            "Minimize\n"
+            " obj: x1 - 2 x2\n"
+            "Subject To\n"
+            " cut0_sum: y1 + y2 >= 1\n"
+            " cut0_ylb1: y1 - x1 + 6 z1 >= -1\n"
+            " cut0_yub1: y1 - x1 - 6 z1 <= -1\n"
+            " cut0_yrlb1: y1 + x1 - 6 z1 >= -5\n"
+            " cut0_yrub1: y1 + x1 + 6 z1 <= 7\n"
+            " cut0_ylb2: y2 - x2 + 6 z2 >= -0.5\n"
+            " cut0_yub2: y2 - x2 - 6 z2 <= -0.5\n"
+            " cut0_yrlb2: y2 + x2 - 6 z2 >= -5.5\n"
+            " cut0_yrub2: y2 + x2 + 6 z2 <= 6.5\n"
+            " cut0_ypos1: y1 >= 0\n"
+            " cut0_ypos2: y2 >= 0\n"
+            "Bounds\n"
+            " 0 <= x1 <= 3\n"
+            " -1 <= x2 <= 1\n"
+            "Binaries\n"
+            " z1 z2\n"
+            "Generals\n"
+            " x1\n"
+            "End\n"
+        )
+
     def test_dimension_mismatch(self):
         system = reformulate_1norm((0.0,), 1.0, 2.0)
         with pytest.raises(ValueError):

@@ -84,7 +84,7 @@ def batch_only_problem(built):
 @settings(max_examples=30, deadline=None)
 @given(definition=trig_problems(), mode=st.sampled_from(CutMode))
 def test_one_point_and_batch_specs_give_identical_traces(definition, mode):
-    built = build(definition, need_component_L=True)
+    built = build(replace(definition, cut_mode=CutMode.Component))
     config = DriverConfig(epsilon=1e-3, max_iterations=8, cut_mode=mode)
     traces = []
     for problem in (one_point_problem(built), batch_only_problem(built)):
