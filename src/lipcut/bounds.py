@@ -77,8 +77,15 @@ def complexity_lower(alpha: float, epsilon: float, n: int, c: float = 1.0) -> fl
 
 def box_radius(box: BoxDomain, norm: NormKind) -> float:
     """Radius of the smallest norm ball containing the box (centered at the
-    box center): the norm of the half-widths."""
-    return norm_eval(norm, 0.5 * box.widths)
+    box center): the norm of the half-widths.  A sum that overflows while
+    every half-width is finite is taken again scaled by the largest one."""
+    half = 0.5 * box.widths
+    with np.errstate(over="ignore"):
+        radius = norm_eval(norm, half)
+    if math.isinf(radius) and np.isfinite(half).all():
+        scale = float(np.max(np.abs(half)))
+        radius = scale * norm_eval(norm, half / scale)
+    return radius
 
 
 def box_radius_asphericity(box: BoxDomain, norm: NormKind) -> tuple[float, float]:

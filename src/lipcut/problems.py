@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,10 +85,23 @@ class BuiltProblem:
     estimated: dict = field(default_factory=dict)
 
 
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` plus the YAML 1.2 float forms that YAML 1.1
+    reads as strings: an exponent without a decimal point or without a
+    sign (``1e-4``, ``1.0e4``, ``1E5``)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_problem_file(path) -> ProblemDefinition:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ValueError(f"problem file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):

@@ -5,7 +5,12 @@ variables y_i (|x_i - a_i|) and binaries z_i selecting the sign, plus, for
 the infinity norm, continuous w_i and one-hot binaries u_i selecting the
 maximal coordinate.  ``verify_by_enumeration`` decides feasibility of a
 fixed x by enumerating the binaries and propagating intervals over the
-continuous variables, which is exact for these system shapes.
+continuous variables, which is exact for these system shapes.  It tries
+the assignment that x itself selects first (z_i = 1 where x_i < a_i and,
+for the infinity norm, u one-hot at the first maximal |x_i - a_i|), then
+the others in lexicographic order; since the answer is whether any
+assignment propagates and propagation has no side effects, the order
+changes only how soon a feasible point is accepted.
 
 The big-M caveat: the sign-selection rows require M >= 2 * max_i |x_i -
 a_i| to admit every norm-feasible x.  ``default_big_M`` returns the box
@@ -44,9 +49,10 @@ class LinearConstraint:
             raise ValueError(f"bad sense {self.sense!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReformSystem:
-    """One reformulated cut: variable rosters plus linear rows.
+    """One reformulated cut: variable rosters plus linear rows.  Systems
+    compare and hash by identity, like ``Cut`` and ``BoxDomain``.
 
     ``continuous_vars`` lists the given x_i first, then the auxiliaries;
     y_i and w_i are nonnegative by explicit rows.  ``kind`` is "one" or
@@ -159,6 +165,12 @@ def verify_by_enumeration(system: ReformSystem, x) -> bool:
     tighten each variable against the extremes of the others, and finally
     every row is checked for satisfiability at interval extremes.  For the
     two system shapes produced here this procedure is exact.
+
+    The assignment x selects (``_selected_assignment``) is propagated
+    first, then every other one in ``itertools.product`` order.  The order
+    cannot change the answer, since each propagation is independent of the
+    others; it only makes a norm-feasible x, with a big-M large enough,
+    cost one propagation instead of up to 2^(binaries).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != system.n:
@@ -169,12 +181,25 @@ def verify_by_enumeration(system: ReformSystem, x) -> bool:
     fixed_base = {f"x{i + 1}": float(x[i]) for i in range(system.n)}
     free_names = [v for v in system.continuous_vars if v not in fixed_base]
 
-    for assignment in itertools.product((0.0, 1.0), repeat=n_bin):
+    selected = _selected_assignment(system, x)
+    rest = (a for a in itertools.product((0.0, 1.0), repeat=n_bin) if a != selected)
+    for assignment in itertools.chain((selected,), rest):
         fixed = dict(fixed_base)
         fixed.update(zip(system.binary_vars, assignment))
         if _propagate(system, fixed, free_names) is not None:
             return True
     return False
+
+
+def _selected_assignment(system: ReformSystem, x: np.ndarray) -> tuple:
+    """The binaries x itself selects: z_i = 1 exactly when x_i < a_i (the
+    branch pinning y_i = a_i - x_i), and for the infinity norm u one-hot at
+    the first index of the largest |x_i - a_i|."""
+    bits = tuple(1.0 if xi < ai else 0.0 for xi, ai in zip(x, system.center))
+    if system.kind == "inf":
+        k = int(np.argmax(np.abs(x - system.center)))
+        bits += tuple(1.0 if i == k else 0.0 for i in range(system.n))
+    return bits
 
 
 def _tighten(lo: dict, hi: dict, var: str, coef: float, bound: float, lower: bool) -> bool:

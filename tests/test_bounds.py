@@ -154,6 +154,14 @@ class TestOverflow:
             warnings.simplefilter("error")
             assert lattice_count(box) == math.inf
 
+    @pytest.mark.parametrize("norm, expected", [
+        (NormKind.One, 1e200), (NormKind.Two, math.sqrt(2.0) * 5e199), (NormKind.Inf, 5e199),
+    ])
+    def test_box_radius_past_the_square_range(self, norm, expected):
+        # 5e199 squared overflows; the radius is taken again scaled
+        box = BoxDomain((0.0, 0.0), (1e200, 1e200))
+        assert box_radius(box, norm) == pytest.approx(expected, rel=1e-15)
+
     def test_ball_packing(self):
         assert ball_packing_bound(1.0, 1.0, 1e-200, 2) == math.inf
 

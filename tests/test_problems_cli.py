@@ -30,6 +30,22 @@ SIN_FILE = {
 }
 
 
+# a problem file whose numbers use the exponent forms that YAML 1.1 reads
+# as strings: no decimal point, or an unsigned exponent
+EXPONENT_FILE = """\
+dimension: 2
+bounds: [[-1e0, 1.0], [-1.0, 1.0]]
+norm: "2"
+image_norm: "2"
+objective: {objective}
+objective_L: 3E0
+constraints:
+  - expr: "-sin(x1) - x2"
+global_L: 1.5e0
+epsilon: 1e-4
+"""
+
+
 class TestBuiltins:
     def test_catalog_has_exactly_five(self):
         catalog = builtin_problems()
@@ -67,7 +83,7 @@ BAD_NUMBERS = [
     ("max_iterations", True, "max_iterations must be an integer, got True"),
     ("epsilon", True, "epsilon must be a finite number, got True"),
     ("epsilon", math.nan, "epsilon must be a finite number, got nan"),
-    ("objective_L", "1e-3", "objective_L must be a finite number, got '1e-3'"),
+    ("objective_L", "0.001", "objective_L must be a finite number, got '0.001'"),
     ("bounds", [["-1", 1.0], [-1.0, 1.0]], "bounds entry must be a finite number, got '-1'"),
     ("bounds", [[-1.0, 1.0], [-math.inf, 1.0]], "bounds entry must be a finite number, got -inf"),
     ("bounds", [[False, 1.0], [-1.0, 1.0]], "bounds entry must be a finite number, got False"),
@@ -95,6 +111,23 @@ class TestProblemFiles:
         built = build(defn)
         assert built.problem.constraint.global_L == pytest.approx(math.sqrt(2.0))
         assert built.epsilon == pytest.approx(1e-4)
+
+    def test_exponent_forms_load_as_floats(self, tmp_path):
+        # YAML 1.1 reads these as strings; problem files read them as YAML 1.2
+        path = tmp_path / "exp.yaml"
+        path.write_text(EXPONENT_FILE.format(objective="1e-3"))
+        defn = load_problem_file(path)
+        assert defn.epsilon == 1e-4
+        assert defn.global_L == 1.5
+        assert defn.objective_L == 3.0
+        assert defn.bounds == ((-1.0, 1.0), (-1.0, 1.0))
+        assert defn.objective == "0.001"  # an expression keeps a bare number's value
+
+    def test_quoted_exponent_stays_a_string(self, tmp_path):
+        path = tmp_path / "quoted.yaml"
+        path.write_text(EXPONENT_FILE.format(objective="x1").replace("epsilon: 1e-4", 'epsilon: "1e-4"'))
+        with pytest.raises(ValueError, match="epsilon must be a finite number, got '1e-4'"):
+            load_problem_file(path)
 
     def test_unknown_key_rejected(self):
         bad = dict(SIN_FILE, typo_key=1)
@@ -187,6 +220,19 @@ class TestCliSolve:
         lines = trace.read_text().splitlines()
         assert lines[0].startswith("k,x1,x2,")
         assert len(lines) == 5  # header + 4 iterations (exact oracle)
+
+    def test_exponent_forms_solve_like_decimal_forms(self, tmp_path, capsys):
+        text = EXPONENT_FILE.format(objective='"abs(x1 - x2) + x1"')
+        decimal = (text.replace("-1e0", "-1.0").replace("3E0", "3.0")
+                   .replace("1.5e0", "1.5").replace("1e-4", "0.0001"))
+        outputs = []
+        for name, body in (("exp.yaml", text), ("dec.yaml", decimal)):
+            path = tmp_path / name
+            path.write_text(body)
+            assert main(["solve", "--problem", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "status: solved" in outputs[0]
 
     def test_trace_determinism(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -450,6 +496,16 @@ class TestCliBounds:
         captured = capsys.readouterr()
         assert "complexity upper: inf\n" in captured.out
         assert captured.err.startswith("error: complexity lower bound")
+
+    def test_radius_of_a_box_past_the_square_range(self, tmp_path, capsys):
+        # the squared half-widths overflow; the radius, about 7.07e199, does not
+        data = dict(SIN_FILE, bounds=[[0.0, 1e200]] * 2, integral=[True] * 2)
+        path = tmp_path / "vast.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["bounds", "--problem", str(path), "--delta", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "radius: 7.0710678118654752e+199\n" in out
+        assert "asphericity: 1.4142135623730951\n" in out
 
     def test_overflowing_lattice_count(self, tmp_path, capsys):
         # 1e330 lattice points; the radius, about 8.7e109, is still finite

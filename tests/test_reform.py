@@ -1,8 +1,13 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lipcut import reform
 from lipcut.core import BoxDomain, Cut, NormKind
 from lipcut.reform import (
     default_big_M,
@@ -26,6 +31,15 @@ class TestSystemShape:
         assert system.constraint_count == 9 * 2 + 2
         assert system.continuous_vars == ("x1", "x2", "y1", "y2", "w1", "w2")
         assert system.binary_vars == ("z1", "z2", "u1", "u2")
+
+    def test_systems_compare_and_hash_by_identity(self):
+        # equal rows do not make two systems equal, and a system with an
+        # array field still works as a set member or dict key
+        a = reformulate_1norm((0.0, 0.0), 1.0, 4.0)
+        b = reformulate_1norm((0.0, 0.0), 1.0, 4.0)
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,6 +142,75 @@ class TestEquivalence:
         assert not verify_by_enumeration(system, (0.9,))
         # with a sufficient M the same point is accepted
         assert verify_by_enumeration(reformulate_1norm((0.1,), 0.5, 2.0), (0.9,))
+
+
+# deviations x - a from a small grid, so that draws hit x_i = a_i, ties in
+# the largest |x_i - a_i| and exact cut boundaries, mixed with free floats
+_STEPS = st.sampled_from((-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0))
+_FREE = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def verify_cases(draw):
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("one", "inf")))
+    center = np.array(draw(st.lists(st.sampled_from((0.0, 0.25, -1.0, 3.5)) | _FREE, min_size=n, max_size=n)))
+    d = np.array(draw(st.lists(_STEPS | _FREE, min_size=n, max_size=n)))
+    dist = float(np.abs(d).sum() if kind == "one" else np.abs(d).max())
+    placement = draw(st.sampled_from(("boundary", "inside", "outside")))
+    if dist == 0.0 or placement == "inside":
+        radius = dist + draw(st.floats(0.01, 2.0))
+    elif placement == "boundary":
+        radius = dist
+    else:
+        radius = dist * draw(st.floats(0.05, 0.95))
+    need = 2.0 * float(np.abs(d).max())
+    # below 1 the big-M misses the requirement M >= 2 max_i |x_i - a_i|
+    big_m = max(need, 1e-3) * draw(st.sampled_from((0.3, 0.7, 1.0)) | st.floats(0.3, 4.0))
+    reformulate = reformulate_1norm if kind == "one" else reformulate_infnorm
+    return reformulate(center, radius, big_m), center + d
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=verify_cases())
+def test_verifier_answers_whether_any_assignment_propagates(case):
+    # trying the selected assignment first must not change the answer
+    system, x = case
+    expected = any(
+        feasible_interval(system, x, dict(zip(system.binary_vars, bits))) is not None
+        for bits in itertools.product((0.0, 1.0), repeat=len(system.binary_vars))
+    )
+    assert verify_by_enumeration(system, x) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(("one", "inf")),
+    center=st.lists(_FREE, min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_point_outside_the_cut_takes_one_propagation(kind, center, data):
+    n = len(center)
+    d = np.array(data.draw(st.lists(_STEPS | _FREE, min_size=n, max_size=n)))
+    far = float(np.abs(d).max())
+    if far < 1e-3:
+        d[0] = 1.0
+        far = 1.0
+    dist = float(np.abs(d).sum() if kind == "one" else far)
+    radius = dist * data.draw(st.floats(0.05, 0.95))
+    big_m = 2.0 * far * data.draw(st.floats(1.0, 4.0))
+    reformulate = reformulate_1norm if kind == "one" else reformulate_infnorm
+    system = reformulate(center, radius, big_m)
+    propagate = reform._propagate
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return propagate(*args)
+
+    with mock.patch.object(reform, "_propagate", counting):
+        assert verify_by_enumeration(system, np.array(center) + d)
+    assert len(calls) == 1
 
 
 class TestSelectedBinarySemantics:
