@@ -15,10 +15,10 @@ routine:
   cannot grow and rounding is monotone), and a cut that misses the
   parent's widened box can neither exclude the child, touch it nor hold
   its center.  The answers are those of a pass over every cut;
-* ``touching_membership``: membership of points drawn from boxes, each
-  tested only against the cuts that touch its box.  The branch and bound
-  tests the points it harvests this way; every other cut is provably
-  satisfied there.
+* ``touching_membership``: membership of the (boxes, slots, n) points
+  drawn from boxes, a (boxes, slots) mask, each point tested only against
+  the cuts that touch its box.  The branch and bound tests the points it
+  harvests this way; every other cut is provably satisfied there.
 
 The last two walk the candidate (cut, box) pairs in cut-major order
 through one routine, which numbers the pairs, dispatches them by group
@@ -115,10 +115,11 @@ class BoxDomain:
 
     An integral coordinate takes the integers in [lower, upper], of which
     there must be at least one; ``contains`` accepts a value within
-    ``INTEGRALITY_TOL`` of such an integer.  ``hull_lower`` and
-    ``hull_upper`` bound the box's lattice hull: ceil(lower) and
-    floor(upper) on integral coordinates, the bounds themselves elsewhere.
-    All arrays are read-only."""
+    ``INTEGRALITY_TOL`` of such an integer.  ``widths`` is upper - lower,
+    which must be finite.  ``hull_lower`` and ``hull_upper`` bound the
+    box's lattice hull: ceil(lower) and floor(upper) on integral
+    coordinates, the bounds themselves elsewhere.  All arrays are
+    read-only."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -136,6 +137,11 @@ class BoxDomain:
             raise ValueError("box bounds must be finite")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
+        with np.errstate(over="ignore"):
+            widths = upper - lower
+        if not np.isfinite(widths).all():
+            j = np.argmax(~np.isfinite(widths))
+            raise ValueError(f"coordinate {j}: the width of [{lower[j]}, {upper[j]}] overflows")
         if integral is None:
             integral = np.zeros(lower.shape, dtype=bool)
         else:
@@ -152,19 +158,16 @@ class BoxDomain:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "hull_lower", hull_lower)
         object.__setattr__(self, "hull_upper", hull_upper)
         object.__setattr__(self, "_integral_cols", np.flatnonzero(integral))
-        for arr in (lower, upper, integral, hull_lower, hull_upper, self._integral_cols):
+        for arr in (lower, upper, integral, widths, hull_lower, hull_upper, self._integral_cols):
             arr.setflags(write=False)
 
     @property
     def dimension(self) -> int:
         return self.lower.size
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
 
     @property
     def center(self) -> np.ndarray:
@@ -355,26 +358,18 @@ class RelaxedRegion:
             hits[pairs[below[2]]] = True
         return flags[0], touching, flags[1]
 
-    def touching_membership(self, points: np.ndarray, owners: np.ndarray, touching: np.ndarray) -> np.ndarray:
-        """``membership_mask`` for (M, n) points drawn from boxes, testing
-        each point only against the stacked cuts that touch its box.
-        ``owners`` (N, width) lists the rows of ``points`` drawn from each
-        of the N boxes, padded with -1; ``touching`` is ``box_relations``'s
-        (K, N) answer for those boxes.  The answer is exact for points in
-        their box widened by ``box_relations``'s margin; rows no box owns
-        get only the box test."""
-        out = self.domain.contains_mask(points)
-        if not owners.size:
-            return out
-        width = owners.shape[1]
-        padded = owners.min() < 0
-        for norm, cols, centers, radii, k, boxes, _ in self._candidate_pairs(touching, width):
-            rows, k = owners.take(boxes, axis=0).ravel(), k.repeat(width)
-            if padded:
-                held = rows >= 0
-                rows, k = rows[held], k[held]
-            p = points.take(rows, axis=0)[:, cols].T
-            out[rows[_cut_distances(norm, np.abs(p - centers.take(k, axis=1))) < radii.take(k)]] = False
+    def touching_membership(self, points: np.ndarray, touching: np.ndarray) -> np.ndarray:
+        """The (N, slots) ``membership_mask`` of the (N, slots, n) points
+        drawn from N boxes, testing each point only against the stacked
+        cuts that touch its box: ``touching`` is ``box_relations``'s (K, N)
+        answer for those boxes.  The answer is exact for points in their
+        box widened by ``box_relations``'s margin."""
+        count, slots, n = points.shape
+        out = self.domain.contains_mask(points.reshape(-1, n)).reshape(count, slots)
+        for norm, cols, centers, radii, k, boxes, _ in self._candidate_pairs(touching, slots):
+            d = points.take(boxes, axis=0)[..., cols].transpose(2, 0, 1) - centers.take(k, axis=1)[:, :, None]
+            pair, slot = np.nonzero(_cut_distances(norm, np.abs(d, out=d)) < radii.take(k)[:, None])
+            out[boxes[pair], slot] = False
         return out
 
     def _candidate_pairs(self, candidates: np.ndarray, width: int):
@@ -456,7 +451,8 @@ class ObjectiveSpec:
 
     A ``batch_evaluator``'s value for a row must not depend on the other
     rows of its batch, bit for bit, as with ``lipcut.expr``'s elementwise
-    numpy evaluation.  The branch and bound measures boxes of several
+    numpy evaluation or a per-column sum; a BLAS product such as ``p @ w``
+    can break it.  The branch and bound measures boxes of several
     tree levels in one call and replays its decisions from those values,
     so its results are those of one call per level only under this
     requirement.  It also evaluates centers of boxes that the replay then

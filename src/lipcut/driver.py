@@ -45,7 +45,7 @@ from .core import (
     norm_eval,
     positive_part,
 )
-from .oracle import GlobalOracle, OracleResult, OracleStatus, ResourceLimitError
+from .oracle import OracleResult, OracleStatus, ResourceLimitError
 
 _EXACT_FEAS_TOL = 1e-14
 
@@ -126,13 +126,14 @@ class SolveOutcome:
 
 def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOutcome:
     """Run the cutting loop on ``problem`` with the given subproblem oracle
-    (an object exposing solve(objective, region, start)).  A
-    ``GlobalOracle`` must bound in the problem's domain norm, the norm of
-    its Lipschitz constants.  An oracle's ResourceLimitError is re-raised
-    with ``trace`` set to the iterations completed before it."""
+    (an object exposing solve(objective, region, start)).  An oracle
+    that states a ``domain_norm``, as ``GlobalOracle`` does, must bound in
+    the problem's domain norm, the norm of its Lipschitz constants.  An
+    oracle's ResourceLimitError is re-raised with ``trace`` set to the
+    iterations completed before it."""
     config = config or DriverConfig()
     constraint = problem.constraint
-    if isinstance(oracle, GlobalOracle) and oracle.domain_norm is not problem.domain_norm:
+    if getattr(oracle, "domain_norm", problem.domain_norm) is not problem.domain_norm:
         raise ValueError(
             f"the global oracle bounds in the {oracle.domain_norm.value}-norm, "
             f"but the problem's domain norm is the {problem.domain_norm.value}-norm"

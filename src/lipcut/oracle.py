@@ -35,11 +35,11 @@ and one harvest.  The root is measured alone and given every cut.  Each
 box is given only the cuts that touch the wave box it descends from: it
 lies inside that box, so a cut that misses that box (widened by the
 pass's margin) misses it too, and the answers are those of a pass over
-every cut.  The harvest takes the snapped centers, box corners and Halton
-samples of the live boxes whose bound is below the incumbent minus tol,
-tests corners and samples only against the cuts that touch their box
+every cut.  The harvest lays out the snapped centers, corners and Halton
+samples of the live boxes whose bound is below the incumbent minus tol as
+(boxes, slots, n), tests them only against the cuts that touch their box
 (every other cut provably holds for them), evaluates the feasible ones,
-and keeps each box's best point.
+and keeps each box's least (value, point, slot): slot order is tie order.
 
 Replay.  Each measured quantity depends only on its box, and the
 objective's value for a row does not depend on the other rows of its
@@ -164,9 +164,10 @@ def _halton(dim: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _corner_pattern(dim: int) -> np.ndarray:
-    """The 2^dim corners of [0, 1]^dim, read-only and built once per
-    dimension."""
-    out = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
+    """The 2^dim corners of [0, 1]^dim, none past ``_CORNER_DIM_LIMIT``
+    dimensions, read-only and built once per dimension."""
+    corners = itertools.product((0.0, 1.0), repeat=dim) if dim <= _CORNER_DIM_LIMIT else ()
+    out = np.array(list(corners)).reshape(-1, dim)
     out.setflags(write=False)
     return out
 
@@ -207,7 +208,7 @@ class _Search:
         self.best_point: np.ndarray | None = None
         self.nodes = 0
         self.discard_floor = math.inf  # min lower bound over discarded boxes
-        self.corner_pattern = _corner_pattern(self.n) if self.n <= _CORNER_DIM_LIMIT else None
+        self.corner_pattern = _corner_pattern(self.n)
         self.samples = _halton(self.n)
 
     # -- geometry -------------------------------------------------------
@@ -220,7 +221,7 @@ class _Search:
             return points
         points = points.copy()
         cols = np.flatnonzero(self.integral)
-        points[:, cols] = np.round(points[:, cols])
+        points[..., cols] = np.round(points[..., cols])
         return points
 
     def rho(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
@@ -404,8 +405,6 @@ class _Search:
         kept = live[lbs[live] < self.best_value - self.config.tolerance]
         best = [None] * len(los)
         if kept.size:
-            # a snapped center lies in its box, which lies in the domain's
-            # lattice hull: only the cuts can reject it
             found = self.harvest(los[kept], his[kept], snapped[kept], f_centers[kept],
                                  ~mid_violated[kept], touching[:, kept])
             for i, kind, value, point in zip(*found):
@@ -414,76 +413,49 @@ class _Search:
 
     def harvest(self, los, his, snapped, f_centers, center_ok, touching):
         """Each box's best feasible point among its (snapped) center, its
-        corners, and its Halton samples when its center is infeasible.
-        Corners and samples are tested against the domain and only against
-        the cuts that touch their box (``touching``); every other cut
-        provably holds for them (``RelaxedRegion.box_relations``).  Returns
-        the boxes that have one, ascending, and for each the point's kind
-        (0 center, 1 corner, 2 sample), value and the point: the least
-        (value, point), the first listed in the order kind, pattern."""
-        count = len(los)
-        boxes = np.arange(count)
-        # each point's key: kind * count + box
-        found, values, keys = [], [], []
+        corners (n <= 5), and its Halton samples when its center is
+        infeasible: slots 0, 1..2^n and the last 32 of a (boxes, slots, n)
+        array, the samples only when some center is infeasible.  Points are
+        tested only against the cuts that touch their box (``touching``).
+        Returns the boxes that have one, ascending, and for each the
+        point's kind (0 center, 1 corner, 2 sample), value and the point:
+        the least (value, point, slot).  Slot order is the tie order."""
+        samples_from = 1 + len(self.corner_pattern)  # after the center and the corners
+        bad = ~center_ok
+        slots = samples_from + (_MAX_SAMPLES if bad.any() else 0)
+        pts = snapped[:, None, :].repeat(slots, axis=1)
+        pts[:, 1:samples_from] = self.spread(self.corner_pattern, los, his)
+        if slots > samples_from:
+            pts[bad, samples_from:] = self.spread(self.samples, los[bad], his[bad])
+        valid = self.region.touching_membership(pts, touching)
+        valid[:, 0] &= center_ok
+        valid[center_ok, samples_from:] = False
+        values = np.full(valid.shape, np.inf)
         if not self.has_integral:
             # feasible centers already carry their objective value
-            found.append(snapped[center_ok])
-            values.append(f_centers[center_ok])
-            keys.append(boxes[center_ok])
-        # the blocks of points still to evaluate, with their keys
-        blocks, block_keys = ([snapped], [boxes]) if self.has_integral else ([], [])
-        per_box = 0
-        if self.corner_pattern is not None:
-            per_box = len(self.corner_pattern)
-            blocks.append(self.spread(self.corner_pattern, los, his))
-            block_keys.append(boxes.repeat(per_box) + count)
-        bad = np.flatnonzero(~center_ok)
-        if bad.size:
-            blocks.append(self.spread(self.samples, los[bad], his[bad]))
-            block_keys.append(bad.repeat(_MAX_SAMPLES) + 2 * count)
-        if blocks:
-            pts = np.concatenate(blocks)
-            first = count if self.has_integral else 0
-            ok = np.empty(len(pts), dtype=bool)
-            ok[:first] = center_ok[:first]
-            tested = pts[first:]
-            if touching.any():
-                # the rows of ``tested`` drawn from each box: its corners, then
-                # its samples if it has any, else -1
-                table = np.empty((count, per_box + (_MAX_SAMPLES if bad.size else 0)), dtype=np.intp)
-                table[:, :per_box] = np.arange(count * per_box).reshape(count, per_box)
-                if bad.size:
-                    table[:, per_box:] = -1
-                    table[bad, per_box:] = np.arange(count * per_box, len(tested)).reshape(bad.size, _MAX_SAMPLES)
-                ok[first:] = self.region.touching_membership(tested, table, touching)
-            else:
-                ok[first:] = self.box.contains_mask(tested)
-            if ok.any():
-                found.append(pts.compress(ok, axis=0))
-                values.append(self.objective.evaluate_batch(found[-1]))
-                keys.append(np.concatenate(block_keys).compress(ok))
-        if not sum(map(len, found)):
-            return (), (), (), ()
-        pts, values, keys = (np.concatenate(part) for part in (found, values, keys))
-        owners = keys % count
-        least = np.full(count, np.inf)
-        np.minimum.at(least, owners, values)
-        tied = np.flatnonzero(values == least[owners])
-        # stable: equal keys keep the listed order, kind by kind
-        order = tied[np.lexsort(tuple(pts[tied, j] for j in range(self.n - 1, -1, -1)) + (owners[tied],))]
-        head = np.empty(len(order), dtype=bool)  # the first of each box
-        head[0] = True
-        np.not_equal(owners[order[1:]], owners[order[:-1]], out=head[1:])
-        firsts = order[head]
-        return owners[firsts].tolist(), (keys[firsts] // count).tolist(), values[firsts].tolist(), pts[firsts]
+            values[:, 0] = np.where(valid[:, 0], f_centers, np.inf)
+        fresh = valid & (values == np.inf)
+        if fresh.any():
+            values[fresh] = self.objective.evaluate_batch(pts[fresh])
+        least = values.min(axis=1)
+        boxes = np.flatnonzero(least < np.inf)
+        tied = values[boxes] == least[boxes, None]
+        slot = tied.argmax(axis=1)
+        if tied.sum() > boxes.size:
+            # the least point, then the least slot: each box's first in a stable sort
+            rows, cols = np.nonzero(tied)
+            order = np.lexsort(tuple(pts[boxes[rows], cols].T[::-1]) + (rows,))
+            slot = cols[order[np.diff(rows[order], prepend=-1) > 0]]
+        kind = np.minimum(slot, 1) + (slot >= samples_from)
+        return boxes.tolist(), kind.tolist(), values[boxes, slot].tolist(), pts[boxes, slot]
 
     def spread(self, pattern, los, his) -> np.ndarray:
-        """The points lo + pattern * (hi - lo) of each box, box-major, with
-        integral coordinates snapped into the box."""
+        """The (boxes, points, n) points lo + pattern * (hi - lo) of each
+        box, with integral coordinates snapped into the box."""
         # laid out (n, boxes, points) so that numpy loops run along the
         # pattern, then transposed
         lo, span = los.T[:, :, None], (his - los).T[:, :, None]
-        return self.snap((lo + pattern.T[:, None, :] * span).transpose(1, 2, 0).reshape(-1, self.n))
+        return self.snap((lo + pattern.T[:, None, :] * span).transpose(1, 2, 0))
 
 
 class GlobalOracle:

@@ -207,6 +207,15 @@ class TestBoxDomain:
             BoxDomain((1.0 + 1e-10,), (1.0 + 2e-10,), integral=(True,))
         BoxDomain((1.0 - 1e-10,), (1.0 + 2e-10,), integral=(True,))  # contains 1
 
+    def test_a_width_past_the_float_range_is_refused(self):
+        # both bounds are finite, their difference is not
+        with pytest.raises(ValueError, match=r"coordinate 0: the width of \[-1e\+308, 1e\+308\] overflows"):
+            BoxDomain((-1e308, 0.0), (1e308, 1.0))
+        with pytest.raises(ValueError, match="coordinate 1: the width"):
+            BoxDomain((0.0, -1.7e308), (1.0, 1.7e308), integral=(True, False))
+        box = BoxDomain((0.0, -1e308), (1e308, 0.0))
+        assert box.widths.tolist() == [1e308, 1e308] and not box.widths.flags.writeable
+
     def test_empty_box_is_rejected(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
             BoxDomain([], [])

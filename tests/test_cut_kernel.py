@@ -258,24 +258,23 @@ def box_excluded(region, los, his):
 
 def harvested(region, los, his):
     """The lattice hulls of the boxes [los, his] (ceil/floor on integral
-    columns) without the empty ones, their snapped centers, the points the
-    branch and bound draws from them, built by its own code (snapped
-    centers, corners and Halton samples), and the (boxes, points) table of
-    the rows drawn from each box."""
+    columns) without the empty ones, their snapped centers, and the
+    (boxes, slots, n) points the branch and bound draws from them, built by
+    its own code: the snapped center, the corners and the Halton samples
+    of every box."""
     s = _Search(None, region, OracleConfig(), NormKind.Two)
     integral = region.domain.integral
     los, his = np.where(integral, np.ceil(los), los), np.where(integral, np.floor(his), his)
     nonempty = (los <= his).all(axis=1)
     los, his = los[nonempty], his[nonempty]
     snapped = s.snap(0.5 * (los + his))
-    patterns = ((s.corner_pattern,) if s.corner_pattern is not None else ()) + (s.samples,)
-    blocks, owner = [snapped], [np.arange(len(los))]
-    for pattern in patterns:
-        blocks.append(s.spread(pattern, los, his))
-        owner.append(np.arange(len(los)).repeat(len(pattern)))
-    width = 1 + sum(len(pattern) for pattern in patterns)
-    owners = np.argsort(np.concatenate(owner), kind="stable").reshape(len(los), width)
-    return los, his, snapped, np.concatenate(blocks), owners
+    slots = (snapped[:, None], s.spread(s.corner_pattern, los, his), s.spread(s.samples, los, his))
+    return los, his, snapped, np.concatenate(slots, axis=1)
+
+
+def dense_membership(region, points):
+    """``membership_mask`` of the (boxes, slots, n) points, as (boxes, slots)."""
+    return region.membership_mask(points.reshape(-1, region.domain.dimension)).reshape(points.shape[:2])
 
 
 def magnitudes():
@@ -342,27 +341,24 @@ def box_cases(draw):
     """Sub-boxes of a domain (``sub_boxes``) and cuts about the points the
     branch and bound harvests from them."""
     box, los, his = draw(sub_boxes())
-    points = harvested(RelaxedRegion(box), los, his)[3]
-    return RelaxedRegion(box, cuts_about(draw, box, points)), los, his, draw(st.booleans())
+    points = harvested(RelaxedRegion(box), los, his)[3].reshape(-1, box.dimension)
+    return RelaxedRegion(box, cuts_about(draw, box, points)), los, his
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=box_cases())
 def test_box_pass_and_touching_pairs_match_the_dense_kernel(case):
-    region, los, his, pad = case
-    los, his, snapped, points, owners = harvested(region, los, his)
-    if pad:  # the -1 padding of boxes without samples
-        owners = np.hstack((owners, np.full((len(owners), 3), -1)))
+    region, los, his = case
+    los, his, snapped, points = harvested(region, los, his)
     excluded, touching, mid_violated = region.box_relations(los, his, snapped, every_cut(region, len(los)))
     assert np.array_equal(excluded, box_excluded(region, los, his))
     assert np.array_equal(excluded, ref_excluded_mask(region, los, his))
     live = ~excluded
-    dense = region.membership_mask(points)
-    assert np.array_equal(dense, ref_membership_mask(region, points))
-    kept = owners[live][owners[live] >= 0]
-    assert np.array_equal(region.touching_membership(points, owners, touching)[kept], dense[kept])
-    # snapped centers lie in the domain: the box pass decides them alone
-    assert np.array_equal(~mid_violated[live], dense[: len(los)][live])
+    dense = dense_membership(region, points)
+    assert np.array_equal(dense.ravel(), ref_membership_mask(region, points.reshape(-1, region.domain.dimension)))
+    assert np.array_equal(region.touching_membership(points, touching)[live], dense[live])
+    # snapped centers (slot 0) lie in the domain: the box pass decides them alone
+    assert np.array_equal(~mid_violated[live], dense[live, 0])
 
 
 def test_overshooting_corner_stays_rejected():
@@ -372,14 +368,14 @@ def test_overshooting_corner_stays_rejected():
     # makes the cut touch the box, so the corner is still tested.
     hi = 1.5 * 2.0 ** -53
     region = RelaxedRegion(BoxDomain((-1.0,), (1.0,)), (Cut((3e-16,), 1e-16),))
-    los, his, snapped, points, owners = harvested(region, np.array([[-1.0]]), np.array([[hi]]))
-    corner = points[owners[0]][2]
+    los, his, snapped, points = harvested(region, np.array([[-1.0]]), np.array([[hi]]))
+    corner = points[0, 2]  # slot 0 is the center, slots 1 and 2 the corners
     assert corner[0] == 2.0 ** -52 > hi
     excluded, touching, _ = region.box_relations(los, his, snapped, every_cut(region, len(los)))
     assert not excluded[0] and touching[0, 0]
-    ok = region.touching_membership(points, owners, touching)
-    assert not region.membership_mask(corner[None])[0]
-    assert np.array_equal(ok, region.membership_mask(points))
+    ok = region.touching_membership(points, touching)
+    assert not region.membership_mask(corner[None])[0] and not ok[0, 2]
+    assert np.array_equal(ok, dense_membership(region, points))
 
 
 # -- inherited candidate cuts -------------------------------------------------
@@ -409,7 +405,8 @@ def inheritance_cases(draw):
     box, los, his = draw(sub_boxes())
     bare = RelaxedRegion(box)
     dlos, dhis, *_ = descendants(bare, los, his, every_cut(bare, len(los)))
-    points = np.vstack((harvested(bare, los, his)[3], harvested(bare, dlos, dhis)[3]))
+    points = np.vstack([harvested(bare, lo, hi)[3].reshape(-1, box.dimension)
+                        for lo, hi in ((los, his), (dlos, dhis))])
     return RelaxedRegion(box, cuts_about(draw, box, points)), los, his
 
 
@@ -437,8 +434,7 @@ def test_children_tested_against_their_parents_touching_cuts_match_every_cut(cas
         assert np.array_equal(mine, every)
     # and what the branch and bound then harvests from the live descendants
     # gets the dense kernel's answer
-    _, _, _, points, owners = harvested(region, dlos, dhis)
-    live = owners[~inherited[0]]
-    kept = live[live >= 0]
-    ok = region.touching_membership(points, owners, inherited[1])
-    assert np.array_equal(ok[kept], region.membership_mask(points)[kept])
+    points = harvested(region, dlos, dhis)[3]
+    live = ~inherited[0]
+    ok = region.touching_membership(points, inherited[1])
+    assert np.array_equal(ok[live], dense_membership(region, points)[live])

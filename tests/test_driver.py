@@ -434,6 +434,24 @@ class TestDomainNorm:
             run(unit_peak(a, w), GlobalOracle(OracleConfig(), norm))
 
 
+    def test_run_refuses_a_proxy_that_forwards_another_norm(self):
+        # a proxy that forwards attributes states its inner oracle's norm;
+        # run unchecked, this one bounds the peak at -0.99999976 > -1
+        class Forwarding:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        problem = unit_peak(np.array([0.3, -0.2]), 0.1)
+        proxy = Forwarding(GlobalOracle(OracleConfig(), NormKind.Inf))
+        assert proxy.domain_norm is NormKind.Inf
+        with pytest.raises(ValueError, match="bounds in the inf-norm, but the problem's domain norm is the 1-norm"):
+            run(problem, proxy)
+        assert run(problem, Forwarding(GlobalOracle(OracleConfig(), NormKind.One))).lower_bound <= -1.0
+
+
 class TestNonFiniteConstraint:
     def test_nan_violation_raises_before_a_second_solve(self):
         problem = Problem(

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from unittest import mock
 
@@ -363,6 +364,131 @@ def test_kernel_passes_span_several_levels():
     assert passes[:2] == [1, 2 + 4 + 8 + 16 + 32 + 64]
     assert max(passes) <= oracle._BATCH_BOXES and level_passes[1] == 2
     assert 2 * len(passes) < len(level_passes)
+
+
+def halton_point(i: int, dim: int) -> np.ndarray:
+    """The i-th point (i >= 1) of the Halton sequence in [0, 1)^dim, one
+    prime base per coordinate."""
+    out = []
+    for base in (2, 3, 5, 7, 11, 13)[:dim]:
+        f, value, k = 1.0, 0.0, i
+        while k > 0:
+            f /= base
+            value += f * (k % base)
+            k //= base
+        out.append(value)
+    return np.array(out)
+
+
+def reference_harvest(region, objective, los, his):
+    """Each box's best point, listed one by one: its snapped center if the
+    region holds it, its 2^n corners (n <= 5), and the first 32 Halton
+    samples if the region does not hold the center.  Of the points the
+    region holds, the least (value, point, listing position), returned as
+    (box, kind, value, point) with kinds 0 center, 1 corner, 2 sample; and
+    the number of held points whose value is not known beforehand (a
+    continuous center's is)."""
+    box = region.domain
+    n = box.dimension
+
+    def snapped(p):
+        return np.where(box.integral, np.round(p), p)
+
+    def holds(p):
+        return bool(region.membership_mask(p[None])[0])
+
+    found, evaluated = [], 0
+    for i, (lo, hi) in enumerate(zip(los, his)):
+        center = snapped(0.5 * (lo + hi))
+        center_ok = holds(center)
+        listed = [(0, center)] if center_ok else []
+        if n <= 5:
+            listed += [(1, snapped(lo + np.array(c) * (hi - lo))) for c in itertools.product((0.0, 1.0), repeat=n)]
+        if not center_ok:
+            listed += [(2, snapped(lo + halton_point(k, n) * (hi - lo))) for k in range(1, 33)]
+        held = [(float(objective.evaluate_batch(p[None])[0]), tuple(p), position, kind, p)
+                for position, (kind, p) in enumerate(listed) if holds(p)]
+        evaluated += len(held) - (center_ok and not box.integral.any())
+        if held:
+            value, _, _, kind, p = min(held, key=lambda h: h[:3])
+            found.append((i, kind, value, p))
+    return found, evaluated
+
+
+@st.composite
+def harvest_cases(draw):
+    """Boxes of a 1-6 dim domain as the branch and bound makes them (integral
+    bounds integers, some edges of zero width, some bounds -0.0), 0-6 cuts
+    of all three norms with masks, and an objective with ties: the step
+    floor(3 x1), the zero 0 x1 (with the sign of x1), or a per-column sum
+    with slopes -1, 0 and 1."""
+    n = draw(st.integers(1, 6))
+    integral = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    lower = np.array(draw(st.lists(st.integers(-3, 1), min_size=n, max_size=n)), dtype=float)
+    lower += np.where(integral, 0.0, np.array(draw(st.lists(st.sampled_from((0.0, 0.5)), min_size=n, max_size=n))))
+    widths = st.sampled_from((0.0, 0.5, 1.0, 3.0)) | st.floats(0.0, 3.0)
+    box = BoxDomain(lower, lower + np.array(draw(st.lists(widths, min_size=n, max_size=n))), integral)
+    fractions = st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    los, his = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = [], []
+        for j in range(n):
+            if integral[j]:
+                a, b = (draw(st.integers(int(box.hull_lower[j]), int(box.hull_upper[j]))) for _ in range(2))
+            else:
+                a, b = (min(box.lower[j] + draw(fractions) * box.widths[j], box.upper[j]) for _ in range(2))
+            lo.append(float(min(a, b)))
+            hi.append(float(max(a, b)))
+        flip = np.array(draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n))).reshape(2, n)
+        los.append(np.where(flip[0] & (np.array(lo) == 0.0), -0.0, lo))
+        his.append(np.where(flip[1] & (np.array(hi) == 0.0), -0.0, hi))
+    cuts = []
+    for _ in range(draw(st.integers(0, 6))):
+        mask = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+        center = box.lower + np.array(draw(st.lists(fractions, min_size=n, max_size=n))) * box.widths
+        radius = draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 2.0))
+        cuts.append(Cut(center, radius, mask, draw(st.sampled_from(list(NormKind)))))
+    slope = np.array(draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=n, max_size=n)))
+    evaluator = draw(st.sampled_from((
+        lambda p: np.floor(3.0 * p[:, 0]),
+        lambda p: 0.0 * p[:, 0],
+        lambda p: sum(p[:, j] * slope[j] for j in range(n)),  # each row's value is the same in any batch
+    )))
+    return RelaxedRegion(box, tuple(cuts)), evaluator, np.array(los), np.array(his)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=harvest_cases())
+def test_harvest_matches_a_point_by_point_reference(case):
+    # slot order is the listing order, so equal points (0.0 and -0.0) of
+    # equal value go to the first listed, bit for bit
+    region, evaluator, los, his = case
+    batches = []
+
+    def counted(p):
+        batches.append(len(p))
+        return evaluator(p)
+
+    objective = ObjectiveSpec(None, 1.0, batch_evaluator=counted)
+    search = _Search(objective, region, OracleConfig(), NormKind.Two)
+    centers = 0.5 * (los + his)
+    snapped = search.snap(centers)
+    every_cut = np.ones((region.stacked_cuts, len(los)), dtype=bool)
+    dead, touching, mid_violated = region.box_relations(los, his, snapped, every_cut)
+    live = ~dead  # the branch and bound harvests live boxes only
+    los, his, snapped, centers = los[live], his[live], snapped[live], centers[live]
+    f_centers = objective.evaluate_batch(centers)
+    batches.clear()
+    boxes, kinds, values, points = search.harvest(los, his, snapped, f_centers, ~mid_violated[live],
+                                                  touching[:, live])
+    expected, evaluated = reference_harvest(region, ObjectiveSpec(None, 1.0, batch_evaluator=evaluator), los, his)
+    # one objective call, on the held points whose value is not known yet
+    assert batches == ([evaluated] if evaluated else [])
+    assert list(boxes) == [e[0] for e in expected]
+    assert list(kinds) == [e[1] for e in expected]
+    assert np.array(values, dtype=float).tobytes() == np.array([e[2] for e in expected], dtype=float).tobytes()
+    n = region.domain.dimension
+    assert np.asarray(points).tobytes() == np.array([e[3] for e in expected]).reshape(-1, n).tobytes()
 
 
 def nan_above_03() -> tuple:

@@ -507,6 +507,15 @@ class TestCliBounds:
         assert "radius: 7.0710678118654752e+199\n" in out
         assert "asphericity: 1.4142135623730951\n" in out
 
+    def test_a_box_whose_width_overflows_is_an_error(self, tmp_path, capsys):
+        data = dict(SIN_FILE, bounds=[[-1e308, 1e308], [-1.0, 1.0]])
+        path = tmp_path / "overflowing.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["bounds", "--problem", str(path), "--delta", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coordinate 0: the width of [-1e+308, 1e+308] overflows\n"
+
     def test_overflowing_lattice_count(self, tmp_path, capsys):
         # 1e330 lattice points; the radius, about 8.7e109, is still finite
         data = dict(SIN_FILE, dimension=3, bounds=[[0.0, 1e110]] * 3, integral=[True] * 3)
