@@ -171,7 +171,7 @@ class BoxDomain:
 
     @property
     def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
+        return 0.5 * self.lower + 0.5 * self.upper
 
     def diameter(self, norm: NormKind) -> float:
         return norm_eval(norm, self.widths)
@@ -456,8 +456,10 @@ class ObjectiveSpec:
     tree levels in one call and replays its decisions from those values,
     so its results are those of one call per level only under this
     requirement.  It also evaluates centers of boxes that the replay then
-    prunes, so a NaN or infinite value anywhere in the box can stop a
-    solve that a one-level search would have finished."""
+    prunes, and its first pass, which has no incumbent to prune by, also
+    evaluates their corners and samples, so a NaN or infinite value
+    anywhere in the box can stop a solve that a one-level search would
+    have finished."""
 
     evaluator: Callable[[np.ndarray], float] | None
     lipschitz_f: float

@@ -17,9 +17,13 @@ The loop per iteration k:
    whenever the constraint carries one (``pointwise_L``); component
    mode adds ONE cut with the maximal per-component radius
    max_p r_p(x)_+ / L_p, recording the attaining component and using that
-   component's active-coordinate mask.  The maximal-radius ball contains
-   all smaller concentric per-component balls, so a single cut yields the
-   same region.  In approximate mode the radius is floored at epsilon by
+   component's active-coordinate mask.  When every component has the
+   same mask, or none has one, the maximal-radius ball contains all
+   smaller concentric per-component balls, so the single cut yields the
+   same region as they do.  With different masks each component's ball is
+   a cylinder over its own coordinates, and the single cut is still valid
+   but weaker: it keeps points that another component's cylinder
+   excludes.  In approximate mode the radius is floored at epsilon by
    default so excluded balls never degenerate.
 
 The driver loop is inherently sequential; each run owns its oracle.

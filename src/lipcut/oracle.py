@@ -31,8 +31,10 @@ children only), and measures every box of every level at once: one
 it is given whether the box lies inside the ball, whether the ball
 touches the box, and whether it holds the box's snapped center; one
 objective call on the live centers, for the lower bounds f(c) - L_f * rho;
-and one harvest.  The root is measured alone and given every cut.  Each
-box is given only the cuts that touch the wave box it descends from: it
+and one harvest.  The root shares the first pass with the six levels
+below it (127 boxes, by the same rule), all given every cut; with no
+incumbent yet, that pass harvests every live box.  Every later box is
+given only the cuts that touch the wave box it descends from: it
 lies inside that box, so a cut that misses that box (widened by the
 pass's margin) misses it too, and the answers are those of a pass over
 every cut.  The harvest lays out the snapped centers, corners and Halton
@@ -172,6 +174,16 @@ def _corner_pattern(dim: int) -> np.ndarray:
     return out
 
 
+def _pass_depth(boxes: int) -> int:
+    """The tree levels of one kernel pass over ``boxes`` boxes and their
+    descendants: the largest d (at least 1) with boxes * (2^d - 1) <=
+    ``_BATCH_BOXES``, the size of their full trees."""
+    depth = 1
+    while boxes * (2 ** (depth + 1) - 1) <= _BATCH_BOXES:
+        depth += 1
+    return depth
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class _Batch:
     """The boxes of one kernel pass, several tree levels deep, and what the
@@ -231,11 +243,11 @@ class _Search:
 
     def run(self) -> OracleResult:
         tol = self.config.tolerance
-        # the root alone, tested against every cut: the incumbent its harvest
-        # finds spares the harvest of the boxes that the first pass measures
+        # the root and the levels below it share the first pass, tested
+        # against every cut; with no incumbent yet it harvests every live box
         every_cut = np.ones((1, self.region.stacked_cuts), dtype=bool)
-        root = self.measure(*self.grow(self.box.hull_lower[None, :], self.box.hull_upper[None, :], every_cut, 1))
-        self.admit([(root, 0)])
+        root = self.box.hull_lower[None, :], self.box.hull_upper[None, :]
+        self.admit([(self.measure(*self.grow(*root, every_cut, _pass_depth(1))), 0)])
         while self.heap:
             if self.best_point is not None and self.best_value - self.heap[0][0] <= tol:
                 return self.finish(self.best_value - self.heap[0][0])
@@ -313,7 +325,10 @@ class _Search:
         if pruned:
             self.discard_floor = min(self.discard_floor, *pruned)
         if offered:
-            _, value, point = min(offered, key=lambda o: (o[1], tuple(o[2]), o[0]))
+            # the least (value, point, kind), comparing points only on a tie
+            least = min([o[1] for o in offered])
+            tied = [o for o in offered if o[1] == least]
+            _, value, point = min(tied, key=lambda o: (tuple(o[2]), o[0])) if len(tied) > 1 else tied[0]
             if value < self.best_value or (
                 value == self.best_value
                 and self.best_point is not None
@@ -327,14 +342,10 @@ class _Search:
         """One kernel pass over the children of the splittable boxes
         [los, his], each tested against its parent's row of the (boxes, K)
         ``touching``, and over their descendants: d levels in all, d the
-        largest (at least 1) with children * (2^d - 1) <= ``_BATCH_BOXES``,
-        the size of a full tree.  Boxes 2j and 2j + 1 of the batch are the
-        children of box j."""
+        ``_pass_depth`` of the children.  Boxes 2j and 2j + 1 of the batch
+        are the children of box j."""
         _, clos, chis = self.split(los, his)
-        depth = 1
-        while len(clos) * (2 ** (depth + 1) - 1) <= _BATCH_BOXES:
-            depth += 1
-        return self.measure(*self.grow(clos, chis, touching.repeat(2, axis=0), depth))
+        return self.measure(*self.grow(clos, chis, touching.repeat(2, axis=0), _pass_depth(len(clos))))
 
     def split(self, los: np.ndarray, his: np.ndarray):
         """Split each box that has an edge at least ``_BOX_MIN_WIDTH`` wide
@@ -346,21 +357,25 @@ class _Search:
         only when b - a >= 1, and then a <= floor(mid) < b; a continuous
         mid lies in [a, b]."""
         widths = his - los
-        widths[widths < _BOX_MIN_WIDTH] = -np.inf
-        j = widths.argmax(axis=1)
-        can = np.flatnonzero(widths[np.arange(len(j)), j] > -np.inf)
-        j = j[can]
-        a, b = los[can, j], his[can, j]
-        mid = 0.5 * (a + b)
+        if self.has_integral or (widths.size and widths.min() < _BOX_MIN_WIDTH):
+            widths[widths < _BOX_MIN_WIDTH] = -np.inf
+            j = widths.argmax(axis=1)
+            can = np.flatnonzero(widths[np.arange(len(j)), j] > -np.inf)
+            los, his, j = los[can], his[can], j[can]
+        else:
+            # continuous boxes with no narrow edge: every box splits
+            j = widths.argmax(axis=1)
+            can = np.arange(len(j))
+        rows = np.arange(len(can))
+        mid = 0.5 * los[rows, j] + 0.5 * his[rows, j]
         upper = mid
         if self.has_integral:
             integral = self.integral[j]
             mid = np.where(integral, np.floor(mid), mid)
             upper = np.where(integral, mid + 1.0, mid)
-        clos, chis = los[can].repeat(2, axis=0), his[can].repeat(2, axis=0)
-        rows = 2 * np.arange(len(can))
-        chis[rows, j] = mid
-        clos[rows + 1, j] = upper
+        clos, chis = los.repeat(2, axis=0), his.repeat(2, axis=0)
+        chis[2 * rows, j] = mid
+        clos[2 * rows + 1, j] = upper
         return can, clos, chis
 
     def grow(self, los: np.ndarray, his: np.ndarray, candidates: np.ndarray, depth: int):
@@ -393,7 +408,7 @@ class _Search:
         centers, and the harvest of the live boxes whose bound is below
         the incumbent minus tol.  The incumbent only improves, so the
         replay (``admit``) pushes no other box."""
-        centers = 0.5 * (los + his)
+        centers = 0.5 * los + 0.5 * his
         snapped = self.snap(centers)  # centers itself when nothing is integral
         dead, touching, mid_violated = self.region.box_relations(los, his, snapped, candidates)
         live = np.flatnonzero(~dead)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from lipcut.core import (
     BoxDomain,
@@ -215,6 +217,25 @@ class TestBoxDomain:
             BoxDomain((0.0, -1.7e308), (1.0, 1.7e308), integral=(True, False))
         box = BoxDomain((0.0, -1e308), (1e308, 0.0))
         assert box.widths.tolist() == [1e308, 1e308] and not box.widths.flags.writeable
+
+    def test_center_of_bounds_whose_sum_passes_the_float_range(self):
+        # the width 7e307 is finite, the sum of the bounds is not
+        assert BoxDomain((1e308,), (1.7e308,)).center.tolist() == [1.35e308]
+
+    @given(bounds=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)] * 2),
+                           min_size=1, max_size=4))
+    def test_center_is_the_halved_sum_where_that_is_finite(self, bounds):
+        # halving is exact for normal floats, so 0.5 * lo + 0.5 * hi has the
+        # bits of 0.5 * (lo + hi) wherever the sum neither overflows nor
+        # halves into the subnormal range
+        lower, upper = np.array([sorted(pair) for pair in bounds]).T
+        tiny = 2.0 * np.finfo(float).tiny
+        with np.errstate(over="ignore"):
+            total, widths = lower + upper, upper - lower
+        assume(np.isfinite(total).all() and np.isfinite(widths).all())
+        assume(((lower == 0) | (np.abs(lower) >= tiny)).all() and ((upper == 0) | (np.abs(upper) >= tiny)).all())
+        assume(((total == 0) | (np.abs(total) >= tiny)).all())
+        assert BoxDomain(lower, upper).center.tobytes() == (0.5 * total).tobytes()
 
     def test_empty_box_is_rejected(self):
         with pytest.raises(ValueError, match="at least one coordinate"):

@@ -235,6 +235,21 @@ class TestComponentMode:
             pts = rng.uniform(-2, 2, size=(2000, 2))
             assert (single.membership_mask(pts) == multi.membership_mask(pts)).all()
 
+    def test_max_radius_cut_is_weaker_than_component_cylinders_of_different_masks(self):
+        # components on x1 alone and on x2 alone, radii 0.3 and 0.2 at x: the
+        # single cut is the first component's, so it keeps every point that
+        # the two cylinders keep, and also (x1 + 0.5, x2 + 0.1), which the
+        # second component's cylinder excludes
+        x = np.array([0.1, -0.2])
+        box = BoxDomain((-2.0, -2.0), (2.0, 2.0))
+        first, second = Cut(x, 0.3, mask=(True, False)), Cut(x, 0.2, mask=(False, True))
+        single = RelaxedRegion(box, (first,))
+        multi = RelaxedRegion(box, (first, second))
+        point = x + np.array([0.5, 0.1])
+        assert region_membership(single, point) and not region_membership(multi, point)
+        pts = np.random.default_rng(59).uniform(-2, 2, size=(2000, 2))
+        assert (single.membership_mask(pts) >= multi.membership_mask(pts)).all()
+
 
 class TestPointwiseL:
     def base_problem(self, pointwise):

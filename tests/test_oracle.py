@@ -204,6 +204,18 @@ class TestSolveGlobal:
         assert (result.value, result.gap, result.nodes) == (-50.0, 25.0, 1)
         assert result.point.tolist() == [5e-11]
 
+    @pytest.mark.parametrize("norm", [NormKind.Inf, NormKind.One])
+    def test_bounds_whose_sum_passes_the_float_range(self, norm):
+        # [1e308, 1.7e308] has a finite width but not a finite sum of its
+        # bounds, and the cut excludes [9e307, 1.1e308]: min 1e-308 x1
+        box = BoxDomain((1e308,), (1.7e308,))
+        obj = ObjectiveSpec(None, 1e-308, batch_evaluator=lambda p: p[:, 0] * 1e-308)
+        region = RelaxedRegion(box, (Cut([1e308], 1e307, norm=norm),))
+        result = GlobalOracle(OracleConfig(), norm).solve(obj, region)
+        assert result.status is OracleStatus.Solved and result.nodes == 18
+        assert result.point[0] == pytest.approx(1.1e308)
+        assert region_membership(region, result.point)
+
     def test_integral_domain(self):
         box = BoxDomain((0.0,), (3.0,), integral=(True,))
         obj = ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0])
@@ -314,6 +326,33 @@ def replay_cases(draw):
     return objective, RelaxedRegion(box, tuple(cuts)), config, draw(st.sampled_from(list(NormKind)))
 
 
+def reference_split(lo, hi, integral):
+    """The two children of the box [lo, hi], lists of floats, as (lower
+    child, upper child) pairs of (lo, hi) lists, or None when it has no
+    edge at least 1e-10 wide: its longest such edge, the lowest index on
+    ties, halved at (a + b) / 2; an integral edge at floor((a + b) / 2),
+    the upper child from there plus one."""
+    widths = [b - a for a, b in zip(lo, hi)]
+    edges = [j for j, w in enumerate(widths) if w >= 1e-10]
+    if not edges:
+        return None
+    j = max(edges, key=lambda j: (widths[j], -j))
+    mid = upper = (lo[j] + hi[j]) / 2
+    if integral[j]:
+        mid = float(np.floor(mid))
+        upper = mid + 1.0
+    lower_hi, upper_lo = list(hi), list(lo)
+    lower_hi[j], upper_lo[j] = mid, upper
+    return (lo, lower_hi), (upper_lo, hi)
+
+
+def tree_size(lo, hi, integral, levels):
+    """The number of boxes within ``levels`` levels of the tree that
+    ``reference_split`` grows from the box [lo, hi], lists of floats."""
+    children = reference_split(lo, hi, integral) if levels > 1 else None
+    return 1 + sum(tree_size(*child, integral, levels - 1) for child in children or ())
+
+
 def global_outcome(objective, region, config, domain_norm):
     """The bytes of a global solve's result or of its ResourceLimitError
     and the number of boxes it pushed on its heap; and the size of each
@@ -348,7 +387,11 @@ def test_batched_levels_replay_the_one_level_search(case):
         one_level, level_passes = global_outcome(*case)
     assert batched == one_level
     assert len(passes) <= len(level_passes)
-    assert passes[0] == level_passes[0] == 1  # the root, alone
+    # the first pass measures the root and the six levels below it, the
+    # one-level search the root alone
+    box = case[1].domain
+    assert passes[0] == tree_size(box.hull_lower.tolist(), box.hull_upper.tolist(), box.integral, 7)
+    assert level_passes[0] == 1
 
 
 def test_kernel_passes_span_several_levels():
@@ -360,10 +403,80 @@ def test_kernel_passes_span_several_levels():
     with mock.patch.object(oracle, "_BATCH_BOXES", 0):
         one_level, level_passes = global_outcome(sin_objective(), region, config, NormKind.Two)
     assert batched == one_level
-    # the root alone, then its children and the five levels below them
-    assert passes[:2] == [1, 2 + 4 + 8 + 16 + 32 + 64]
+    # the root and the six levels below it, then the children of the
+    # deepest boxes and the five levels below them
+    assert passes[:2] == [1 + 2 + 4 + 8 + 16 + 32 + 64, 2 + 4 + 8 + 16 + 32 + 64]
     assert max(passes) <= oracle._BATCH_BOXES and level_passes[1] == 2
     assert 2 * len(passes) < len(level_passes)
+
+
+@st.composite
+def split_cases(draw):
+    """A batch of 0-6 boxes in 1-4 dimensions, continuous or with some
+    integral coordinates: continuous widths at, just around and well above
+    the 1e-10 split floor, often equal, integral widths of 0-3, and bounds
+    of -0.0 and 0.0."""
+    n = draw(st.integers(1, 4))
+    integral = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if draw(st.booleans()) else [False] * n
+    floor = 1e-10
+    widths = st.sampled_from((0.0, floor, math.nextafter(floor, 0.0), math.nextafter(floor, 1.0), 2 * floor,
+                              0.5, 1.0, 3.0)) | st.floats(0.0, 4.0)
+    starts = st.sampled_from((0.0, -0.0, 1.0, -2.0, 0.3)) | st.floats(-8.0, 8.0)
+    los, his = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        lo, hi = [], []
+        for j in range(n):
+            if integral[j]:
+                a = draw(st.sampled_from((-0.0, 0.0)) | st.integers(-4, 4).map(float))
+                b = a + draw(st.integers(0, 3))
+            else:
+                a = draw(starts)
+                b = a + draw(widths)
+            if b == 0.0 and draw(st.booleans()):
+                b = -0.0
+            lo.append(a)
+            hi.append(b)
+        los.append(lo)
+        his.append(hi)
+    return integral, np.array(los).reshape(-1, n), np.array(his).reshape(-1, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=split_cases())
+def test_split_matches_a_box_by_box_reference(case):
+    # bit for bit, on the continuous path that splits every box and on the
+    # path that masks edges narrower than the floor or rounds integral ones
+    integral, los, his = case
+    n = len(integral)
+    region = RelaxedRegion(BoxDomain([-20.0] * n, [20.0] * n, integral))
+    search = _Search(sin_objective(), region, OracleConfig(), NormKind.Two)
+    given_los, given_his = los.copy(), his.copy()
+    can, clos, chis = search.split(los, his)
+    assert los.tobytes() == given_los.tobytes() and his.tobytes() == given_his.tobytes()
+    split = [(i, reference_split(lo, hi, integral)) for i, (lo, hi) in enumerate(zip(los.tolist(), his.tolist()))]
+    children = [child for _, pair in split if pair is not None for child in pair]
+    assert can.tolist() == [i for i, pair in split if pair is not None]
+    assert clos.tobytes() == np.array([lo for lo, _ in children]).reshape(-1, n).tobytes()
+    assert chis.tobytes() == np.array([hi for _, hi in children]).reshape(-1, n).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(offers=st.lists(st.tuples(st.sampled_from((0, 1, 2)), st.sampled_from((-0.0, 0.0, 1.0, -1.0)),
+                                 st.lists(st.sampled_from((-0.0, 0.0, 0.5)), min_size=2, max_size=2)),
+                       min_size=1, max_size=12))
+def test_admit_takes_the_least_value_point_and_kind(offers):
+    # equal values (-0.0 and 0.0) go to the least point, equal points to the
+    # least kind, and the incumbent keeps the chosen offer's own bits
+    offered = [(kind, value, np.array(point)) for kind, value, point in offers]
+    count = len(offered)
+    batch = oracle._Batch(np.zeros((count, 2)), np.ones((count, 2)), np.zeros((0, count), dtype=bool),
+                          [False] * count, [0.0] * count, [oracle._LEAF] * count, offered)
+    region = RelaxedRegion(BoxDomain((0.0, 0.0), (1.0, 1.0)))
+    search = _Search(sin_objective(), region, OracleConfig(), NormKind.Two)
+    search.admit([(batch, i) for i in range(count)])
+    _, value, point = min(offered, key=lambda o: (o[1], tuple(o[2]), o[0]))
+    assert np.float64(search.best_value).tobytes() == np.float64(value).tobytes()
+    assert search.best_point.tobytes() == point.tobytes()
 
 
 def halton_point(i: int, dim: int) -> np.ndarray:
