@@ -171,7 +171,10 @@ class BoxDomain:
 
     @property
     def center(self) -> np.ndarray:
-        return 0.5 * self.lower + 0.5 * self.upper
+        # halves first, so that the sum cannot overflow; a subnormal half
+        # rounds (0.5 * 5e-324 is 0), which can carry the sum past a bound
+        mid = 0.5 * self.lower + 0.5 * self.upper
+        return np.where(mid < self.lower, self.lower, np.where(mid > self.upper, self.upper, mid))
 
     def diameter(self, norm: NormKind) -> float:
         return norm_eval(norm, self.widths)
@@ -456,10 +459,8 @@ class ObjectiveSpec:
     tree levels in one call and replays its decisions from those values,
     so its results are those of one call per level only under this
     requirement.  It also evaluates centers of boxes that the replay then
-    prunes, and its first pass, which has no incumbent to prune by, also
-    evaluates their corners and samples, so a NaN or infinite value
-    anywhere in the box can stop a solve that a one-level search would
-    have finished."""
+    prunes, so a NaN or infinite value anywhere in the box can stop a
+    solve that a one-level search would have finished."""
 
     evaluator: Callable[[np.ndarray], float] | None
     lipschitz_f: float

@@ -32,8 +32,10 @@ it is given whether the box lies inside the ball, whether the ball
 touches the box, and whether it holds the box's snapped center; one
 objective call on the live centers, for the lower bounds f(c) - L_f * rho;
 and one harvest.  The root shares the first pass with the six levels
-below it (127 boxes, by the same rule), all given every cut; with no
-incumbent yet, that pass harvests every live box.  Every later box is
+below it (127 boxes, by the same rule), all given every cut.  Its
+harvest takes the root first: the replay admits the root alone, so the
+root's offer is the incumbent when any box below it is admitted, and it
+prunes their harvest as it would a pass of their own.  Every later box is
 given only the cuts that touch the wave box it descends from: it
 lies inside that box, so a cut that misses that box (widened by the
 pass's margin) misses it too, and the answers are those of a pass over
@@ -244,10 +246,10 @@ class _Search:
     def run(self) -> OracleResult:
         tol = self.config.tolerance
         # the root and the levels below it share the first pass, tested
-        # against every cut; with no incumbent yet it harvests every live box
+        # against every cut; the root's offer prunes the harvest of the rest
         every_cut = np.ones((1, self.region.stacked_cuts), dtype=bool)
-        root = self.box.hull_lower[None, :], self.box.hull_upper[None, :]
-        self.admit([(self.measure(*self.grow(*root, every_cut, _pass_depth(1))), 0)])
+        hull = self.box.hull_lower[None, :], self.box.hull_upper[None, :]
+        self.admit([(self.measure(*self.grow(*hull, every_cut, _pass_depth(1)), root=True), 0)])
         while self.heap:
             if self.best_point is not None and self.best_value - self.heap[0][0] <= tol:
                 return self.finish(self.best_value - self.heap[0][0])
@@ -355,7 +357,8 @@ class _Search:
         child first.  No child is empty and integral bounds stay integers:
         an integral edge [a, b] has an integer width, so it is splittable
         only when b - a >= 1, and then a <= floor(mid) < b; a continuous
-        mid lies in [a, b]."""
+        mid, 0.5 * a + 0.5 * b, lies in [a, b], since b - a >= 1e-10 dwarfs
+        the rounding of a subnormal half."""
         widths = his - los
         if self.has_integral or (widths.size and widths.min() < _BOX_MIN_WIDTH):
             widths[widths < _BOX_MIN_WIDTH] = -np.inf
@@ -363,7 +366,8 @@ class _Search:
             can = np.flatnonzero(widths[np.arange(len(j)), j] > -np.inf)
             los, his, j = los[can], his[can], j[can]
         else:
-            # continuous boxes with no narrow edge: every box splits
+            # continuous boxes with no narrow edge, as in every split call
+            # of comp-cuts and random-batch: every box splits, no masking
             j = widths.argmax(axis=1)
             can = np.arange(len(j))
         rows = np.arange(len(can))
@@ -401,13 +405,17 @@ class _Search:
         los, his = (np.concatenate(side) for side in zip(*levels))
         return los, his, candidates[np.concatenate(ancestors)].T, np.concatenate(kids)
 
-    def measure(self, los: np.ndarray, his: np.ndarray, candidates: np.ndarray, kid: np.ndarray) -> "_Batch":
+    def measure(self, los: np.ndarray, his: np.ndarray, candidates: np.ndarray, kid: np.ndarray,
+                root: bool = False) -> "_Batch":
         """One kernel pass over boxes of several tree levels, each tested
         only against its candidate cuts, the columns of the (K, boxes)
         ``candidates``: ``box_relations``, one objective call on the live
         centers, and the harvest of the live boxes whose bound is below
         the incumbent minus tol.  The incumbent only improves, so the
-        replay (``admit``) pushes no other box."""
+        replay (``admit``) pushes no other box.  With ``root``, box 0 is
+        the root, which the replay admits alone before any box below it,
+        so its offer is the incumbent that prunes the harvest of the rest
+        (``harvest``'s ``bounds``)."""
         centers = 0.5 * los + 0.5 * his
         snapped = self.snap(centers)  # centers itself when nothing is integral
         dead, touching, mid_violated = self.region.box_relations(los, his, snapped, candidates)
@@ -420,21 +428,24 @@ class _Search:
         kept = live[lbs[live] < self.best_value - self.config.tolerance]
         best = [None] * len(los)
         if kept.size:
-            found = self.harvest(los[kept], his[kept], snapped[kept], f_centers[kept],
-                                 ~mid_violated[kept], touching[:, kept])
+            found = self.harvest(los[kept], his[kept], snapped[kept], f_centers[kept], ~mid_violated[kept],
+                                 touching[:, kept], lbs[kept] if root and kept[0] == 0 else None)
             for i, kind, value, point in zip(*found):
                 best[kept[i]] = (kind, value, point)
         return _Batch(los, his, touching, dead.tolist(), lbs.tolist(), kid.tolist(), best)
 
-    def harvest(self, los, his, snapped, f_centers, center_ok, touching):
+    def harvest(self, los, his, snapped, f_centers, center_ok, touching, bounds=None):
         """Each box's best feasible point among its (snapped) center, its
         corners (n <= 5), and its Halton samples when its center is
         infeasible: slots 0, 1..2^n and the last 32 of a (boxes, slots, n)
         array, the samples only when some center is infeasible.  Points are
         tested only against the cuts that touch their box (``touching``).
-        Returns the boxes that have one, ascending, and for each the
-        point's kind (0 center, 1 corner, 2 sample), value and the point:
-        the least (value, point, slot).  Slot order is the tie order."""
+        Given the boxes' lower ``bounds``, box 0 is the root: its points
+        are evaluated first, and a later box whose bound is not below the
+        root's least value minus tol has none.  Returns the boxes that have
+        one, ascending, and for each the point's kind (0 center, 1 corner,
+        2 sample), value and the point: the least (value, point, slot).
+        Slot order is the tie order."""
         samples_from = 1 + len(self.corner_pattern)  # after the center and the corners
         bad = ~center_ok
         slots = samples_from + (_MAX_SAMPLES if bad.any() else 0)
@@ -450,6 +461,13 @@ class _Search:
             # feasible centers already carry their objective value
             values[:, 0] = np.where(valid[:, 0], f_centers, np.inf)
         fresh = valid & (values == np.inf)
+        if bounds is not None:
+            if fresh[0].any():
+                values[0, fresh[0]] = self.objective.evaluate_batch(pts[0, fresh[0]])
+            fresh[0] = False
+            pruned = ~(bounds < values[0].min() - self.config.tolerance)
+            pruned[0] = False
+            values[pruned], fresh[pruned] = np.inf, False
         if fresh.any():
             values[fresh] = self.objective.evaluate_batch(pts[fresh])
         least = values.min(axis=1)

@@ -222,6 +222,20 @@ class TestBoxDomain:
         # the width 7e307 is finite, the sum of the bounds is not
         assert BoxDomain((1e308,), (1.7e308,)).center.tolist() == [1.35e308]
 
+    @pytest.mark.parametrize("ulps", [1, 3, 5])
+    def test_center_of_a_zero_width_subnormal_coordinate_is_its_bound(self, ulps):
+        # 0.5 * lo rounds there: 0.5 * 5e-324 is 0, half of 3 ulps rounds to 2
+        bound = ulps * 5e-324
+        assert BoxDomain((bound, 0.0), (bound, 1.0)).center.tolist() == [bound, 0.5]
+
+    @given(bounds=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2), min_size=1, max_size=4))
+    def test_center_lies_in_the_box(self, bounds):
+        lower, upper = np.array([sorted(pair) for pair in bounds]).T
+        with np.errstate(over="ignore"):
+            assume(np.isfinite(upper - lower).all())
+        center = BoxDomain(lower, upper).center
+        assert ((lower <= center) & (center <= upper)).all()
+
     @given(bounds=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)] * 2),
                            min_size=1, max_size=4))
     def test_center_is_the_halved_sum_where_that_is_finite(self, bounds):

@@ -277,9 +277,9 @@ def test_every_box_of_the_search_lies_on_the_lattice_hull(case):
     batches = []
     measure = search.measure
 
-    def recorded(los, his, *rest):  # every box of a kernel pass, at every level
+    def recorded(los, his, *rest, **flags):  # every box of a kernel pass, at every level
         batches.append((los.copy(), his.copy()))
-        return measure(los, his, *rest)
+        return measure(los, his, *rest, **flags)
 
     search.measure = recorded
     try:
@@ -361,9 +361,9 @@ def global_outcome(objective, region, config, domain_norm):
     passes = []
     measure = search.measure
 
-    def counted(*batch):
+    def counted(*batch, **flags):
         passes.append(len(batch[0]))
-        return measure(*batch)
+        return measure(*batch, **flags)
 
     search.measure = counted
     try:
@@ -408,6 +408,40 @@ def test_kernel_passes_span_several_levels():
     assert passes[:2] == [1 + 2 + 4 + 8 + 16 + 32 + 64, 2 + 4 + 8 + 16 + 32 + 64]
     assert max(passes) <= oracle._BATCH_BOXES and level_passes[1] == 2
     assert 2 * len(passes) < len(level_passes)
+
+
+def test_the_first_pass_harvests_as_a_root_pass_and_its_descent_would():
+    # the replay admits the root alone, so the root's offer is the incumbent
+    # when the boxes below it are admitted: the first pass offers and
+    # evaluates what a pass over the root alone and then a descent below it
+    # would, apart from the centers it measures in one call
+    region = RelaxedRegion(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (Cut((-0.5, -0.5), 0.6),))
+    sizes = []
+
+    def recorded(p):
+        sizes.append(len(p))
+        return np.abs(p[:, 0] - p[:, 1]) + p[:, 0]
+
+    objective = ObjectiveSpec(None, SQRT5, batch_evaluator=recorded)
+    search = _Search(objective, region, OracleConfig(tolerance=1e-3), NormKind.Two)
+    every_cut = np.ones((1, region.stacked_cuts), dtype=bool)
+    hull = search.box.hull_lower[None, :], search.box.hull_upper[None, :]
+    first = search.measure(*search.grow(*hull, every_cut, 7), root=True)
+    first_sizes, sizes[:] = sizes[:], []
+    ref = _Search(objective, region, OracleConfig(tolerance=1e-3), NormKind.Two)
+    root = ref.measure(*ref.grow(*hull, every_cut, 1))
+    ref.admit([(root, 0)])
+    below = ref.descend(*hull, every_cut)
+    assert len(first.los) == 1 + len(below.los) == 127
+    assert first.los.tobytes() == np.concatenate([root.los, below.los]).tobytes()
+
+    def offers(best):
+        return [None if b is None else (b[0], b[1], b[2].tobytes()) for b in best]
+
+    assert offers(first.best) == offers(root.best + below.best)
+    assert sum(1 for b in below.best if b is not None) < 126
+    # the same points, with one objective call fewer: the centers' of one pass
+    assert sum(first_sizes) == sum(sizes) and len(first_sizes) == len(sizes) - 1
 
 
 @st.composite
