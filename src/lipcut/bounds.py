@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import BoxDomain, NormKind, norm_eval
+from .core import BoxDomain, NormKind, finite, nonnegative, norm_eval, positive, positive_integer
 
 
 def box_packing_bound(box: BoxDomain, L: float, delta: float) -> float:
@@ -25,7 +25,7 @@ def box_packing_bound(box: BoxDomain, L: float, delta: float) -> float:
     distance > delta/L in the box under the max norm.  Derived under
     delta/L < 1; outside that regime the value is still computed but a
     warning is issued."""
-    _check_positive(L=L, delta=delta)
+    L, delta = positive(L, "L"), positive(delta, "delta")
     if delta / L >= 1.0:
         warnings.warn(f"packing bound derived for delta/L < 1, got {delta / L}")
     with np.errstate(over="ignore"):
@@ -47,16 +47,14 @@ def lattice_count(box: BoxDomain) -> int | float:
 
 def ball_packing_bound(D: float, L: float, delta: float, n: int) -> float:
     """(2 L D / delta + 1)^n for a Euclidean ball of radius D."""
-    _check_positive(L=L, delta=delta, n=n)
-    if D < 0:
-        raise ValueError("ball radius must be nonnegative")
+    D, L, delta, n = nonnegative(D, "D"), positive(L, "L"), positive(delta, "delta"), positive_integer(n, "n")
     return _power(2.0 * L * D / delta + 1.0, n)
 
 
 def complexity_upper(rho: float, epsilon: float, n: int) -> float:
     """((2 rho + epsilon) / epsilon)^n: oracle calls until an
     epsilon-approximate solution, for a domain of radius rho."""
-    _check_positive(rho=rho, epsilon=epsilon, n=n)
+    rho, epsilon, n = positive(rho, "rho"), positive(epsilon, "epsilon"), positive_integer(n, "n")
     return _power((2.0 * rho + epsilon) / epsilon, n)
 
 
@@ -66,9 +64,9 @@ def complexity_lower(alpha: float, epsilon: float, n: int, c: float = 1.0) -> fl
     The constant c is a free parameter (default 1): the underlying lower
     bound only asserts existence of some c > 0.
     """
-    if alpha < 1.0:
-        raise ValueError("asphericity is at least 1 by definition")
-    _check_positive(epsilon=epsilon, n=n, c=c)
+    if finite(alpha, "alpha") < 1.0:
+        raise ValueError(f"asphericity is at least 1 by definition, got {alpha!r}")
+    epsilon, n, c = positive(epsilon, "epsilon"), positive_integer(n, "n"), positive(c, "c")
     value = _power(c / (alpha * epsilon), n)
     if value == math.inf:
         raise ValueError(f"complexity lower bound (c / (alpha * epsilon))^n overflows for epsilon = {epsilon}")
@@ -106,10 +104,3 @@ def _power(base: float, n: int) -> float:
         return float(base**n)
     except OverflowError:
         return math.inf
-
-
-def _check_positive(**values):
-    for name, value in values.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-

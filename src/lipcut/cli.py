@@ -130,6 +130,9 @@ def _cmd_solve(args) -> int:
     if args.oracle_tol is not None and args.oracle == "local":
         print("error: --oracle-tol sets the global oracle's tolerance; the local oracle has none", file=sys.stderr)
         return _EXIT_ERROR
+    if args.start is not None and args.oracle == "global":
+        print("error: --start sets the local oracle's start point; the global oracle has none", file=sys.stderr)
+        return _EXIT_ERROR
     mode = CutMode(args.mode) if args.mode else None
     built = _load(
         args,
@@ -227,6 +230,12 @@ def _cmd_estimate(args) -> int:
 def _cmd_emit_milp(args) -> int:
     built = _load(args)
     box = built.problem.domain
+    if args.trace and args.norm == "inf" and built.problem.domain_norm is not NormKind.Inf:
+        # a trace's cuts are balls in the domain norm, and an inf-norm ball
+        # of the same radius is larger; a 1-norm ball lies inside it
+        print(f"error: the trace's cuts are {built.problem.domain_norm.value}-norm balls, and --norm inf would "
+              "export larger ones that can exclude feasible points; use --norm 1", file=sys.stderr)
+        return _EXIT_ERROR
     cuts = []
     if args.trace:
         cuts.extend(_cuts_from_trace(args.trace, box.dimension))

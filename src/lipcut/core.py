@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +54,33 @@ class NonFiniteValueError(ValueError):
         self.point = np.array(point, dtype=float)
         self.value = value
         super().__init__(f"{what} at {self.point} must be {allowed}, got {value}")
+
+
+# Checks of scalar inputs: each returns the float or int the caller stores.
+def _checked(value, what: str, rule: str, ok) -> float:
+    real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)  # the ABC test is slow
+    x = float(value) if real and abs(value) <= sys.float_info.max else math.nan  # float(10**400) raises
+    if not ok(x):
+        raise ValueError(f"{what} must be {rule}, got {value!r}")
+    return x
+
+
+def finite(value, what: str) -> float:
+    return _checked(value, what, "a finite number", math.isfinite)
+
+
+def positive(value, what: str) -> float:
+    return _checked(value, what, "finite and positive", lambda x: x > 0)
+
+
+def nonnegative(value, what: str) -> float:
+    return _checked(value, what, "finite and nonnegative", lambda x: x >= 0)
+
+
+def positive_integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 class NormKind(enum.Enum):
@@ -102,9 +131,7 @@ def cut_radius(r_value, L: float, image_norm: NormKind) -> float:
     norm of the positive part divided by the Lipschitz constant L, which
     must be finite and positive.
     """
-    if not 0 < L < math.inf:
-        raise ValueError(f"Lipschitz constant must be finite and positive, got {L}")
-    return norm_eval(image_norm, positive_part(r_value)) / L
+    return norm_eval(image_norm, positive_part(r_value)) / positive(L, "Lipschitz constant L")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +243,9 @@ class Cut:
     def __init__(self, center, radius: float, mask=None, norm: NormKind = NormKind.Two):
         # copies: the arrays are frozen below, and the caller's must not be
         center = np.atleast_1d(np.array(center, dtype=float))
-        radius = float(radius)
-        if not (np.isfinite(center).all() and np.isfinite(radius)):
-            raise ValueError(f"cut center and radius must be finite, got {center} and {radius}")
-        if radius < 0:
-            raise ValueError(f"cut radius must be nonnegative, got {radius}")
+        if not np.isfinite(center).all():
+            raise ValueError(f"cut center must be finite, got {center}")
+        radius = nonnegative(radius, "cut radius")
         if mask is None:
             mask = np.ones(center.size, dtype=bool)
         else:
@@ -469,8 +494,7 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.evaluator is None and self.batch_evaluator is None:
             raise ValueError("objective needs an evaluator or a batch_evaluator")
-        if not 0 < self.lipschitz_f < math.inf:
-            raise ValueError(f"objective Lipschitz constant must be finite and positive, got {self.lipschitz_f}")
+        object.__setattr__(self, "lipschitz_f", positive(self.lipschitz_f, "lipschitz_f"))
         object.__setattr__(self, "_checks_finite", bool(getattr(self.batch_evaluator, "checks_finite", False)))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
@@ -523,14 +547,11 @@ class ConstraintSpec:
                 raise ValueError("batch_components length mismatch")
         if not (self.components or self.batch_components):
             raise ValueError("constraint needs components or batch_components")
-        if not 0 < self.global_L < math.inf:
-            raise ValueError(f"global Lipschitz constant must be finite and positive, got {self.global_L}")
+        object.__setattr__(self, "global_L", positive(self.global_L, "global_L"))
         if self.component_L is not None:
-            comp = tuple(float(v) for v in self.component_L)
+            comp = tuple(positive(v, f"component_L[{p}]") for p, v in enumerate(self.component_L))
             if len(comp) != self.m:
                 raise ValueError("component_L length mismatch")
-            if not all(0 < v < math.inf for v in comp):
-                raise ValueError(f"component Lipschitz constants must be finite and positive, got {comp}")
             object.__setattr__(self, "component_L", comp)
         if self.active_mask is not None:
             masks = tuple(np.atleast_1d(np.asarray(m, dtype=bool)) for m in self.active_mask)
@@ -559,3 +580,7 @@ class Problem:
     objective: ObjectiveSpec
     constraint: ConstraintSpec
     domain_norm: NormKind = NormKind.Two
+
+    def __post_init__(self):
+        if any(m.shape != self.domain.lower.shape for m in self.constraint.active_mask or ()):
+            raise ValueError(f"active_mask rows must have {self.domain.dimension} entries, one per coordinate")

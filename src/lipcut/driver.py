@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,7 +45,9 @@ from .core import (
     Problem,
     RelaxedRegion,
     cut_radius,
+    nonnegative,
     norm_eval,
+    positive_integer,
     positive_part,
 )
 from .oracle import OracleResult, OracleStatus, ResourceLimitError
@@ -84,11 +85,8 @@ class DriverConfig:
     initial_start: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 <= self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
-        iterations = self.max_iterations
-        if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral) or iterations < 1:
-            raise ValueError(f"max_iterations must be a positive integer, got {iterations!r}")
+        object.__setattr__(self, "epsilon", nonnegative(self.epsilon, "epsilon"))
+        object.__setattr__(self, "max_iterations", positive_integer(self.max_iterations, "max_iterations"))
         if self.epsilon_floor is None:
             object.__setattr__(self, "epsilon_floor", self.epsilon > 0)
         if self.epsilon_floor and self.epsilon == 0:

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import positive_integer
+
 _FUNCTIONS = {"sin", "cos", "tan", "sqrt", "abs", "exp", "log", "min", "max"}
 _VARIADIC = {"min", "max"}
 _FD_STEP = 1e-6  # central-difference step of the finite-difference Jacobians
@@ -349,9 +351,7 @@ def parse(text: str, dimension: int) -> Expr:
     """Parse an expression over variables x1..x<dimension>."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
-    if dimension < 1:
-        raise ValueError("dimension must be a positive integer")
-    parser = _Parser(_tokenize(text), dimension)
+    parser = _Parser(_tokenize(text), positive_integer(dimension, "dimension"))
     node = parser.parse_expr()
     kind, value, position = parser.peek()
     if kind != "end":

@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxDomain, NormKind, norm_eval_rows
+from .core import BoxDomain, NormKind, finite, nonnegative, norm_eval_rows, positive, positive_integer
 from .expr import batch_evaluator, contains_abs, finite_diff_jacobian_batch
 
 _ENUM_LIMIT = 14  # sign-enumeration cap: 2^(k-1) vertices
@@ -71,10 +70,9 @@ class LipschitzEstimate:
     exact_norms: bool = True
 
     def __post_init__(self):
-        if not 0 < self.value < math.inf:
-            raise ValueError(f"Lipschitz estimate must be finite and positive, got {self.value}")
-        if self.safety_factor < 1 and self.method is not EstimateMethod.SlopeSampling:
-            raise ValueError("safety factor must be >= 1")
+        object.__setattr__(self, "value", positive(self.value, "Lipschitz estimate"))
+        if finite(self.safety_factor, "safety_factor") < 1 and self.method is not EstimateMethod.SlopeSampling:
+            raise ValueError(f"safety_factor must be at least 1, got {self.safety_factor!r}")
 
 
 def spectral_norms(jacobians: np.ndarray) -> np.ndarray:
@@ -144,13 +142,12 @@ def induced_norms(jacobians: np.ndarray, domain_norm: NormKind, image_norm: Norm
         factor = np.sqrt(m * n) if q is NormKind.One else np.sqrt(n)
         return spectral_norms(jacobians) * factor, False
 
-    # remaining pair: (2, 1); by duality ||A||_{2,1} = ||A^T||_{inf,2}
-    if m <= _ENUM_LIMIT:
-        signs = _sign_vertices(m)  # (K, m)
-        imgs = np.einsum("kmn,sm->ksn", jacobians, signs)
-        vals = norm_eval_rows(NormKind.Two, imgs)
-        return vals.max(axis=1), True
-    return spectral_norms(jacobians) * np.sqrt(m), False
+    # remaining pair: (2, 1); by duality ||A||_{2,1} = ||A^T||_{inf,2}.  The
+    # transposed view, not a contiguous copy, keeps the enumeration's bits;
+    # the SVD of the transpose would move the fallback's last bits.
+    if m > _ENUM_LIMIT:
+        return spectral_norms(jacobians) * np.sqrt(m), False
+    return induced_norms(np.swapaxes(jacobians, 1, 2), NormKind.Inf, NormKind.Two)
 
 
 def induced_norm(matrix, domain_norm: NormKind, image_norm: NormKind) -> float:
@@ -189,10 +186,10 @@ def jacobian_sup_bound(
     unreliable.
     """
     exprs = list(exprs)
-    if grid_per_dim < 2:
-        raise ValueError("grid_per_dim must be at least 2")
-    if safety < 1:
-        raise ValueError("safety factor must be >= 1")
+    if positive_integer(grid_per_dim, "grid_per_dim") < 2:
+        raise ValueError(f"grid_per_dim must be at least 2, got {grid_per_dim!r}")
+    if finite(safety, "safety") < 1:
+        raise ValueError(f"safety must be at least 1, got {safety!r}")
     points = box_grid(box, grid_per_dim)
     jac = finite_diff_jacobian_batch(exprs, points)
     values, exact = induced_norms(jac, domain_norm, image_norm)
@@ -240,10 +237,7 @@ def slope_sampling_estimate(
     pairs (identical points, possible on integral domains) have their
     second point re-drawn, in pair order, up to 100 times each.
     """
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
-    if inflation < 0:
-        raise ValueError("inflation must be nonnegative")
+    pairs, inflation = positive_integer(pairs, "pairs"), nonnegative(inflation, "inflation")
     rng = np.random.default_rng(seed)
     xs = _sample_points(rng, box, pairs)
     ys = _sample_points(rng, box, pairs)
@@ -270,11 +264,13 @@ def labelled_estimate(label: str, exprs, box: BoxDomain, domain_norm: NormKind, 
                       method: str = "grid", *, grid_per_dim: int = 64, safety: float = 1.05,
                       pairs: int = 10_000, inflation: float = 0.1, seed: int = 0) -> LipschitzEstimate:
     """The constant of the expressions stacked as one vector function:
-    ``jacobian_sup_bound`` when ``method`` is ``"grid"``, else
-    ``slope_sampling_estimate`` over their stacked batch evaluators.  An
-    overflowing slope reads inf without a numpy warning, which
-    ``LipschitzEstimate`` refuses; every ValueError is re-raised prefixed
-    with ``"{label}: "``."""
+    ``jacobian_sup_bound`` when ``method`` is ``"grid"``, and
+    ``slope_sampling_estimate`` over their stacked batch evaluators when it
+    is ``"sampling"``.  An overflowing slope reads inf without a numpy
+    warning, which ``LipschitzEstimate`` refuses; every estimator's
+    ValueError is re-raised prefixed with ``"{label}: "``."""
+    if method not in ("grid", "sampling"):
+        raise ValueError(f"estimator must be 'grid' or 'sampling', got {method!r}")
     try:
         with np.errstate(over="ignore"):
             if method == "grid":

@@ -80,6 +80,8 @@ from .core import (
     RelaxedRegion,
     norm_eval,
     norm_eval_rows,
+    positive,
+    positive_integer,
     region_membership,
 )
 
@@ -103,17 +105,17 @@ class OracleStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Oracle tolerance and node limit (both positive).  The branch and
-    bound splits no edge narrower than ``_BOX_MIN_WIDTH`` = 1e-10.  The
-    local oracle has no tolerance to read: its node limit bounds its
-    objective evaluations."""
+    """Oracle tolerance (finite, positive) and node limit (a positive
+    integer).  The branch and bound splits no edge narrower than
+    ``_BOX_MIN_WIDTH`` = 1e-10.  The local oracle has no tolerance to
+    read: its node limit bounds its objective evaluations."""
 
     tolerance: float = 1e-6
     node_limit: int = 10_000_000
 
     def __post_init__(self):
-        if not (self.tolerance > 0 and self.node_limit > 0):
-            raise ValueError("oracle configuration values must be positive")
+        object.__setattr__(self, "tolerance", positive(self.tolerance, "tolerance"))
+        object.__setattr__(self, "node_limit", positive_integer(self.node_limit, "node_limit"))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .core import BoxDomain, ConstraintSpec, NormKind, ObjectiveSpec, Problem
+from .core import BoxDomain, ConstraintSpec, NormKind, ObjectiveSpec, Problem, finite, positive_integer
 from .driver import CutMode
 from .expr import batch_evaluator, parse
 from .lipschitz import LipschitzEstimate, labelled_estimate
@@ -116,14 +116,12 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
     for key in ("dimension", "bounds", "norm", "image_norm", "objective", "constraints"):
         if key not in data:
             raise ValueError(f"problem file is missing required key {key!r}")
-    dimension = _integer(data["dimension"], "dimension")
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
+    dimension = positive_integer(_integer(data["dimension"], "dimension"), "dimension")
     if not isinstance(data["bounds"], (list, tuple)) or not all(
         isinstance(b, (list, tuple)) and len(b) == 2 for b in data["bounds"]
     ):
         raise ValueError("bounds must be a list of [lower, upper] pairs, one per coordinate")
-    bounds = tuple((_number(lo, "bounds entry"), _number(hi, "bounds entry")) for lo, hi in data["bounds"])
+    bounds = tuple((finite(lo, "bounds entry"), finite(hi, "bounds entry")) for lo, hi in data["bounds"])
     if len(bounds) != dimension:
         raise ValueError("bounds length does not match dimension")
     integral = None
@@ -152,7 +150,7 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
         mask = tuple(_integer(i, f"constraint {p} mask entry") for i in mask) if mask else None
         if mask and not all(1 <= i <= dimension for i in mask):
             raise ValueError(f"constraint mask indices out of range: {mask}")
-        constraints.append(ConstraintDef(str(entry["expr"]), _optional(entry, "L", _number, f"constraint {p} L"), mask))
+        constraints.append(ConstraintDef(str(entry["expr"]), _optional(entry, "L", finite, f"constraint {p} L"), mask))
     if not constraints:
         raise ValueError("a problem needs at least one constraint")
     cut_mode = CutMode(data["cut_mode"]) if data.get("cut_mode") else None
@@ -164,9 +162,9 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
         objective=str(data["objective"]),
         constraints=tuple(constraints),
         integral=integral,
-        objective_L=_optional(data, "objective_L", _number),
-        global_L=_optional(data, "global_L", _number),
-        epsilon=_optional(data, "epsilon", _number),
+        objective_L=_optional(data, "objective_L", finite),
+        global_L=_optional(data, "global_L", finite),
+        epsilon=_optional(data, "epsilon", finite),
         max_iterations=_optional(data, "max_iterations", _integer),
         cut_mode=cut_mode,
         name=name,
@@ -176,13 +174,6 @@ def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
 def _optional(data: dict, key: str, read, what: str | None = None):
     """``read(data[key], what)``, or None when the key is absent or null."""
     return read(data[key], what or key) if data.get(key) is not None else None
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a finite float; a bool, a string, NaN or inf raises."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _integer(value, what: str) -> int:
@@ -231,7 +222,7 @@ def build(
         for p, value in enumerate(component_L):
             if value is None:
                 component_L[p] = estimate(f"constraint_{p + 1}_L", [constraint_exprs[p]])
-        component_L_out = tuple(float(v) for v in component_L)
+        component_L_out = tuple(component_L)
     else:
         component_L_out = None
 
@@ -253,7 +244,7 @@ def build(
 
     constraint = ConstraintSpec(
         components=(),
-        global_L=float(global_L),
+        global_L=global_L,
         image_norm=definition.image_norm,
         component_L=component_L_out,
         active_mask=masks,
@@ -261,7 +252,7 @@ def build(
     )
     objective = ObjectiveSpec(
         evaluator=None,
-        lipschitz_f=float(objective_L),
+        lipschitz_f=objective_L,
         batch_evaluator=batch_evaluator(objective_expr),
     )
     problem = Problem(domain=box, objective=objective, constraint=constraint, domain_norm=definition.norm)

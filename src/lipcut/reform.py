@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxDomain, NormKind
+from .core import BoxDomain, NormKind, positive
 
 _SENSES = ("<=", ">=", "=")
 _FEASTOL = 1e-9
@@ -89,29 +89,25 @@ def _shared_block(center: np.ndarray, big_M: float):
     return rows
 
 
-def _validate(center, radius: float, big_M: float) -> np.ndarray:
+def _validate(center, radius: float, big_M: float):
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if not np.isfinite(center).all():
         raise ValueError(f"cut center must be finite, got {center}")
-    if not 0 < radius < math.inf:
-        raise ValueError(f"cut radius must be finite and positive, got {radius}")
-    if not 0 < big_M < math.inf:
-        raise ValueError(f"big-M must be finite and positive, got {big_M}")
-    return center
+    return center, positive(radius, "cut radius"), positive(big_M, "big-M")
 
 
 def reformulate_1norm(center, radius: float, big_M: float) -> ReformSystem:
     """sum_i |x_i - a_i| >= b as 5n+1 linear rows over n binaries."""
-    center = _validate(center, radius, big_M)
+    center, radius, big_M = _validate(center, radius, big_M)
     n = center.size
-    rows = [LinearConstraint("sum", tuple((f"y{i}", 1.0) for i in range(1, n + 1)), ">=", float(radius))]
+    rows = [LinearConstraint("sum", tuple((f"y{i}", 1.0) for i in range(1, n + 1)), ">=", radius)]
     rows += _shared_block(center, big_M)
     return ReformSystem(
         kind="one",
         n=n,
         center=center,
-        radius=float(radius),
-        big_M=float(big_M),
+        radius=radius,
+        big_M=big_M,
         continuous_vars=tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"y{i}" for i in range(1, n + 1)),
         binary_vars=tuple(f"z{i}" for i in range(1, n + 1)),
         linear_constraints=tuple(rows),
@@ -121,12 +117,12 @@ def reformulate_1norm(center, radius: float, big_M: float) -> ReformSystem:
 def reformulate_infnorm(center, radius: float, big_M: float) -> ReformSystem:
     """max_i |x_i - a_i| >= b: the shared y/z block plus w/u rows picking
     out the maximal |x_i - a_i| (9n+2 rows over 2n binaries)."""
-    center = _validate(center, radius, big_M)
+    center, radius, big_M = _validate(center, radius, big_M)
     n = center.size
     ys = [f"y{i}" for i in range(1, n + 1)]
     ws = [f"w{i}" for i in range(1, n + 1)]
     us = [f"u{i}" for i in range(1, n + 1)]
-    rows = [LinearConstraint("wsum", tuple((w, 1.0) for w in ws), ">=", float(radius))]
+    rows = [LinearConstraint("wsum", tuple((w, 1.0) for w in ws), ">=", radius)]
     for i in range(1, n + 1):
         rows.append(LinearConstraint(f"wub{i}", ((ws[i - 1], 1.0), (ys[i - 1], -1.0), (us[i - 1], big_M)), "<=", big_M))
         rows.append(LinearConstraint(f"wpos{i}", ((ws[i - 1], 1.0),), ">=", 0.0))
@@ -139,8 +135,8 @@ def reformulate_infnorm(center, radius: float, big_M: float) -> ReformSystem:
         kind="inf",
         n=n,
         center=center,
-        radius=float(radius),
-        big_M=float(big_M),
+        radius=radius,
+        big_M=big_M,
         continuous_vars=tuple(f"x{i}" for i in range(1, n + 1)) + tuple(ys) + tuple(ws),
         binary_vars=tuple(f"z{i}" for i in range(1, n + 1)) + tuple(us),
         linear_constraints=tuple(rows),

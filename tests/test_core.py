@@ -296,7 +296,7 @@ class TestBoxDomain:
 
 
 class TestSpecConstants:
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, True, "2"])
     def test_lipschitz_constants_must_be_finite_and_positive(self, value):
         components = (lambda x: x[0],)
         with pytest.raises(ValueError, match="finite and positive"):

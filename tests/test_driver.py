@@ -326,7 +326,7 @@ class TestEpsilonFloor:
 
 
 class TestDriverConfig:
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1e-3])
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1e-3, True])
     def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
         with pytest.raises(ValueError, match=f"^epsilon must be finite and nonnegative, got {epsilon!r}$"):
             DriverConfig(epsilon=epsilon)

@@ -1,0 +1,84 @@
+"""One rule for scalar inputs.  Every entry point refuses a boolean, NaN,
+an infinity, a fractional count or a string with a ValueError that names
+the argument, and stores a numpy scalar as a Python float or int.  The
+rules live in ``lipcut.core``; the entry points whose own tests already
+take bad values as a parameter keep those rows there."""
+
+import math
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from lipcut.bounds import ball_packing_bound, box_packing_bound, complexity_lower, complexity_upper
+from lipcut.core import BoxDomain, ConstraintSpec, Cut, NormKind, ObjectiveSpec, Problem, cut_radius
+from lipcut.driver import DriverConfig
+from lipcut.expr import parse
+from lipcut.lipschitz import EstimateMethod, LipschitzEstimate, jacobian_sup_bound, slope_sampling_estimate
+from lipcut.oracle import OracleConfig
+from lipcut.problems import build, get_builtin
+
+BOX = BoxDomain((0.0, 0.0), (1.0, 1.0))
+LINE = BoxDomain((0.0,), (1.0,))
+TWO = NormKind.Two
+
+
+def first(points):
+    return points[:, 0]
+
+
+def constraint(**kwargs):
+    return ConstraintSpec(**{"components": (), "global_L": 1.0, "batch_components": (first,), **kwargs})
+
+
+REFUSALS = {
+    "oracle-tolerance-bool": (lambda: OracleConfig(tolerance=True), "tolerance"),
+    "oracle-tolerance-string": (lambda: OracleConfig(tolerance="1e-6"), "tolerance"),
+    "oracle-node-limit-fractional": (lambda: OracleConfig(node_limit=1.5), "node_limit"),
+    "oracle-node-limit-bool": (lambda: OracleConfig(node_limit=True), "node_limit"),
+    "cut-radius-bool": (lambda: Cut([0.0], True), "cut radius"),
+    "cut-radius-string": (lambda: Cut([0.0], "1"), "cut radius"),
+    "cut-radius-L-bool": (lambda: cut_radius((1.0,), True, TWO), "Lipschitz constant L"),
+    "estimate-safety-nan": (lambda: LipschitzEstimate(1.0, EstimateMethod.JacobianGrid, math.nan, 64),
+                            "safety_factor"),
+    "grid-fractional": (lambda: jacobian_sup_bound([parse("x1", 1)], LINE, TWO, TWO, grid_per_dim=2.5),
+                        "grid_per_dim"),
+    "grid-safety-nan": (lambda: jacobian_sup_bound([parse("x1", 1)], LINE, TWO, TWO, safety=math.nan), "safety"),
+    "sampling-pairs-fractional": (lambda: slope_sampling_estimate(first, LINE, TWO, TWO, pairs=2.5), "pairs"),
+    "sampling-inflation-nan": (lambda: slope_sampling_estimate(first, LINE, TWO, TWO, pairs=10, inflation=math.nan),
+                               "inflation"),
+    "packing-delta-bool": (lambda: box_packing_bound(BOX, 1.0, True), "delta"),
+    "ball-packing-n-fractional": (lambda: ball_packing_bound(1.0, 1.0, 0.1, n=2.5), "n"),
+    "ball-packing-D-nan": (lambda: ball_packing_bound(math.nan, 1.0, 0.1, 2), "D"),
+    "complexity-rho-inf": (lambda: complexity_upper(math.inf, 0.1, 2), "rho"),
+    "complexity-alpha-nan": (lambda: complexity_lower(math.nan, 0.1, 2), "alpha"),
+    "complexity-c-string": (lambda: complexity_lower(2.0, 0.1, 2, c="1"), "c"),
+    "parse-dimension-fractional": (lambda: parse("x1", 2.5), "dimension"),
+    "parse-dimension-bool": (lambda: parse("x1", True), "dimension"),
+    "unknown-estimator": (lambda: build(replace(get_builtin("sin-example"), global_L=None), estimator="gird"),
+                          "estimator"),
+    "short-mask-row": (lambda: Problem(BOX, ObjectiveSpec(None, 1.0, batch_evaluator=first),
+                                       constraint(active_mask=((True,),))), "active_mask"),
+}
+
+
+@pytest.mark.parametrize("make, name", REFUSALS.values(), ids=REFUSALS.keys())
+def test_each_entry_point_refuses_a_bad_input_by_name(make, name):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
+        make()
+
+
+def test_numpy_scalars_are_stored_as_python_numbers():
+    f64, i64 = np.float64, np.int64
+    oracle = OracleConfig(tolerance=f64(1e-6), node_limit=i64(5))
+    driver = DriverConfig(epsilon=f64(0.1), max_iterations=i64(4))
+    objective = ObjectiveSpec(None, f64(2.0), batch_evaluator=first)
+    spec = constraint(global_L=f64(1.0), component_L=(f64(1.0),))
+    stored = [
+        oracle.tolerance, oracle.node_limit, driver.epsilon, driver.max_iterations, objective.lipschitz_f,
+        spec.global_L, *spec.component_L, Cut([0.0], f64(0.5)).radius,
+        LipschitzEstimate(f64(1.5), EstimateMethod.JacobianGrid, 1.05, 64).value,
+    ]
+    assert [type(v) for v in stored] == [float, int, float, int, float, float, float, float, float]
+    assert stored == [1e-6, 5, 0.1, 4, 2.0, 1.0, 1.0, 0.5, 1.5]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -58,6 +59,30 @@ class TestInducedNorm:
                     reference = norm_rows(q, images).max()
                     value = induced_norm(A, p, q)
                     assert value == pytest.approx(reference, rel=1e-6, abs=1e-9)
+
+    def test_two_one_keeps_the_bits_of_its_own_row_sign_enumeration(self):
+        # reference: a sign enumeration over the rows, and the sigma_max
+        # bound past 14 rows; the library takes the (inf, 2) norm of the
+        # transposed view, which must give the same bits
+        def replaced(jacobians):
+            _, m, _ = jacobians.shape
+            if m > 14:
+                return spectral_norms(jacobians) * np.sqrt(m), False
+            tails = np.array(list(itertools.product((1.0, -1.0), repeat=m - 1))).reshape(2 ** (m - 1), m - 1)
+            signs = np.hstack([np.ones((len(tails), 1)), tails])
+            images = np.einsum("kmn,sm->ksn", jacobians, signs)
+            return np.sqrt(np.sum(images * images, axis=-1)).max(axis=1), True
+
+        rng = np.random.default_rng(53)
+        shapes = [(500, m, n) for m in range(1, 7) for n in range(1, 7)]
+        shapes += [(50, m, n) for m in (15, 16) for n in range(1, 5)]
+        for shape in shapes:
+            for scale in (1e-3, 1.0, 1e3):
+                jacobians = rng.normal(size=shape) * scale
+                values, exact = induced_norms(jacobians, NormKind.Two, NormKind.One)
+                expected, expected_exact = replaced(jacobians)
+                assert exact is expected_exact
+                assert np.array_equal(values, expected), shape
 
     def test_two_two_matches_svd(self):
         rng = np.random.default_rng(43)
@@ -225,7 +250,7 @@ class TestJacobianSupBound:
             with pytest.raises(ValueError, match="finite and positive, got inf"):
                 jacobian_sup_bound([parse("exp(709*x1) - 0.5", 1)], box, NormKind.Two, NormKind.Two)
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, True])
     def test_estimate_must_be_finite_and_positive(self, value):
         with pytest.raises(ValueError, match="finite and positive"):
             LipschitzEstimate(value, EstimateMethod.JacobianGrid, 1.05, 64)

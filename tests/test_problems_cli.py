@@ -16,6 +16,7 @@ from lipcut.problems import (
     get_builtin,
     load_problem_file,
 )
+from lipcut.reform import reformulate_1norm, reformulate_infnorm, verify_by_enumeration
 
 SIN_FILE = {
     "dimension": 2,
@@ -320,6 +321,13 @@ class TestCliSolve:
         assert captured.err == "error: --oracle-tol sets the global oracle's tolerance; the local oracle has none\n"
         assert captured.out == ""
 
+    def test_start_with_the_global_oracle_is_an_error_line(self, capsys):
+        # the global oracle ignores a start, even one of the wrong dimension
+        assert main(["solve", "--builtin", "sin-example", "--start", "5,5,5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --start sets the local oracle's start point; the global oracle has none\n"
+        assert captured.out == ""
+
     def test_oracle_tol_defaults_to_the_oracle_default(self, tmp_path, capsys):
         traces = [tmp_path / "default.csv", tmp_path / "given.csv"]
         assert main(["solve", "--builtin", "sin-example", "--trace", str(traces[0])]) == 0
@@ -576,12 +584,39 @@ class TestCliEmitMilp:
         assert main(["solve", "--builtin", "sin-example", "--eps", "1e-4",
                      "--trace", str(trace)]) == 0
         out_path = tmp_path / "from_trace.lp"
-        assert main(["emit-milp", "--builtin", "sin-example", "--norm", "inf",
+        assert main(["emit-milp", "--builtin", "sin-example", "--norm", "1",
                      "--trace", str(trace), "--out", str(out_path)]) == 0
         text = out_path.read_text()
-        # 3 cutting iterations -> 3 inf-norm systems of 9n+2 = 20 rows
+        # 3 cutting iterations -> 3 1-norm systems of 5n+1 = 11 rows
         rows = [l for l in text.splitlines() if l.lstrip().startswith("cut")]
-        assert len(rows) == 60
+        assert len(rows) == 33
+        # a 1-norm ball lies inside the 2-norm ball of its radius, so the
+        # exported cuts keep the accepted point; inf-norm balls would not
+        lines = trace.read_text().splitlines()
+        accepted = [float(v) for v in lines[-1].split(",")[1:3]]
+        cuts = [([float(v) for v in row.split(",")[1:3]], float(row.split(",")[6])) for row in lines[1:-1]]
+        assert len(cuts) == 3
+        assert all(verify_by_enumeration(reformulate_1norm(c, r, 4.0), accepted) for c, r in cuts)
+        assert not all(verify_by_enumeration(reformulate_infnorm(c, r, 4.0), accepted) for c, r in cuts)
+
+    @pytest.mark.parametrize("norm, code", [("2", 1), ("1", 1), ("inf", 0)])
+    def test_inf_norm_export_of_a_trace_needs_an_inf_norm_domain(self, tmp_path, capsys, norm, code):
+        # the constants hold in all three domain norms
+        path = tmp_path / "p.yaml"
+        path.write_text(yaml.safe_dump(dict(SIN_FILE, norm=norm, objective="x1 + 2*x2", objective_L=3.0,
+                                            global_L=2.0, constraints=[{"expr": "-sin(x1) - x2", "L": 2.0}])))
+        trace, out_path = tmp_path / "t.csv", tmp_path / "cuts.lp"
+        assert main(["solve", "--problem", str(path), "--max-iters", "5", "--trace", str(trace)]) == 3
+        capsys.readouterr()
+        assert main(["emit-milp", "--problem", str(path), "--norm", "inf",
+                     "--trace", str(trace), "--out", str(out_path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (f"error: the trace's cuts are {norm}-norm balls, and --norm inf would export larger "
+                           "ones that can exclude feasible points; use --norm 1\n")
+            assert not out_path.exists()
+        else:
+            assert err == "" and "cut0_wsum" in out_path.read_text()
 
     def test_zero_cuts(self, tmp_path):
         out_path = tmp_path / "empty.lp"

@@ -55,6 +55,8 @@ class TestSystemShape:
         ((0.0, 0.0), math.inf, 4.0, "cut radius must be finite and positive"),
         ((0.0, 0.0), 1.0, math.inf, "big-M must be finite and positive"),
         ((0.0, 0.0), 1.0, math.nan, "big-M must be finite and positive"),
+        ((0.0, 0.0), True, 4.0, "cut radius must be finite and positive"),
+        ((0.0, 0.0), 1.0, "4", "big-M must be finite and positive"),
     ])
     def test_non_finite_inputs_rejected(self, reformulate, center, radius, big_M, message):
         # a non-finite value would be written into an LP row as nan or inf
