@@ -34,7 +34,7 @@ from .driver import (
 from .expr import EvaluationError
 from .lipschitz import EstimateMethod, labelled_estimate
 from .oracle import GlobalOracle, InfeasibleStartError, LocalOracle, OracleConfig, ResourceLimitError
-from .problems import build, builtin_problems, get_builtin, load_problem_file
+from .problems import build, builtin_problems, compile_definition, get_builtin, load_problem_file
 from .reform import default_big_M, export_lp, reformulate_1norm, reformulate_infnorm
 
 _EXIT_SOLVED = 0
@@ -210,14 +210,13 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_estimate(args) -> int:
     definition = get_builtin(args.builtin) if args.builtin else load_problem_file(args.problem)
-    built = build(definition)  # uses the file's constants; estimates below are fresh
-    exprs = built.exprs["constraints"]
-    problem = built.problem
-    squared = problem.domain_norm is NormKind.Two and problem.constraint.image_norm is NormKind.Two
-    groups = [(f"constraint {p}", [e]) for p, e in enumerate(exprs, start=1)] + [("vector", exprs)]
+    box, _, exprs = compile_definition(definition)  # the given constants are neither used nor estimated
+    p, q = definition.norm, definition.image_norm
+    squared = p is NormKind.Two and q is NormKind.Two
+    groups = [(f"constraint {i}", [e]) for i, e in enumerate(exprs, start=1)] + [("vector", exprs)]
     for label, group in groups:
         estimate = labelled_estimate(
-            label, group, problem.domain, problem.domain_norm, problem.constraint.image_norm, args.method,
+            label, group, box, p, q, args.method,
             grid_per_dim=args.grid, safety=1.0, pairs=args.pairs, inflation=args.inflation, seed=args.seed,
         )
         extra = f" (L^2 = {estimate.value ** 2:.17g})" if squared else ""

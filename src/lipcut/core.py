@@ -83,6 +83,14 @@ def positive_integer(value, what: str) -> int:
     return int(value)
 
 
+def member(value, kind: type[enum.Enum], what: str):
+    """``value`` when it is a member of the enum ``kind``; anything else,
+    the member's value spelled as text included, raises."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 class NormKind(enum.Enum):
     """The three supported p-norms.  All are monotone: |x_i| <= |y_i| for
     every i implies norm(x) <= norm(y)."""
@@ -118,7 +126,9 @@ def norm_eval_rows(norm: NormKind, m: np.ndarray) -> np.ndarray:
         return np.sum(np.abs(m), axis=-1)
     if norm is NormKind.Two:
         return np.sqrt(np.sum(m * m, axis=-1))
-    return np.max(np.abs(m), axis=-1)
+    if norm is NormKind.Inf:
+        return np.max(np.abs(m), axis=-1)
+    return member(norm, NormKind, "norm")  # raises: not a NormKind
 
 
 def positive_part(v) -> np.ndarray:
@@ -257,7 +267,7 @@ class Cut:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "norm", member(norm, NormKind, "norm"))
         self.center.setflags(write=False)
         self.mask.setflags(write=False)
 
@@ -548,6 +558,7 @@ class ConstraintSpec:
         if not (self.components or self.batch_components):
             raise ValueError("constraint needs components or batch_components")
         object.__setattr__(self, "global_L", positive(self.global_L, "global_L"))
+        member(self.image_norm, NormKind, "image_norm")
         if self.component_L is not None:
             comp = tuple(positive(v, f"component_L[{p}]") for p, v in enumerate(self.component_L))
             if len(comp) != self.m:
@@ -582,5 +593,6 @@ class Problem:
     domain_norm: NormKind = NormKind.Two
 
     def __post_init__(self):
+        member(self.domain_norm, NormKind, "domain_norm")
         if any(m.shape != self.domain.lower.shape for m in self.constraint.active_mask or ()):
             raise ValueError(f"active_mask rows must have {self.domain.dimension} entries, one per coordinate")

@@ -45,6 +45,7 @@ from .core import (
     Problem,
     RelaxedRegion,
     cut_radius,
+    member,
     nonnegative,
     norm_eval,
     positive_integer,
@@ -87,6 +88,7 @@ class DriverConfig:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", nonnegative(self.epsilon, "epsilon"))
         object.__setattr__(self, "max_iterations", positive_integer(self.max_iterations, "max_iterations"))
+        member(self.cut_mode, CutMode, "cut_mode")
         if self.epsilon_floor is None:
             object.__setattr__(self, "epsilon_floor", self.epsilon > 0)
         if self.epsilon_floor and self.epsilon == 0:

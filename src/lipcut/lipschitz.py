@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxDomain, NormKind, finite, nonnegative, norm_eval_rows, positive, positive_integer
-from .expr import batch_evaluator, contains_abs, finite_diff_jacobian_batch
+from .core import BoxDomain, NormKind, finite, member, nonnegative, norm_eval_rows, positive, positive_integer
+from .expr import EvaluationError, batch_evaluator, contains_abs, finite_diff_jacobian_batch
 
 _ENUM_LIMIT = 14  # sign-enumeration cap: 2^(k-1) vertices
 _VALUE_FLOOR = 1e-12  # reported for a function that reads as constant
@@ -119,7 +119,7 @@ def induced_norms(jacobians: np.ndarray, domain_norm: NormKind, image_norm: Norm
     """
     jacobians = np.asarray(jacobians, dtype=float)
     _, m, n = jacobians.shape
-    p, q = domain_norm, image_norm
+    p, q = member(domain_norm, NormKind, "domain_norm"), member(image_norm, NormKind, "image_norm")
 
     if p is NormKind.One:
         # max over columns of the q-norm of the column
@@ -260,6 +260,13 @@ def slope_sampling_estimate(
     return LipschitzEstimate(best * (1.0 + inflation), EstimateMethod.SlopeSampling, 1.0 + inflation, pairs)
 
 
+def estimator_name(method: str) -> str:
+    """``method`` when it names an estimator of ``labelled_estimate``."""
+    if method not in ("grid", "sampling"):
+        raise ValueError(f"estimator must be 'grid' or 'sampling', got {method!r}")
+    return method
+
+
 def labelled_estimate(label: str, exprs, box: BoxDomain, domain_norm: NormKind, image_norm: NormKind,
                       method: str = "grid", *, grid_per_dim: int = 64, safety: float = 1.05,
                       pairs: int = 10_000, inflation: float = 0.1, seed: int = 0) -> LipschitzEstimate:
@@ -267,10 +274,10 @@ def labelled_estimate(label: str, exprs, box: BoxDomain, domain_norm: NormKind, 
     ``jacobian_sup_bound`` when ``method`` is ``"grid"``, and
     ``slope_sampling_estimate`` over their stacked batch evaluators when it
     is ``"sampling"``.  An overflowing slope reads inf without a numpy
-    warning, which ``LipschitzEstimate`` refuses; every estimator's
-    ValueError is re-raised prefixed with ``"{label}: "``."""
-    if method not in ("grid", "sampling"):
-        raise ValueError(f"estimator must be 'grid' or 'sampling', got {method!r}")
+    warning, which ``LipschitzEstimate`` refuses.  A ValueError or
+    ``EvaluationError`` from the estimator is re-raised, its type and
+    attributes kept, with its message prefixed by ``"{label}: "``."""
+    method = estimator_name(method)
     try:
         with np.errstate(over="ignore"):
             if method == "grid":
@@ -280,5 +287,6 @@ def labelled_estimate(label: str, exprs, box: BoxDomain, domain_norm: NormKind, 
                 lambda points: np.stack([e(points) for e in evaluators], axis=1),
                 box, domain_norm, image_norm, pairs, inflation, seed,
             )
-    except ValueError as exc:
-        raise ValueError(f"{label}: {exc}") from None
+    except (ValueError, EvaluationError) as exc:
+        exc.args = (f"{label}: {exc}",)
+        raise

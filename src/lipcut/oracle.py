@@ -78,6 +78,7 @@ from .core import (
     NormKind,
     ObjectiveSpec,
     RelaxedRegion,
+    member,
     norm_eval,
     norm_eval_rows,
     positive,
@@ -507,7 +508,7 @@ class GlobalOracle:
 
     def __init__(self, config: OracleConfig | None = None, domain_norm: NormKind = NormKind.Two):
         self.config = config or OracleConfig()
-        self.domain_norm = domain_norm
+        self.domain_norm = member(domain_norm, NormKind, "domain_norm")
 
     def solve(self, objective: ObjectiveSpec, region: RelaxedRegion, start=None) -> OracleResult:
         return _Search(objective, region, self.config, self.domain_norm).run()

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -39,13 +39,7 @@ import yaml
 from .core import BoxDomain, ConstraintSpec, NormKind, ObjectiveSpec, Problem, finite, positive_integer
 from .driver import CutMode
 from .expr import batch_evaluator, parse
-from .lipschitz import LipschitzEstimate, labelled_estimate
-
-_KEYS = {
-    "dimension", "bounds", "integral", "norm", "image_norm", "objective",
-    "objective_L", "constraints", "global_L", "epsilon", "max_iterations", "cut_mode",
-}
-_CONSTRAINT_KEYS = {"expr", "L", "mask"}
+from .lipschitz import LipschitzEstimate, estimator_name, labelled_estimate
 
 
 @dataclass(frozen=True)
@@ -57,6 +51,11 @@ class ConstraintDef:
 
 @dataclass(frozen=True)
 class ProblemDefinition:
+    """A problem as a file spells it.  Construction reads and checks every
+    field, whoever builds the definition: the norms and the cut mode may
+    be given as text, a constraint as a mapping with ``ConstraintDef``'s
+    keys, and counts as whole floats; an empty cut mode reads as absent."""
+
     dimension: int
     bounds: tuple
     norm: NormKind
@@ -70,6 +69,65 @@ class ProblemDefinition:
     max_iterations: int | None = None
     cut_mode: CutMode | None = None
     name: str = ""
+
+    def __post_init__(self):
+        dimension = positive_integer(_integer(self.dimension, "dimension"), "dimension")
+        if not isinstance(self.bounds, (list, tuple)) or not all(
+            isinstance(b, (list, tuple)) and len(b) == 2 for b in self.bounds
+        ):
+            raise ValueError("bounds must be a list of [lower, upper] pairs, one per coordinate")
+        bounds = tuple((finite(lo, "bounds entry"), finite(hi, "bounds entry")) for lo, hi in self.bounds)
+        if len(bounds) != dimension:
+            raise ValueError("bounds length does not match dimension")
+        integral = self.integral
+        if integral is not None:
+            if not isinstance(integral, (list, tuple)) or not all(isinstance(b, (bool, np.bool_)) for b in integral):
+                raise ValueError(f"integral must be a list of booleans, one per coordinate, got {integral!r}")
+            if len(integral) != dimension:
+                raise ValueError("integral length does not match dimension")
+            integral = tuple(integral)
+        if not isinstance(self.constraints, (list, tuple)):
+            raise ValueError("constraints must be a list of mappings with an 'expr' key")
+        constraints = tuple(_constraint(entry, p, dimension) for p, entry in enumerate(self.constraints, start=1))
+        if not constraints:
+            raise ValueError("a problem needs at least one constraint")
+        checked = {
+            "dimension": dimension, "bounds": bounds, "integral": integral, "constraints": constraints,
+            "cut_mode": CutMode(self.cut_mode) if self.cut_mode else None,
+            "norm": _norm(self.norm), "image_norm": _norm(self.image_norm), "objective": str(self.objective),
+        }
+        for key, read in (("objective_L", finite), ("global_L", finite), ("epsilon", finite),
+                          ("max_iterations", _integer)):
+            if getattr(self, key) is not None:
+                checked[key] = read(getattr(self, key), key)
+        for key, value in checked.items():
+            object.__setattr__(self, key, value)
+
+
+def _constraint(entry, p: int, dimension: int) -> ConstraintDef:
+    """Constraint ``p`` of a definition, a ``ConstraintDef`` or a mapping
+    with its keys, checked."""
+    if isinstance(entry, dict):
+        unknown = set(entry) - {f.name for f in fields(ConstraintDef)}
+        if unknown:
+            raise ValueError(f"unknown constraint keys: {sorted(unknown, key=str)}")
+        if "expr" not in entry:
+            raise ValueError(f"constraint {p} is missing required key 'expr'")
+        entry = ConstraintDef(entry["expr"], entry.get("L"), entry.get("mask"))
+    elif not isinstance(entry, ConstraintDef):
+        raise ValueError(f"constraint {p} must be a mapping with an 'expr' key, got {entry!r}")
+    mask = entry.mask
+    if mask is not None and not isinstance(mask, (list, tuple)):
+        raise ValueError(f"constraint {p} mask must be a list of coordinate indices, got {mask!r}")
+    mask = tuple(_integer(i, f"constraint {p} mask entry") for i in mask) if mask else None
+    if mask and not all(1 <= i <= dimension for i in mask):
+        raise ValueError(f"constraint mask indices out of range: {mask}")
+    L = None if entry.L is None else finite(entry.L, f"constraint {p} L")
+    return ConstraintDef(str(entry.expr), L, mask)
+
+
+def _norm(value) -> NormKind:
+    return value if isinstance(value, NormKind) else NormKind.from_string(value)
 
 
 @dataclass
@@ -110,70 +168,17 @@ def load_problem_file(path) -> ProblemDefinition:
 
 
 def definition_from_dict(data: dict, name: str = "") -> ProblemDefinition:
-    unknown = set(data) - _KEYS
+    """The definition that a problem file's mapping spells.  Its keys are
+    the fields of ``ProblemDefinition`` other than ``name``; the
+    constructor checks the values."""
+    keys = [f for f in fields(ProblemDefinition) if f.name != "name"]
+    unknown = set(data) - {f.name for f in keys}
     if unknown:
-        raise ValueError(f"unknown problem keys: {sorted(unknown)}")
-    for key in ("dimension", "bounds", "norm", "image_norm", "objective", "constraints"):
+        raise ValueError(f"unknown problem keys: {sorted(unknown, key=str)}")
+    for key in (f.name for f in keys if f.default is MISSING):
         if key not in data:
             raise ValueError(f"problem file is missing required key {key!r}")
-    dimension = positive_integer(_integer(data["dimension"], "dimension"), "dimension")
-    if not isinstance(data["bounds"], (list, tuple)) or not all(
-        isinstance(b, (list, tuple)) and len(b) == 2 for b in data["bounds"]
-    ):
-        raise ValueError("bounds must be a list of [lower, upper] pairs, one per coordinate")
-    bounds = tuple((finite(lo, "bounds entry"), finite(hi, "bounds entry")) for lo, hi in data["bounds"])
-    if len(bounds) != dimension:
-        raise ValueError("bounds length does not match dimension")
-    integral = None
-    if data.get("integral") is not None:
-        if not isinstance(data["integral"], (list, tuple)):
-            raise ValueError("integral must be a list of booleans, one per coordinate")
-        integral = tuple(data["integral"])
-        if not all(isinstance(b, (bool, np.bool_)) for b in integral):
-            raise ValueError(f"integral must be a list of booleans, one per coordinate, got {data['integral']!r}")
-        if len(integral) != dimension:
-            raise ValueError("integral length does not match dimension")
-    if not isinstance(data["constraints"], (list, tuple)):
-        raise ValueError("constraints must be a list of mappings with an 'expr' key")
-    constraints = []
-    for p, entry in enumerate(data["constraints"], start=1):
-        if not isinstance(entry, dict):
-            raise ValueError(f"constraint {p} must be a mapping with an 'expr' key, got {entry!r}")
-        unknown = set(entry) - _CONSTRAINT_KEYS
-        if unknown:
-            raise ValueError(f"unknown constraint keys: {sorted(unknown)}")
-        if "expr" not in entry:
-            raise ValueError(f"constraint {p} is missing required key 'expr'")
-        mask = entry.get("mask")
-        if mask and not isinstance(mask, (list, tuple)):
-            raise ValueError(f"constraint {p} mask must be a list of coordinate indices, got {mask!r}")
-        mask = tuple(_integer(i, f"constraint {p} mask entry") for i in mask) if mask else None
-        if mask and not all(1 <= i <= dimension for i in mask):
-            raise ValueError(f"constraint mask indices out of range: {mask}")
-        constraints.append(ConstraintDef(str(entry["expr"]), _optional(entry, "L", finite, f"constraint {p} L"), mask))
-    if not constraints:
-        raise ValueError("a problem needs at least one constraint")
-    cut_mode = CutMode(data["cut_mode"]) if data.get("cut_mode") else None
-    return ProblemDefinition(
-        dimension=dimension,
-        bounds=bounds,
-        norm=NormKind.from_string(data["norm"]),
-        image_norm=NormKind.from_string(data["image_norm"]),
-        objective=str(data["objective"]),
-        constraints=tuple(constraints),
-        integral=integral,
-        objective_L=_optional(data, "objective_L", finite),
-        global_L=_optional(data, "global_L", finite),
-        epsilon=_optional(data, "epsilon", finite),
-        max_iterations=_optional(data, "max_iterations", _integer),
-        cut_mode=cut_mode,
-        name=name,
-    )
-
-
-def _optional(data: dict, key: str, read, what: str | None = None):
-    """``read(data[key], what)``, or None when the key is absent or null."""
-    return read(data[key], what or key) if data.get(key) is not None else None
+    return ProblemDefinition(**data, name=name)
 
 
 def _integer(value, what: str) -> int:
@@ -184,6 +189,13 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def compile_definition(definition: ProblemDefinition):
+    """A definition's box, parsed objective and list of parsed constraints."""
+    box = BoxDomain(*zip(*definition.bounds), definition.integral)
+    objective = parse(definition.objective, definition.dimension)
+    return box, objective, [parse(c.expr, definition.dimension) for c in definition.constraints]
+
+
 def build(
     definition: ProblemDefinition,
     estimator: str = "grid",
@@ -192,19 +204,14 @@ def build(
     """Compile a definition to a runnable Problem, estimating any missing
     Lipschitz constants with the chosen estimator: ``"grid"`` is
     ``jacobian_sup_bound`` with its defaults (64 points per dimension,
-    safety 1.05), anything else ``slope_sampling_estimate`` over 10,000
-    pairs from ``seed`` with its default inflation 0.1.  Per-component
-    constants are estimated when ``cut_mode`` is component, and otherwise
-    kept only when the file gives all of them.  A failed estimate raises
-    ValueError prefixed with the constant's ``BuiltProblem.estimated`` key
-    (``labelled_estimate``)."""
-    box = BoxDomain(
-        [b[0] for b in definition.bounds],
-        [b[1] for b in definition.bounds],
-        definition.integral,
-    )
-    objective_expr = parse(definition.objective, definition.dimension)
-    constraint_exprs = [parse(c.expr, definition.dimension) for c in definition.constraints]
+    safety 1.05), ``"sampling"`` ``slope_sampling_estimate`` over 10,000
+    pairs from ``seed`` with its default inflation 0.1; any other name
+    raises before any work.  Per-component constants are estimated when
+    ``cut_mode`` is component, and otherwise kept only when the file gives
+    all of them.  A failed estimate raises with its message prefixed by the
+    constant's ``BuiltProblem.estimated`` key (``labelled_estimate``)."""
+    estimator_name(estimator)
+    box, objective_expr, constraint_exprs = compile_definition(definition)
     estimated: dict[str, LipschitzEstimate] = {}
 
     def estimate(key: str, exprs) -> float:
@@ -273,16 +280,13 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT5 = math.sqrt(5.0)
 
 
-def builtin_problems() -> dict[str, ProblemDefinition]:
-    """The five builtin instances.  Lipschitz constants are the published
-    values, fixed rather than re-estimated, so traces are reproducible."""
+def _catalog() -> dict[str, ProblemDefinition]:
     catalog = {}
     catalog["sin-example"] = ProblemDefinition(
         name="sin-example",
         dimension=2,
         bounds=((-1.0, 1.0), (-1.0, 1.0)),
-        norm=NormKind.Two,
-        image_norm=NormKind.Two,
+        norm=NormKind.Two, image_norm=NormKind.Two,
         objective="abs(x1 - x2) + x1",
         objective_L=_SQRT5,
         constraints=(ConstraintDef("-sin(x1) - x2", L=_SQRT2),),
@@ -294,8 +298,7 @@ def builtin_problems() -> dict[str, ProblemDefinition]:
         name="bad-local",
         dimension=1,
         bounds=((-1.0, 1.0),),
-        norm=NormKind.Two,
-        image_norm=NormKind.Two,
+        norm=NormKind.Two, image_norm=NormKind.Two,
         objective="-abs(x1)",
         objective_L=1.0,
         constraints=(ConstraintDef("-(x1^3)/3", L=1.0),),
@@ -307,8 +310,7 @@ def builtin_problems() -> dict[str, ProblemDefinition]:
         name="comp-example",
         dimension=2,
         bounds=((1.0, 10.0), (0.0, 4.0)),
-        norm=NormKind.Two,
-        image_norm=NormKind.Two,
+        norm=NormKind.Two, image_norm=NormKind.Two,
         objective="x1 + 4*x2",
         objective_L=math.sqrt(17.0),
         constraints=(
@@ -319,28 +321,17 @@ def builtin_problems() -> dict[str, ProblemDefinition]:
         epsilon=1e-6,
         max_iterations=100,
     )
-    catalog["comp-example-manipulated"] = ProblemDefinition(
+    catalog["comp-example-manipulated"] = replace(
+        catalog["comp-example"],
         name="comp-example-manipulated",
-        dimension=2,
-        bounds=((1.0, 10.0), (0.0, 4.0)),
-        norm=NormKind.Two,
-        image_norm=NormKind.Two,
-        objective="x1 + 4*x2",
-        objective_L=math.sqrt(17.0),
-        constraints=(
-            ConstraintDef("cos(6*x1)/2 - x2 + 1.8", L=math.sqrt(15.0)),
-            ConstraintDef("cos(6*x1)/2 - x2 + 1.8", L=math.sqrt(15.0)),
-        ),
+        constraints=(ConstraintDef("cos(6*x1)/2 - x2 + 1.8", L=math.sqrt(15.0)),) * 2,
         global_L=math.sqrt(20.0),
-        epsilon=1e-6,
-        max_iterations=100,
     )
     catalog["infeasible-1d"] = ProblemDefinition(
         name="infeasible-1d",
         dimension=1,
         bounds=((-1.0, 1.0),),
-        norm=NormKind.Two,
-        image_norm=NormKind.Two,
+        norm=NormKind.Two, image_norm=NormKind.Two,
         objective="x1",
         objective_L=1.0,
         constraints=(ConstraintDef("x1^2 + 1", L=2.0),),
@@ -351,8 +342,17 @@ def builtin_problems() -> dict[str, ProblemDefinition]:
     return catalog
 
 
+# checked once: the definitions are frozen, so all callers share them
+_BUILTINS = _catalog()
+
+
+def builtin_problems() -> dict[str, ProblemDefinition]:
+    """The five builtin instances.  Lipschitz constants are the published
+    values, fixed rather than re-estimated, so traces are reproducible."""
+    return dict(_BUILTINS)
+
+
 def get_builtin(name: str) -> ProblemDefinition:
-    catalog = builtin_problems()
-    if name not in catalog:
-        raise KeyError(f"unknown builtin {name!r}; available: {', '.join(sorted(catalog))}")
-    return catalog[name]
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin {name!r}; available: {', '.join(sorted(_BUILTINS))}")
+    return _BUILTINS[name]

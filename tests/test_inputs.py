@@ -1,8 +1,11 @@
 """One rule for scalar inputs.  Every entry point refuses a boolean, NaN,
 an infinity, a fractional count or a string with a ValueError that names
-the argument, and stores a numpy scalar as a Python float or int.  The
-rules live in ``lipcut.core``; the entry points whose own tests already
-take bad values as a parameter keep those rows there."""
+the argument, and stores a numpy scalar as a Python float or int.  A norm
+or cut-mode field refuses anything but a member of its enum, its value
+spelled as text included, and a ``ProblemDefinition`` is checked by the
+rules of a problem file whoever builds it.  The rules live in
+``lipcut.core`` and ``ProblemDefinition``; the entry points whose own
+tests already take bad values as a parameter keep those rows there."""
 
 import math
 import re
@@ -15,9 +18,10 @@ from lipcut.bounds import ball_packing_bound, box_packing_bound, complexity_lowe
 from lipcut.core import BoxDomain, ConstraintSpec, Cut, NormKind, ObjectiveSpec, Problem, cut_radius
 from lipcut.driver import DriverConfig
 from lipcut.expr import parse
-from lipcut.lipschitz import EstimateMethod, LipschitzEstimate, jacobian_sup_bound, slope_sampling_estimate
-from lipcut.oracle import OracleConfig
-from lipcut.problems import build, get_builtin
+from lipcut.lipschitz import (EstimateMethod, LipschitzEstimate, induced_norm, jacobian_sup_bound,
+                              slope_sampling_estimate)
+from lipcut.oracle import GlobalOracle, OracleConfig
+from lipcut.problems import ConstraintDef, ProblemDefinition, build, get_builtin
 
 BOX = BoxDomain((0.0, 0.0), (1.0, 1.0))
 LINE = BoxDomain((0.0,), (1.0,))
@@ -30,6 +34,11 @@ def first(points):
 
 def constraint(**kwargs):
     return ConstraintSpec(**{"components": (), "global_L": 1.0, "batch_components": (first,), **kwargs})
+
+
+def definition(**kwargs):
+    return ProblemDefinition(**{"dimension": 2, "bounds": ((0.0, 1.0), (0.0, 1.0)), "norm": TWO, "image_norm": TWO,
+                                "objective": "x1", "constraints": (ConstraintDef("x1 - x2"),), **kwargs})
 
 
 REFUSALS = {
@@ -58,8 +67,23 @@ REFUSALS = {
     "parse-dimension-bool": (lambda: parse("x1", True), "dimension"),
     "unknown-estimator": (lambda: build(replace(get_builtin("sin-example"), global_L=None), estimator="gird"),
                           "estimator"),
+    "unknown-estimator-unused": (lambda: build(get_builtin("sin-example"), estimator="gird"), "estimator"),
     "short-mask-row": (lambda: Problem(BOX, ObjectiveSpec(None, 1.0, batch_evaluator=first),
                                        constraint(active_mask=((True,),))), "active_mask"),
+    "cut-norm-text": (lambda: Cut([0.0], 1.0, norm="2"), "norm"),
+    "constraint-image-norm-text": (lambda: constraint(image_norm="2"), "image_norm"),
+    "problem-domain-norm-text": (lambda: Problem(BOX, ObjectiveSpec(None, 1.0, batch_evaluator=first), constraint(),
+                                                 domain_norm="2"), "domain_norm"),
+    "global-oracle-norm-text": (lambda: GlobalOracle(OracleConfig(), "2"), "domain_norm"),
+    "driver-cut-mode-text": (lambda: DriverConfig(cut_mode="vector"), "cut_mode"),
+    "induced-norm-text": (lambda: induced_norm(np.eye(2), "2", "2"), "domain_norm"),
+    "definition-short-bounds": (lambda: definition(bounds=((0.0, 1.0),)), "bounds length"),
+    "definition-mask-zero": (lambda: definition(constraints=(ConstraintDef("x1", mask=(0,)),)),
+                             "constraint mask indices"),
+    "definition-mask-past-dimension": (lambda: definition(constraints=(ConstraintDef("x1", mask=(1, 3)),)),
+                                       "constraint mask indices"),
+    "definition-no-constraints": (lambda: definition(constraints=()), "a problem needs"),
+    "definition-mask-zero-scalar": (lambda: definition(constraints=({"expr": "x1", "mask": 0},)), "constraint 1 mask"),
 }
 
 

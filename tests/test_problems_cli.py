@@ -8,8 +8,12 @@ import yaml
 
 from lipcut.cli import main
 from lipcut.core import NormKind
+from lipcut.driver import DriverConfig, run, trace_to_csv
+from lipcut.expr import EvaluationError
 from lipcut.lipschitz import EstimateMethod
+from lipcut.oracle import GlobalOracle
 from lipcut.problems import (
+    ProblemDefinition,
     build,
     builtin_problems,
     definition_from_dict,
@@ -170,6 +174,31 @@ class TestProblemFiles:
             with pytest.raises(ValueError, match=f"^{key}: Lipschitz estimate must be finite and positive, got inf"):
                 build(definition_from_dict(data), estimator=estimator)
 
+    def test_a_failed_evaluation_names_its_constant(self):
+        # the grid's central differences step to x1 = -1e-6, where x1^1.5 is NaN
+        data = dict(SIN_FILE, dimension=1, bounds=[[0.0, 1.0]], objective="x1^1.5", objective_L=None,
+                    constraints=[{"expr": "x1 - 0.5", "L": 1.0}], global_L=1.0)
+        message = "objective_L: non-finite value nan at [-1.e-06] in 'x1^1.5'"
+        with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$") as info:
+            build(definition_from_dict(data))
+        assert str(info.value.subexpression) == "x1^1.5"
+
+    def test_a_definition_built_in_python_reads_what_a_file_spells(self):
+        data = dict(SIN_FILE, norm="1", image_norm="inf", max_iterations=4, cut_mode="")
+        from_file = definition_from_dict(data)
+        in_python = ProblemDefinition(
+            dimension=2.0, bounds=[[-1, 1], (-1.0, 1.0)], norm=" 1", image_norm="Inf", objective=SIN_FILE["objective"],
+            constraints=[{"expr": "-sin(x1) - x2", "L": math.sqrt(2.0)}], objective_L=math.sqrt(5.0),
+            global_L=math.sqrt(2.0), epsilon=1e-4, max_iterations=4.0, cut_mode="",
+        )
+        assert in_python == from_file and in_python.norm is NormKind.One and in_python.image_norm is NormKind.Inf
+        traces = []
+        for definition in (from_file, in_python):
+            built = build(definition)
+            config = DriverConfig(built.epsilon, built.max_iterations, built.cut_mode)
+            traces.append(trace_to_csv(run(built.problem, GlobalOracle(domain_norm=NormKind.One), config).trace, 2))
+        assert traces[0] == traces[1]
+
     def test_built_specs_are_batch_only(self):
         built = build(get_builtin("comp-example"))
         objective, constraint = built.problem.objective, built.problem.constraint
@@ -280,6 +309,8 @@ class TestCliSolve:
         (yaml.safe_dump(dict(SIN_FILE, constraints=[{"expr": "x1", "mask": 5}])),
          "constraint 1 mask must be a list of coordinate indices"),
         (yaml.safe_dump(dict(SIN_FILE, constraints=[{"L": 1.0}])), "constraint 1 is missing required key 'expr'"),
+        (yaml.safe_dump(dict(SIN_FILE, constraints=[{"expr": "x1", 1: 2, "typo": 3}])),
+         "unknown constraint keys: [1, 'typo']"),
         (yaml.safe_dump(dict(SIN_FILE, integral=["false", "true"])), "integral must be a list of booleans"),
         (yaml.safe_dump(dict(SIN_FILE, integral=[0, 1])), "integral must be a list of booleans"),
         (yaml.safe_dump(dict(SIN_FILE, dimension=2.7)), "dimension must be an integer, got 2.7"),
@@ -289,8 +320,8 @@ class TestCliSolve:
         (yaml.safe_dump(dict(SIN_FILE, constraints=[{"expr": "x1", "mask": [True]}])),
          "constraint 1 mask entry must be an integer, got True"),
     ], ids=["invalid-yaml", "constraints-not-a-list", "constraint-not-a-mapping", "bounds-not-pairs",
-            "integral-not-a-list", "mask-not-a-list", "constraint-without-expr", "integral-strings",
-            "integral-numbers", "fractional-dimension", "string-dimension", "fractional-mask",
+            "integral-not-a-list", "mask-not-a-list", "constraint-without-expr", "mixed-unknown-keys",
+            "integral-strings", "integral-numbers", "fractional-dimension", "string-dimension", "fractional-mask",
             "boolean-mask"])
     def test_malformed_file_is_an_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.yaml"
@@ -354,8 +385,10 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite value nan at [-1.] in 'sqrt(x1)'")
 
-    @pytest.mark.parametrize("command", ["solve", "estimate-lipschitz"])
-    def test_overflowing_lipschitz_estimate_is_an_error_line(self, tmp_path, capsys, command):
+    # estimate-lipschitz estimates none of the file's constants, only its own
+    @pytest.mark.parametrize("command, label", [("solve", "global_L"), ("estimate-lipschitz", "constraint 1")],
+                             ids=["solve", "estimate-lipschitz"])
+    def test_overflowing_lipschitz_estimate_is_an_error_line(self, tmp_path, capsys, command, label):
         # the difference quotient of exp(709*x1) near x1 = 1 overflows to inf
         data = {k: v for k, v in SIN_FILE.items() if k != "global_L"}
         data.update(dimension=1, bounds=[[0.0, 1.0]], objective="x1", objective_L=1.0,
@@ -367,7 +400,7 @@ class TestCliSolve:
             warnings.simplefilter("error")
             assert main([command, "--problem", str(path)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: global_L: Lipschitz estimate must be finite and positive, got inf")
+        assert captured.err.startswith(f"error: {label}: Lipschitz estimate must be finite and positive, got inf")
         assert "trace" not in captured.out and "status" not in captured.out
 
     @pytest.mark.parametrize("method", ["grid", "sampling"])
@@ -552,6 +585,18 @@ class TestCliEstimate:
         first = [l for l in out.splitlines() if l.startswith("constraint 1")][0]
         l1_sq = float(first.split("L^2 = ")[1].split(")")[0])
         assert l1_sq == pytest.approx(10.0, rel=0.02)
+
+    def test_estimates_no_constant_it_does_not_print(self, tmp_path, capsys):
+        # the default grid would estimate objective_L, and sqrt(x1) is NaN
+        # at its central-difference step to x1 = -1e-6
+        data = {"dimension": 1, "bounds": [[0.0, 1.0]], "norm": "2", "image_norm": "2", "objective": "sqrt(x1)",
+                "constraints": [{"expr": "x1 - 0.5"}]}
+        path = tmp_path / "sqrt.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["estimate-lipschitz", "--problem", str(path), "--method", "sampling"]) == 0
+        captured = capsys.readouterr()
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == ["constraint 1", "vector"]
+        assert captured.err == ""
 
     def test_constant_constraint_sampling_floor(self, tmp_path, capsys):
         data = dict(SIN_FILE)
