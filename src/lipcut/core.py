@@ -1,9 +1,9 @@
 """Core geometry: box domains, monotone norms, and norm-ball exclusion cuts.
 
 All types here are immutable after construction and own their arrays.  A
-``RelaxedRegion`` stacks its cuts into per-(norm, mask) arrays once, and
-three chunked passes over the stacked cuts share one norm accumulation
-routine:
+``RelaxedRegion`` stacks its cuts into per-(norm, mask) arrays once, on
+first use, and three chunked passes over the stacked cuts share one norm
+accumulation routine:
 
 * ``membership_mask``: every (point, cut) pair of a batch of points;
 * ``box_relations``: the (box, cut) pairs that a (cuts, boxes) candidate
@@ -28,6 +28,7 @@ and chunks them.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import sys
@@ -236,12 +237,22 @@ class BoxDomain:
         return ok
 
 
-@dataclass(frozen=True, eq=False)
+@functools.lru_cache(maxsize=None)
+def _full_mask(dim: int) -> np.ndarray:
+    """The all-true mask of ``dim`` coordinates, read-only and built once
+    per dimension: every maskless cut shares it."""
+    out = np.ones(dim, dtype=bool)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Cut:
     """One norm-ball exclusion: points x with masked-norm(x - center) < radius
     are infeasible.  The boundary (distance exactly equal to the radius) is
     feasible; a radius-0 cut excludes nothing.  ``mask`` selects the
-    coordinates over which the distance is measured (all-true by default).
+    coordinates over which the distance is measured (all-true by default,
+    one read-only array shared by the maskless cuts of a dimension).
     Cuts compare and hash by identity, like boxes.
     """
 
@@ -257,7 +268,7 @@ class Cut:
             raise ValueError(f"cut center must be finite, got {center}")
         radius = nonnegative(radius, "cut radius")
         if mask is None:
-            mask = np.ones(center.size, dtype=bool)
+            mask = _full_mask(center.size)
         else:
             mask = np.atleast_1d(np.array(mask, dtype=bool))
             if mask.shape != center.shape:
@@ -280,12 +291,14 @@ class Cut:
 class RelaxedRegion:
     """A box domain minus the accumulated exclusion balls.
 
-    ``cuts`` is the public tuple of ``Cut``.  Construction also stacks the
-    cuts of positive radius into one group per (norm, mask), in order of
-    first appearance: the masked columns (indices, or a slice for a full
-    mask), the centers restricted to them as a (columns, cuts) array, and
-    the radii.  The groups laid end to end number the stacked cuts
-    0..K-1, the rows of ``box_relations``'s ``touching``.
+    ``cuts`` is the public tuple of ``Cut``.  The first test against the
+    region stacks the cuts of positive radius into one group per (norm,
+    mask), in order of first appearance: the masked columns (indices, or
+    a slice for a full mask), the centers restricted to them as a
+    (columns, cuts) array, and the radii.  The groups laid end to end
+    number the stacked cuts 0..K-1, the rows of ``box_relations``'s
+    ``touching``.  A region never tested, such as the driver's final
+    region, holds no stacked copy of its cuts.
     """
 
     domain: BoxDomain
@@ -293,10 +306,17 @@ class RelaxedRegion:
 
     def __post_init__(self):
         object.__setattr__(self, "cuts", tuple(self.cuts))
-        groups: dict = {}
         for c in self.cuts:
             if c.dimension != self.domain.dimension:
                 raise ValueError("cut dimension does not match domain")
+
+    @functools.cached_property
+    def _stacked(self) -> tuple:
+        """The groups, each (norm, columns, centers, radii, first stacked
+        index), and the (groups + 1) array of their first stacked indices
+        followed by K."""
+        groups: dict = {}
+        for c in self.cuts:
             if c.radius > 0.0:
                 groups.setdefault((c.norm, c.mask.tobytes()), []).append(c)
         stacked, starts = [], [0]
@@ -310,8 +330,7 @@ class RelaxedRegion:
             radii.setflags(write=False)
             stacked.append((norm, cols, centers, radii, starts[-1]))
             starts.append(starts[-1] + len(members))
-        object.__setattr__(self, "_groups", tuple(stacked))
-        object.__setattr__(self, "_starts", np.array(starts))
+        return tuple(stacked), np.array(starts)
 
     def with_cut(self, cut: Cut) -> "RelaxedRegion":
         return RelaxedRegion(self.domain, self.cuts + (cut,))
@@ -321,7 +340,7 @@ class RelaxedRegion:
         masked distance >= radius."""
         points = np.asarray(points, dtype=float)
         out = self.domain.contains_mask(points)
-        for norm, cols, centers, radii, _ in self._groups:
+        for norm, cols, centers, radii, _ in self._stacked[0]:
             if not out.any():
                 break
             step = max(1, _CHUNK_ELEMENTS // radii.size)
@@ -334,7 +353,7 @@ class RelaxedRegion:
     @property
     def stacked_cuts(self) -> int:
         """K, the number of stacked cuts (those of positive radius)."""
-        return int(self._starts[-1])
+        return int(self._stacked[1][-1])
 
     def box_relations(self, los: np.ndarray, his: np.ndarray, mids: np.ndarray, candidates: np.ndarray):
         """One pass over the (cut, box) pairs that ``candidates`` (K, N),
@@ -418,9 +437,10 @@ class RelaxedRegion:
         the pairs' cuts within the group, boxes and pair numbers."""
         pairs = candidates.ravel().nonzero()[0]  # cut-major: cuts ascend
         cut, box = np.divmod(pairs, candidates.shape[1])
-        bounds = cut.searchsorted(self._starts)
+        groups, starts = self._stacked
+        bounds = cut.searchsorted(starts)
         step = max(1, _CHUNK_ELEMENTS // (width * self.domain.dimension))
-        for (norm, cols, centers, radii, start), a, b in zip(self._groups, bounds, bounds[1:]):
+        for (norm, cols, centers, radii, start), a, b in zip(groups, bounds, bounds[1:]):
             for s in range(a, b, step):
                 e = min(s + step, b)
                 yield norm, cols, centers, radii, cut[s:e] - start, box[s:e], pairs[s:e]
@@ -490,12 +510,14 @@ class ObjectiveSpec:
     A ``batch_evaluator``'s value for a row must not depend on the other
     rows of its batch, bit for bit, as with ``lipcut.expr``'s elementwise
     numpy evaluation or a per-column sum; a BLAS product such as ``p @ w``
-    can break it.  The branch and bound measures boxes of several
-    tree levels in one call and replays its decisions from those values,
-    so its results are those of one call per level only under this
+    can break it.  The global oracle's branch and bound measures boxes of
+    several tree levels in one call and replays its decisions from those
+    values, so its results are those of one call per level only under this
     requirement.  It also evaluates centers of boxes that the replay then
     prunes, so a NaN or infinite value anywhere in the box can stop a
-    solve that a one-level search would have finished."""
+    solve that a one-level search would have finished.  Only the global
+    oracle makes such extra evaluations: the local oracle evaluates
+    exactly the points and batches of its one-step-at-a-time search."""
 
     evaluator: Callable[[np.ndarray], float] | None
     lipschitz_f: float

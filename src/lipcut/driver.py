@@ -67,7 +67,7 @@ class SolveStatus(enum.Enum):
     IterationLimit = "iteration-limit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriverConfig:
     """Driver behavior.
 
@@ -77,6 +77,9 @@ class DriverConfig:
     approximate mode and never applies in exact mode.  Component mode
     requires per-component Lipschitz constants and a constraint without a
     point-dependent constant (``ConstraintSpec.pointwise_L``).
+    ``initial_start``, the local oracle's first start (the box center when
+    None), is stored as a read-only copy: a 1-D vector of finite numbers.
+    Configs compare and hash by identity, like boxes.
     """
 
     epsilon: float = 0.0
@@ -93,9 +96,17 @@ class DriverConfig:
             object.__setattr__(self, "epsilon_floor", self.epsilon > 0)
         if self.epsilon_floor and self.epsilon == 0:
             raise ValueError("the epsilon floor requires epsilon > 0")
+        if self.initial_start is not None:
+            # a read-only float copy; text and booleans are not numbers here
+            start = np.array(self.initial_start)
+            if start.dtype.kind not in "iuf" or start.ndim != 1 or not np.isfinite(start).all():
+                raise ValueError(f"initial_start must be a 1-D vector of finite numbers, got {self.initial_start!r}")
+            start = start.astype(float)
+            start.setflags(write=False)
+            object.__setattr__(self, "initial_start", start)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """One row of the solve trace.  ``radius`` is 0 exactly when the
     iterate was accepted as (epsilon-)feasible."""
@@ -111,7 +122,7 @@ class IterationRecord:
     oracle_gap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveOutcome:
     """Driver outcome.  ``lower_bound`` is the last oracle value minus its
     gap (+inf when the first oracle call certifies infeasibility).  The

@@ -89,6 +89,7 @@ from .core import (
 _WAVE_SIZE = 64
 # One kernel pass measures at most this many boxes, over as many tree
 # levels as fit: the children of a full wave, the largest batch of one level.
+# One membership test of the local search holds at most this many probes.
 _BATCH_BOXES = 2 * _WAVE_SIZE
 _BOX_MIN_WIDTH = 1e-10  # edges narrower than this are not split
 _MAX_SAMPLES = 32
@@ -515,18 +516,30 @@ class GlobalOracle:
 
 
 class LocalOracle:
-    """Compass/pattern search from a start point, which ``solve`` requires.
+    """Compass/pattern search from a start point, which ``solve`` requires
+    to be finite and in the box (Kolda, Lewis & Torczon, "Optimization by
+    direct search", SIAM Review 2003).
 
     Probes +/- step along each coordinate (initial step: a quarter of the
-    longest box edge; all 2n probes of a step in one membership test and
-    the feasible ones in one objective evaluation),
-    accepts the best feasible improving probe, halves the step on failure
-    and stops once the step falls below 1e-9.  It raises
-    ResourceLimitError once its objective evaluations exceed
-    ``node_limit``.  A start
-    violating some cut is first pushed radially off the nearest violated
-    cut to just outside its boundary (clipped to the box); if that
-    projection is still infeasible the search fails with
+    longest box edge; the feasible probes of a step in one objective
+    evaluation), accepts the best feasible improving probe (the least
+    value, then the least point), halves the step on failure and stops
+    once the step falls below 1e-9.  It raises ResourceLimitError once its
+    objective evaluations exceed ``node_limit``.
+
+    One membership test covers a step and the halvings below it, 2n probes
+    per level, as many levels as ``_BATCH_BOXES`` = 128 probes hold (at
+    least one; every level down to 1e-9 in 1-D).  Membership is pure cut
+    geometry and answers each probe on its own, so the levels are then
+    replayed in order: the evaluation count and node limit, the objective
+    call on the level's feasible probes, and the move or the halving are
+    those of a search testing one step at a time.  The objective is
+    evaluated exactly where, when and in the batches that such a search
+    evaluates it; after a move the next test starts at the new point.
+
+    A start violating some cut is first pushed radially off the nearest
+    violated cut to just outside its boundary (clipped to the box); if
+    that projection is still infeasible the search fails with
     InfeasibleStartError.  The reported gap is infinite: local solutions
     carry no global certificate.
     """
@@ -543,6 +556,8 @@ class LocalOracle:
         x = np.asarray(start, dtype=float).copy()
         if x.shape != box.lower.shape:
             raise ValueError("start dimension mismatch")
+        if not np.isfinite(x).all():
+            raise ValueError(f"start must be finite, got {x}")
         if np.any(x < box.lower - 1e-12) or np.any(x > box.upper + 1e-12):
             raise ValueError("start must lie within the region's box")
         x = np.clip(x, box.lower, box.upper)
@@ -561,27 +576,39 @@ class LocalOracle:
         fx = float(objective.evaluate_batch(x[None, :])[0])
         evaluations = 1
         step = float(np.max(box.widths)) / 4.0
-        # probe 2j + 0 is x - step e_j, probe 2j + 1 is x + step e_j
-        probe_rows = np.arange(2 * box.dimension)
+        n = box.dimension
+        # the levels of one membership test: a step and its halvings, 2n
+        # probes each, as many as one batch of _BATCH_BOXES holds
+        depth = max(1, _BATCH_BOXES // (2 * n))
+        # probe 2j + 0 of a level is x - s e_j, probe 2j + 1 is x + s e_j
+        probe_rows = np.arange(2 * n)
         probe_axes = probe_rows // 2
-        signs = np.tile((-1.0, 1.0), box.dimension)
+        signs = np.tile((-1.0, 1.0), n)
         while step >= 1e-9:
-            probes = x[None, :].repeat(len(probe_rows), axis=0)
-            probes[probe_rows, probe_axes] += signs * step
-            feasible = probes[region.membership_mask(probes)]
-            evaluations += len(feasible)
-            if evaluations > self.config.node_limit:
-                raise ResourceLimitError(evaluations, x, fx, math.inf)
-            best = None
-            for cand, fc in zip(feasible, objective.evaluate_batch(feasible).tolist()):
-                if fc >= fx:
-                    continue
-                if best is None or fc < best[0] or (fc == best[0] and tuple(cand) < tuple(best[1])):
-                    best = (fc, cand)
-            if best is None:
-                step *= 0.5
-            else:
-                fx, x = best[0], best[1].copy()
+            steps = [step]
+            while len(steps) < depth and steps[-1] * 0.5 >= 1e-9:
+                steps.append(steps[-1] * 0.5)
+            probes = np.empty((len(steps), 2 * n, n))
+            probes[...] = x
+            probes[:, probe_rows, probe_axes] += np.multiply.outer(steps, signs)
+            feasible_rows = region.membership_mask(probes.reshape(-1, n)).reshape(len(steps), 2 * n)
+            # replay the levels in order, as a search testing one level at a time
+            for level, s in enumerate(steps):
+                feasible = probes[level, feasible_rows[level]]
+                evaluations += len(feasible)
+                if evaluations > self.config.node_limit:
+                    raise ResourceLimitError(evaluations, x, fx, math.inf)
+                best = None
+                for cand, fc in zip(feasible, objective.evaluate_batch(feasible).tolist()):
+                    if fc >= fx:
+                        continue
+                    if best is None or fc < best[0] or (fc == best[0] and tuple(cand) < tuple(best[1])):
+                        best = (fc, cand)
+                if best is None:
+                    step = s * 0.5
+                else:
+                    fx, x, step = best[0], best[1].copy(), s
+                    break
         return OracleResult(OracleStatus.Solved, x, fx, math.inf, evaluations)
 
 

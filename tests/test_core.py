@@ -1,4 +1,7 @@
 import math
+import pickle
+from copy import deepcopy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +157,22 @@ class TestCutSatisfied:
         center[0], mask[1] = 5.0, True
         assert cut.center.tolist() == [0.0, 0.0] and cut.mask.tolist() == [True, False]
         assert not cut.center.flags.writeable and not cut.mask.flags.writeable
+
+    def test_maskless_cuts_share_one_read_only_all_true_mask(self):
+        cut, twin = Cut((0.0, 0.0), 1.0), Cut((1.0, 2.0), 0.5, norm=NormKind.Inf)
+        assert cut.mask.tolist() == [True, True] and not cut.mask.flags.writeable
+        assert cut.mask is twin.mask and Cut((0.0,), 1.0).mask.tolist() == [True]
+
+    @pytest.mark.parametrize("copy", [
+        lambda c: pickle.loads(pickle.dumps(c)), deepcopy, lambda c: replace(c, radius=c.radius),
+    ], ids=["pickle", "deepcopy", "replace"])
+    @pytest.mark.parametrize("mask", [None, (True, False)])
+    def test_round_trips(self, copy, mask):
+        cut = Cut((0.5, -1.5), 0.25, mask, NormKind.One)
+        twin = copy(cut)
+        assert type(twin) is Cut and twin is not cut and not hasattr(twin, "__dict__")
+        assert twin.center.tolist() == cut.center.tolist() and twin.mask.tolist() == cut.mask.tolist()
+        assert twin.radius == cut.radius and twin.norm is cut.norm
 
     def test_masked_distance(self):
         # distance measured over the first coordinate only

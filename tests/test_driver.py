@@ -1,4 +1,6 @@
 import math
+import pickle
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -338,6 +340,58 @@ class TestDriverConfig:
 
     def test_numpy_integers_are_accepted(self):
         assert DriverConfig(max_iterations=np.int64(4)).max_iterations == 4
+
+    @pytest.mark.parametrize("start", [
+        np.array(["-0.5"]), ["-0.5"], np.array([math.nan]), [-math.inf], [True], np.array([[-0.5]]), -0.5,
+    ])
+    def test_initial_start_must_be_a_vector_of_finite_numbers(self, start):
+        with pytest.raises(ValueError, match="^initial_start must be a 1-D vector of finite numbers"):
+            DriverConfig(initial_start=start)
+
+    def test_initial_start_is_a_read_only_copy(self):
+        start = np.array([-1, 0])
+        config = DriverConfig(initial_start=start)
+        start[0] = 5
+        assert config.initial_start.tolist() == [-1.0, 0.0] and config.initial_start.dtype == float
+        assert not config.initial_start.flags.writeable
+
+    def test_configs_compare_and_hash_by_identity(self):
+        # equal 2-D starts once made == raise, and hash always raised
+        config, twin = DriverConfig(initial_start=[0.5, 0.5]), DriverConfig(initial_start=[0.5, 0.5])
+        assert config == config and config != twin
+        assert config in {config} and len({config, twin}) == 2
+
+
+class TestSlottedRecords:
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        return run(sin_problem(), global_oracle(), DriverConfig(epsilon=1e-4, max_iterations=3))
+
+    @pytest.mark.parametrize("copy", [lambda o: pickle.loads(pickle.dumps(o)), deepcopy], ids=["pickle", "deepcopy"])
+    def test_round_trips(self, outcome, copy):
+        twin = copy(outcome)
+        assert twin.status is outcome.status and twin.lower_bound == outcome.lower_bound
+        assert trace_to_csv(twin.trace, 2) == trace_to_csv(outcome.trace, 2)
+        centers = [c.center.tolist() for c in outcome.final_region.cuts]
+        assert [c.center.tolist() for c in twin.final_region.cuts] == centers
+        record = copy(outcome.trace[0])
+        assert trace_to_csv((record,), 2) == trace_to_csv(outcome.trace[:1], 2)
+
+    def test_replace(self, outcome):
+        record = replace(outcome.trace[0], k=7)
+        assert record.k == 7 and record.point is outcome.trace[0].point
+        assert replace(outcome, lower_bound=-1.0).trace is outcome.trace
+
+    def test_no_instance_dict(self, outcome):
+        for obj in (outcome, outcome.trace[0], outcome.final_region.cuts[0]):
+            assert not hasattr(obj, "__dict__")
+
+    def test_the_final_region_is_stacked_on_first_use(self):
+        # the region of the last cut is never tested by the oracle
+        outcome = run(sin_problem(), global_oracle(), DriverConfig(epsilon=1e-4, max_iterations=3))
+        region = outcome.final_region
+        assert outcome.status is SolveStatus.IterationLimit and "_stacked" not in vars(region)
+        assert region.stacked_cuts == 3 and "_stacked" in vars(region)
 
 
 class TestLocalOracleDriver:

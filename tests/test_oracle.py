@@ -16,6 +16,7 @@ from lipcut.core import (
     NormKind,
     ObjectiveSpec,
     RelaxedRegion,
+    norm_eval,
     region_membership,
 )
 from lipcut.expr import EvaluationError, batch_evaluator, evaluate, parse
@@ -24,6 +25,7 @@ from lipcut.oracle import (
     InfeasibleStartError,
     LocalOracle,
     OracleConfig,
+    OracleResult,
     OracleStatus,
     ResourceLimitError,
     _Search,
@@ -718,6 +720,13 @@ class TestSolveLocal:
         with pytest.raises(ValueError):
             LocalOracle().solve(self.abs_objective(), self.local_region(), start=(2.0,))
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected_before_any_evaluation(self, start):
+        # a NaN start once reached the objective, whose error blamed it
+        obj = ObjectiveSpec(None, 1.0, batch_evaluator=lambda p: pytest.fail("objective evaluated"))
+        with pytest.raises(ValueError, match="^start must be finite"):
+            LocalOracle().solve(obj, self.local_region(), start=(start,))
+
     def test_infeasible_start_error(self):
         # projection lands inside another cut: no feasible point reachable
         cuts = [Cut((0.0,), 0.4, norm=NormKind.Two), Cut((0.5,), 0.4, norm=NormKind.Two),
@@ -765,6 +774,131 @@ class TestSolveLocal:
         assert result.point.tolist() == [-1.0]
         # the start, then one call per step with that step's feasible probes
         assert calls[0] == 1 and result.nodes == sum(calls)
+
+
+def sequential_local_solve(objective, region, start, node_limit, checks=None):
+    """The local oracle's compass search with one membership test per
+    step, the reference for ``LocalOracle.solve``, which tests a step and
+    the halvings below it at once and replays them level by level.  Each
+    node-limit test appends (evaluations, x, fx) as bytes to ``checks``."""
+    box = region.domain
+    x = np.clip(np.asarray(start, dtype=float).copy(), box.lower, box.upper)
+    nearest, least = None, math.inf
+    for c in region.cuts:
+        d = norm_eval(c.norm, (x - c.center)[c.mask])
+        if d < c.radius and d < least:
+            nearest, least = c, d
+    if nearest is not None:
+        x = oracle._project_off_cut(x, nearest, box)
+        if not region_membership(region, x):
+            raise InfeasibleStartError("projected start is still infeasible for the region")
+    fx = float(objective.evaluate_batch(x[None, :])[0])
+    evaluations = 1
+    step = float(np.max(box.widths)) / 4.0
+    probe_rows = np.arange(2 * box.dimension)
+    probe_axes = probe_rows // 2
+    signs = np.tile((-1.0, 1.0), box.dimension)
+    while step >= 1e-9:
+        probes = x[None, :].repeat(len(probe_rows), axis=0)
+        probes[probe_rows, probe_axes] += signs * step
+        feasible = probes[region.membership_mask(probes)]
+        evaluations += len(feasible)
+        if checks is not None:
+            checks.append((evaluations, x.tobytes(), np.float64(fx).tobytes()))
+        if evaluations > node_limit:
+            raise ResourceLimitError(evaluations, x, fx, math.inf)
+        best = None
+        for cand, fc in zip(feasible, objective.evaluate_batch(feasible).tolist()):
+            if fc >= fx:
+                continue
+            if best is None or fc < best[0] or (fc == best[0] and tuple(cand) < tuple(best[1])):
+                best = (fc, cand)
+        if best is None:
+            step *= 0.5
+        else:
+            fx, x = best[0], best[1].copy()
+    return OracleResult(OracleStatus.Solved, x, fx, math.inf, evaluations)
+
+
+@st.composite
+def local_cases(draw):
+    """A continuous 1-3 dim box, 0-5 cuts of mixed norms and masks, some
+    of radius 0, the smooth objective sum_j c_j (x_j - m_j)^2 + a_j
+    sin(b_j x_j) (concave where c_j < 0; with a = 0 and the start at m,
+    the first probes tie), and a start in the box."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lower = rng.uniform(-3.0, 1.0, n)
+    box = BoxDomain(lower, lower + rng.uniform(0.1, 4.0, n))
+    m = lower + rng.uniform(0.0, 1.0, n) * box.widths
+    c, b = rng.uniform(-2.0, 2.0, n), rng.uniform(1.0, 10.0, n)
+    a = np.zeros(n) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, n)
+
+    def evaluate_rows(p):
+        return (c * (p - m) * (p - m) + a * np.sin(b * p)).sum(axis=1)
+
+    cuts = []
+    for _ in range(draw(st.integers(0, 5))):
+        mask = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+        radius = 0.0 if draw(st.booleans()) else rng.uniform(0.0, 0.5) * float(box.widths.max())
+        cuts.append(Cut(lower + rng.uniform(0.0, 1.0, n) * box.widths, radius, mask,
+                        draw(st.sampled_from(list(NormKind)))))
+    start = m if draw(st.booleans()) else lower + rng.uniform(0.0, 1.0, n) * box.widths
+    return evaluate_rows, RelaxedRegion(box, tuple(cuts)), start
+
+
+def local_outcome(solve, evaluate_rows, region, start, node_limit):
+    """The bytes of a local solve's result or of its error, and the
+    objective batches it made, each as (shape, bytes)."""
+    batches = []
+
+    def recorded(p):
+        batches.append((p.shape, p.tobytes()))
+        return evaluate_rows(p)
+
+    objective = ObjectiveSpec(None, 1.0, batch_evaluator=recorded)
+    try:
+        r = solve(objective, region, start, node_limit)
+        out = ("result", r.status, r.point.tobytes(), np.float64(r.value).tobytes(), r.nodes)
+    except ResourceLimitError as exc:
+        out = ("limit", exc.nodes, exc.point.tobytes(), np.float64(exc.value).tobytes())
+        assert exc.gap == math.inf
+    except InfeasibleStartError:
+        out = ("infeasible start",)
+    return out, batches
+
+
+def batched_local_solve(objective, region, start, node_limit):
+    return LocalOracle(OracleConfig(node_limit=node_limit)).solve(objective, region, start)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=local_cases())
+def test_batched_halvings_replay_the_one_step_search(case):
+    # the same point, value and evaluations, the same objective batches in
+    # the same order, and under every node limit the error that the
+    # reference raises at its first node-limit test past the limit (none
+    # at the limit of its evaluations)
+    checks = []
+    reference = local_outcome(functools.partial(sequential_local_solve, checks=checks), *case, 10_000_000)
+    assert local_outcome(batched_local_solve, *case, 10_000_000) == reference
+    nodes = reference[0][-1] if reference[0][0] == "result" else 0
+    for limit in range(1, nodes + 1):
+        expected = next((("limit",) + check for check in checks if check[0] > limit), reference[0])
+        assert local_outcome(batched_local_solve, *case, limit)[0] == expected
+
+
+def test_halvings_share_one_membership_test():
+    # in 1-D a step and every halving down to 1e-9 fit in one test of 128
+    # probes at most: a search with no move makes one test, of the steps
+    # 0.5 down to 2^-29 (about 1.9e-9), 29 levels of 2 probes
+    region = RelaxedRegion(BoxDomain((-1.0,), (1.0,)))
+    objective = ObjectiveSpec(None, 1.0, batch_evaluator=lambda p: np.abs(p[:, 0]))
+    with mock.patch.object(RelaxedRegion, "membership_mask", autospec=True,
+                           side_effect=RelaxedRegion.membership_mask) as tested:
+        result = LocalOracle().solve(objective, region, start=(0.0,))
+    assert result.point.tolist() == [0.0]
+    assert [len(call.args[1]) for call in tested.call_args_list] == [2 * 29]
 
 
 class TestOracleAdapters:

@@ -359,6 +359,14 @@ class TestCliSolve:
         assert captured.err == "error: --start sets the local oracle's start point; the global oracle has none\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("start", ["nan", "inf"])
+    def test_a_non_finite_start_is_an_error_line(self, capsys, start):
+        # a NaN start once reached the objective, whose error blamed 'x1'
+        assert main(["solve", "--builtin", "bad-local", "--oracle", "local", "--start", start]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: initial_start must be a 1-D vector of finite numbers")
+        assert captured.out == ""
+
     def test_oracle_tol_defaults_to_the_oracle_default(self, tmp_path, capsys):
         traces = [tmp_path / "default.csv", tmp_path / "given.csv"]
         assert main(["solve", "--builtin", "sin-example", "--trace", str(traces[0])]) == 0
