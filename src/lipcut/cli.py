@@ -8,7 +8,8 @@ Subcommands:
 * ``emit-milp``           write cut reformulations as an LP file
 
 Exit codes for ``solve``: 0 solved, 2 infeasibility certified, 3 iteration
-limit, 1 any error.  Identical invocations (same flags, same seed) produce
+limit or unresolved (no feasible point found and no certificate), 1 any
+error.  Identical invocations (same flags, same seed) produce
 byte-identical traces and LP files.
 """
 
@@ -40,7 +41,7 @@ from .reform import default_big_M, export_lp, reformulate_1norm, reformulate_inf
 _EXIT_SOLVED = 0
 _EXIT_ERROR = 1
 _EXIT_INFEASIBLE = 2
-_EXIT_ITERATION_LIMIT = 3
+_EXIT_UNFINISHED = 3  # iteration limit, or unresolved
 
 
 def main(argv=None) -> int:
@@ -164,7 +165,8 @@ def _cmd_solve(args) -> int:
     if outcome.final_point is not None:
         print("final point: " + ", ".join(f"{v:.17g}" for v in outcome.final_point))
         print(f"objective: {outcome.trace[-1].objective:.17g}")
-    print(f"certified lower bound: {outcome.lower_bound:.17g}")
+    certified = "" if outcome.status is SolveStatus.Unresolved else "certified "
+    print(f"{certified}lower bound: {outcome.lower_bound:.17g}")
     print(f"iterations: {len(outcome.trace)}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="\n") as handle:
@@ -173,7 +175,8 @@ def _cmd_solve(args) -> int:
     return {
         SolveStatus.Solved: _EXIT_SOLVED,
         SolveStatus.InfeasibleCertified: _EXIT_INFEASIBLE,
-        SolveStatus.IterationLimit: _EXIT_ITERATION_LIMIT,
+        SolveStatus.IterationLimit: _EXIT_UNFINISHED,
+        SolveStatus.Unresolved: _EXIT_UNFINISHED,
     }[outcome.status]
 
 

@@ -57,7 +57,7 @@ class NonFiniteValueError(ValueError):
         super().__init__(f"{what} at {self.point} must be {allowed}, got {value}")
 
 
-# Checks of scalar inputs: each returns the float or int the caller stores.
+# Checks of inputs: each returns the value the caller stores.
 def _checked(value, what: str, rule: str, ok) -> float:
     real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)  # the ABC test is slow
     x = float(value) if real and abs(value) <= sys.float_info.max else math.nan  # float(10**400) raises
@@ -82,6 +82,17 @@ def positive_integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def finite_vector(value, what: str) -> np.ndarray:
+    """A read-only float copy of ``value``, which must be a 1-D vector of
+    finite real numbers: text and booleans are not numbers here."""
+    vector = np.array(value)
+    if vector.dtype.kind not in "iuf" or vector.ndim != 1 or not np.isfinite(vector).all():
+        raise ValueError(f"{what} must be a 1-D vector of finite numbers, got {value!r}")
+    vector = vector.astype(float, copy=False)
+    vector.setflags(write=False)
+    return vector
 
 
 def member(value, kind: type[enum.Enum], what: str):

@@ -5,7 +5,9 @@ infeasibility, or the iteration limit.
 The loop per iteration k:
 
 1. The oracle minimizes the objective over the current relaxed region;
-   Infeasible certifies the original problem infeasible.
+   Infeasible certifies the original problem infeasible.  Unresolved (no
+   feasible point found, but boxes too narrow to split that no cut
+   covers) ends the run with the oracle's lower bound and no certificate.
 2. The constraint vector is evaluated at the returned point, as a
    one-row ``evaluate_batch`` call.  A NaN or +inf component raises
    NonFiniteValueError; -inf counts as satisfied.
@@ -45,6 +47,7 @@ from .core import (
     Problem,
     RelaxedRegion,
     cut_radius,
+    finite_vector,
     member,
     nonnegative,
     norm_eval,
@@ -65,6 +68,7 @@ class SolveStatus(enum.Enum):
     InfeasibleCertified = "infeasible-certified"
     Solved = "solved"
     IterationLimit = "iteration-limit"
+    Unresolved = "unresolved"
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,13 +101,7 @@ class DriverConfig:
         if self.epsilon_floor and self.epsilon == 0:
             raise ValueError("the epsilon floor requires epsilon > 0")
         if self.initial_start is not None:
-            # a read-only float copy; text and booleans are not numbers here
-            start = np.array(self.initial_start)
-            if start.dtype.kind not in "iuf" or start.ndim != 1 or not np.isfinite(start).all():
-                raise ValueError(f"initial_start must be a 1-D vector of finite numbers, got {self.initial_start!r}")
-            start = start.astype(float)
-            start.setflags(write=False)
-            object.__setattr__(self, "initial_start", start)
+            object.__setattr__(self, "initial_start", finite_vector(self.initial_start, "initial_start"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +123,8 @@ class IterationRecord:
 @dataclass(frozen=True, slots=True)
 class SolveOutcome:
     """Driver outcome.  ``lower_bound`` is the last oracle value minus its
-    gap (+inf when the first oracle call certifies infeasibility).  The
+    gap (+inf when the first oracle call certifies infeasibility; the
+    oracle's own lower bound when Unresolved ends the run).  The
     region only shrinks from one iteration to the next, so the relaxed
     minimum never exceeds the true optimum, and with the global oracle,
     whose value exceeds the relaxed minimum by at most its gap, the bound
@@ -171,6 +170,8 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
             raise
         if result.status is OracleStatus.Infeasible:
             return SolveOutcome(SolveStatus.InfeasibleCertified, tuple(trace), None, _lower_bound(trace), region)
+        if result.status is OracleStatus.Unresolved:
+            return SolveOutcome(SolveStatus.Unresolved, tuple(trace), None, result.value - result.gap, region)
 
         x = np.asarray(result.point, dtype=float)
         violations = constraint.evaluate_batch(x[None, :])[0]

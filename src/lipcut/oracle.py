@@ -24,15 +24,17 @@ first, and the children admitted, pruned and pushed.
 Kernel passes.  The per-box quantities are measured in batches several
 tree levels deep (``_Search.descend``).  When a wave pops boxes whose
 children are not measured yet, one pass splits them and the levels below,
-as deep as ``_BATCH_BOXES`` = 128 boxes allow for a full tree (one box
-gets its children and five levels below them, 22 or more boxes their
-children only), and measures every box of every level at once: one
+and measures every box of every level at once: one
 ``RelaxedRegion.box_relations`` call, which says for each (box, cut) pair
 it is given whether the box lies inside the ball, whether the ball
 touches the box, and whether it holds the box's snapped center; one
 objective call on the live centers, for the lower bounds f(c) - L_f * rho;
-and one harvest.  The root shares the first pass with the six levels
-below it (127 boxes, by the same rule), all given every cut.  Its
+and one harvest.  A pass costs a fixed ``_PASS_COST`` = 250 box
+measurements plus one per box, so it goes as deep as gives full trees the
+least cost per level (``_pass_depth``): two children get four levels
+below them, 50 or more children one level below them.  The root shares
+the first pass with the five levels below it (63 boxes, by the same
+rule), all given every cut.  Its
 harvest takes the root first: the replay admits the root alone, so the
 root's offer is the incumbent when any box below it is admitted, and it
 prunes their harvest as it would a pass of their own.  Every later box is
@@ -78,6 +80,7 @@ from .core import (
     NormKind,
     ObjectiveSpec,
     RelaxedRegion,
+    finite_vector,
     member,
     norm_eval,
     norm_eval_rows,
@@ -87,10 +90,12 @@ from .core import (
 )
 
 _WAVE_SIZE = 64
-# One kernel pass measures at most this many boxes, over as many tree
-# levels as fit: the children of a full wave, the largest batch of one level.
+# The fixed cost of one kernel pass, in units of the cost of measuring one
+# box: it sets how many tree levels a pass covers (``_pass_depth``), and 0
+# gives one level per pass.
+_PASS_COST = 250
 # One membership test of the local search holds at most this many probes.
-_BATCH_BOXES = 2 * _WAVE_SIZE
+_BATCH_BOXES = 128
 _BOX_MIN_WIDTH = 1e-10  # edges narrower than this are not split
 _MAX_SAMPLES = 32
 _CORNER_DIM_LIMIT = 5
@@ -103,6 +108,7 @@ _UNMEASURED = -1
 class OracleStatus(enum.Enum):
     Infeasible = "infeasible"
     Solved = "solved"
+    Unresolved = "unresolved"
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,9 @@ class OracleConfig:
 class OracleResult:
     """Outcome of one subproblem solve.  When Solved, ``point`` satisfies
     region membership and ``gap`` bounds value minus the true minimum
-    (infinite for local solves, which carry no global certificate)."""
+    (infinite for local solves, which carry no global certificate).  With
+    no point (Infeasible or Unresolved), ``value`` is a lower bound on the
+    region's minimum, +inf when Infeasible, and ``gap`` is 0."""
 
     status: OracleStatus
     point: np.ndarray | None
@@ -181,11 +189,13 @@ def _corner_pattern(dim: int) -> np.ndarray:
 
 
 def _pass_depth(boxes: int) -> int:
-    """The tree levels of one kernel pass over ``boxes`` boxes and their
-    descendants: the largest d (at least 1) with boxes * (2^d - 1) <=
-    ``_BATCH_BOXES``, the size of their full trees."""
+    """The tree levels of one kernel pass over ``boxes`` >= 1 boxes and
+    their descendants: the d that minimizes the pass's cost per level,
+    (``_PASS_COST`` + boxes * (2^d - 1)) / d for full trees, the least on
+    a tie.  That cost falls and then rises with d, and d + 1 costs less per
+    level than d exactly when boxes * ((d - 1) * 2^d + 1) < ``_PASS_COST``."""
     depth = 1
-    while boxes * (2 ** (depth + 1) - 1) <= _BATCH_BOXES:
+    while boxes * ((depth - 1) * 2**depth + 1) < _PASS_COST:
         depth += 1
     return depth
 
@@ -274,7 +284,10 @@ class _Search:
             self.expand(lbs, wave)
 
         if self.best_point is None:
-            return OracleResult(OracleStatus.Infeasible, None, math.inf, 0.0, self.nodes)
+            # the floor is finite when some box too narrow to split lies
+            # outside every ball: it may hold a point that no draw found
+            status = OracleStatus.Infeasible if self.discard_floor == math.inf else OracleStatus.Unresolved
+            return OracleResult(status, None, self.discard_floor, 0.0, self.nodes)
         return self.finish(self.best_value - self.discard_floor)
 
     def finish(self, gap: float) -> OracleResult:
@@ -499,11 +512,15 @@ class GlobalOracle:
     """Certified global minimization over the region.
 
     ``objective.lipschitz_f`` must be valid for ``domain_norm`` over the
-    region's box.  ``solve`` returns Infeasible when the branch tree is
-    exhausted without any feasible point (certification is exact up to
-    sub-boxes narrower than ``_BOX_MIN_WIDTH`` = 1e-10, which are never
-    split), else Solved once the incumbent minus the smallest surviving
-    lower bound drops to the tolerance.  It raises ResourceLimitError past
+    region's box.  ``solve`` returns Solved once the incumbent minus the
+    smallest surviving lower bound drops to the tolerance.  When the branch
+    tree is exhausted without any feasible point it returns Infeasible, a
+    certificate, only if every box lies inside an exclusion ball.  Boxes
+    narrower than ``_BOX_MIN_WIDTH`` = 1e-10 are never split, and one that
+    no ball covers may hold a feasible point that none of its center,
+    corners and samples is (an equality written as |h(x)| <= 0 has such
+    points), so then it returns Unresolved, with the least lower bound of
+    those boxes as ``value``.  It raises ResourceLimitError past
     ``node_limit`` processed nodes, and ignores ``start``.
     """
 
@@ -553,11 +570,9 @@ class LocalOracle:
         box = region.domain
         if box.integral.any():
             raise ValueError("the local oracle supports continuous domains only")
-        x = np.asarray(start, dtype=float).copy()
+        x = finite_vector(start, "start")
         if x.shape != box.lower.shape:
             raise ValueError("start dimension mismatch")
-        if not np.isfinite(x).all():
-            raise ValueError(f"start must be finite, got {x}")
         if np.any(x < box.lower - 1e-12) or np.any(x > box.upper + 1e-12):
             raise ValueError("start must lie within the region's box")
         x = np.clip(x, box.lower, box.upper)

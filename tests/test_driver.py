@@ -25,7 +25,7 @@ from lipcut.driver import (
     run,
     trace_to_csv,
 )
-from lipcut.oracle import GlobalOracle, LocalOracle, OracleConfig, ResourceLimitError
+from lipcut.oracle import GlobalOracle, LocalOracle, OracleConfig, OracleStatus, ResourceLimitError
 from lipcut.problems import build, get_builtin
 
 from geometry import circle_intersections
@@ -142,6 +142,41 @@ class TestInfeasibleCertification:
         last = outcome.trace[-1]
         assert last.objective == pytest.approx(0.5)  # last relaxed minimum
         assert outcome.lower_bound == last.objective - last.oracle_gap
+
+
+def equality_problem(center: float, scale: float = 1.0) -> Problem:
+    """min x1 on [0, 1] subject to scale * |x1 - center| <= 0, with exact
+    constants: the one feasible point is x1 = center."""
+    return Problem(
+        domain=BoxDomain((0.0,), (1.0,)),
+        objective=ObjectiveSpec(None, 1.0, batch_evaluator=lambda p: p[:, 0]),
+        constraint=ConstraintSpec((), scale, batch_components=(lambda p: scale * np.abs(p[:, 0] - center),)),
+        domain_norm=NormKind.Two,
+    )
+
+
+class TestUnresolved:
+    """An equality |h(x)| <= 0 has a feasible set that no sample hits.  The
+    oracle's last tree ends in boxes too narrow to split that no cut covers,
+    so the run claims neither a point nor infeasibility."""
+
+    @pytest.mark.parametrize("center, scale, epsilon", [
+        (0.3, 1.0, 0.0), (1.0 / 3.0, 1.0, 0.0), (0.7, 1.0, 0.0), (0.123456789, 1.0, 0.0),
+        (0.3, 3.0, 0.0), (0.3, 1.0, 1e-12),
+    ])
+    def test_a_feasible_equality_is_never_certified_infeasible(self, center, scale, epsilon):
+        outcome = run(equality_problem(center, scale), global_oracle(1e-6), DriverConfig(epsilon=epsilon))
+        assert outcome.status is SolveStatus.Unresolved
+        assert outcome.final_point is None
+        # the least lower bound of the live narrow boxes bounds the optimum
+        assert center - 1e-6 < outcome.lower_bound <= center
+        assert region_membership(outcome.final_region, (center,))
+
+    def test_the_oracle_reports_its_floor(self):
+        outcome = run(equality_problem(1.0 / 3.0), global_oracle(1e-6), DriverConfig())
+        result = global_oracle(1e-6).solve(equality_problem(1.0 / 3.0).objective, outcome.final_region)
+        assert result.status is OracleStatus.Unresolved and result.point is None
+        assert result.gap == 0.0 and result.value == outcome.lower_bound
 
 
 class TestImmediateAcceptance:

@@ -1,3 +1,4 @@
+import fractions
 import functools
 import itertools
 import math
@@ -381,19 +382,24 @@ def global_outcome(objective, region, config, domain_norm):
 @settings(max_examples=150, deadline=None)
 @given(case=replay_cases())
 def test_batched_levels_replay_the_one_level_search(case):
-    # the default measures several tree levels per kernel pass and replays
-    # them; with _BATCH_BOXES = 0 each pass measures one level, the
-    # children of one wave, and each wave is admitted as it is measured
-    batched, passes = global_outcome(*case)
-    with mock.patch.object(oracle, "_BATCH_BOXES", 0):
-        one_level, level_passes = global_outcome(*case)
-    assert batched == one_level
-    assert len(passes) <= len(level_passes)
-    # the first pass measures the root and the six levels below it, the
-    # one-level search the root alone
+    # the default pass cost measures several tree levels per kernel pass and
+    # replays them, and ten times that cost measures deeper passes; with a
+    # pass cost of 0 each pass measures one level, the children of one wave,
+    # and each wave is admitted as it is measured
     box = case[1].domain
-    assert passes[0] == tree_size(box.hull_lower.tolist(), box.hull_upper.tolist(), box.integral, 7)
+    outcomes = {}
+    for cost in (0, oracle._PASS_COST, 10 * oracle._PASS_COST):
+        with mock.patch.object(oracle, "_PASS_COST", cost):
+            outcomes[cost] = global_outcome(*case)
+            # the first pass measures the root and the levels below it
+            root_levels = oracle._pass_depth(1)
+        assert outcomes[cost][1][0] == tree_size(box.hull_lower.tolist(), box.hull_upper.tolist(), box.integral,
+                                                 root_levels)
+    one_level, level_passes = outcomes[0]
     assert level_passes[0] == 1
+    for batched, passes in outcomes.values():
+        assert batched == one_level
+        assert len(passes) <= len(level_passes)
 
 
 def test_kernel_passes_span_several_levels():
@@ -401,15 +407,34 @@ def test_kernel_passes_span_several_levels():
     # fewer kernel passes, each over several levels of the tree
     region = RelaxedRegion(BoxDomain((-1.0, -1.0), (1.0, 1.0)), (Cut((-0.5, -0.5), 0.6),))
     config = OracleConfig(tolerance=1e-6)
-    batched, passes = global_outcome(sin_objective(), region, config, NormKind.Two)
-    with mock.patch.object(oracle, "_BATCH_BOXES", 0):
+    parents = []
+    descend = _Search.descend
+
+    def counted(search, los, his, touching):
+        parents.append(len(los))
+        return descend(search, los, his, touching)
+
+    with mock.patch.object(_Search, "descend", counted):
+        batched, passes = global_outcome(sin_objective(), region, config, NormKind.Two)
+    with mock.patch.object(oracle, "_PASS_COST", 0):
         one_level, level_passes = global_outcome(sin_objective(), region, config, NormKind.Two)
     assert batched == one_level
-    # the root and the six levels below it, then the children of the
-    # deepest boxes and the five levels below them
-    assert passes[:2] == [1 + 2 + 4 + 8 + 16 + 32 + 64, 2 + 4 + 8 + 16 + 32 + 64]
-    assert max(passes) <= oracle._BATCH_BOXES and level_passes[1] == 2
+    # no edge of these boxes is too narrow to split, so each pass measures
+    # full trees: the root's, then the children of the wave boxes whose
+    # children were not measured yet, each as deep as _pass_depth says
+    assert passes[0] == 2 ** oracle._pass_depth(1) - 1 > 1
+    assert passes[1:] == [2 * p * (2 ** oracle._pass_depth(2 * p) - 1) for p in parents]
+    assert level_passes[:2] == [1, 2]
     assert 2 * len(passes) < len(level_passes)
+
+
+def test_pass_depth_minimizes_the_cost_per_level():
+    # (F + boxes * (2^d - 1)) / d, the least d on a tie; F = 0 gives one level
+    for cost in (0, 1, 7, 300, 3000):
+        with mock.patch.object(oracle, "_PASS_COST", cost):
+            for boxes in range(1, 400):
+                per_level = [fractions.Fraction(cost + boxes * (2**d - 1), d) for d in range(1, 40)]
+                assert oracle._pass_depth(boxes) == 1 + per_level.index(min(per_level))
 
 
 def test_the_first_pass_harvests_as_a_root_pass_and_its_descent_would():
@@ -428,20 +453,22 @@ def test_the_first_pass_harvests_as_a_root_pass_and_its_descent_would():
     search = _Search(objective, region, OracleConfig(tolerance=1e-3), NormKind.Two)
     every_cut = np.ones((1, region.stacked_cuts), dtype=bool)
     hull = search.box.hull_lower[None, :], search.box.hull_upper[None, :]
-    first = search.measure(*search.grow(*hull, every_cut, 7), root=True)
+    # the root and as many levels below it as a descent from the root measures
+    levels = 1 + oracle._pass_depth(2)
+    first = search.measure(*search.grow(*hull, every_cut, levels), root=True)
     first_sizes, sizes[:] = sizes[:], []
     ref = _Search(objective, region, OracleConfig(tolerance=1e-3), NormKind.Two)
     root = ref.measure(*ref.grow(*hull, every_cut, 1))
     ref.admit([(root, 0)])
     below = ref.descend(*hull, every_cut)
-    assert len(first.los) == 1 + len(below.los) == 127
+    assert len(first.los) == 1 + len(below.los) == 2**levels - 1
     assert first.los.tobytes() == np.concatenate([root.los, below.los]).tobytes()
 
     def offers(best):
         return [None if b is None else (b[0], b[1], b[2].tobytes()) for b in best]
 
     assert offers(first.best) == offers(root.best + below.best)
-    assert sum(1 for b in below.best if b is not None) < 126
+    assert sum(1 for b in below.best if b is not None) < len(below.los)
     # the same points, with one objective call fewer: the centers' of one pass
     assert sum(first_sizes) == sum(sizes) and len(first_sizes) == len(sizes) - 1
 
@@ -724,8 +751,16 @@ class TestSolveLocal:
     def test_non_finite_start_rejected_before_any_evaluation(self, start):
         # a NaN start once reached the objective, whose error blamed it
         obj = ObjectiveSpec(None, 1.0, batch_evaluator=lambda p: pytest.fail("objective evaluated"))
-        with pytest.raises(ValueError, match="^start must be finite"):
+        with pytest.raises(ValueError, match="^start must be a 1-D vector of finite numbers"):
             LocalOracle().solve(obj, self.local_region(), start=(start,))
+
+    @pytest.mark.parametrize("start", [["0.5"], [True], np.array(["0.5"]), [[0.5]], 0.5])
+    def test_start_must_be_a_vector_of_numbers(self, start):
+        # the check DriverConfig.initial_start makes: text and booleans were
+        # once read as 0.5 and 1.0
+        obj = ObjectiveSpec(None, 1.0, batch_evaluator=lambda p: pytest.fail("objective evaluated"))
+        with pytest.raises(ValueError, match="^start must be a 1-D vector of finite numbers"):
+            LocalOracle().solve(obj, self.local_region(), start=start)
 
     def test_infeasible_start_error(self):
         # projection lands inside another cut: no feasible point reachable

@@ -292,6 +292,25 @@ class TestCliSolve:
     def test_infeasible_exit_code(self):
         assert main(["solve", "--builtin", "infeasible-1d"]) == 2
 
+    @pytest.mark.parametrize("center, value, scale, epsilon", [
+        ("0.3", 0.3, 1, 0), ("1/3", 1 / 3, 1, 0), ("0.7", 0.7, 1, 0), ("0.123456789", 0.123456789, 1, 0),
+        ("0.3", 0.3, 3, 0), ("0.3", 0.3, 1, 1e-12),
+    ])
+    def test_an_equality_with_exact_constants_is_unresolved(self, tmp_path, capsys, center, value, scale, epsilon):
+        # x1 = center is feasible, so no infeasibility is certified: the run
+        # ends unresolved with a plain lower bound and exit code 3
+        path = tmp_path / "eq.yaml"
+        path.write_text(yaml.safe_dump({
+            "dimension": 1, "bounds": [[0.0, 1.0]], "norm": "2", "image_norm": "2",
+            "objective": "x1", "objective_L": 1, "constraints": [{"expr": f"{scale} * abs(x1 - {center})"}],
+            "global_L": scale, "epsilon": epsilon,
+        }))
+        assert main(["solve", "--problem", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("status: unresolved\nlower bound: ")
+        bound = float(out.splitlines()[1].split(": ")[1])
+        assert value - 1e-6 < bound <= value
+
     def test_component_mode_flag(self, capsys):
         code = main(["solve", "--builtin", "comp-example", "--mode", "component",
                      "--max-iters", "3"])
