@@ -1,9 +1,15 @@
 """Core geometry: box domains, monotone norms, and norm-ball exclusion cuts.
 
-All types here are immutable after construction and own their arrays.  A
-``RelaxedRegion`` stacks its cuts into per-(norm, mask) arrays once, on
-first use, and three chunked passes over the stacked cuts share one norm
-accumulation routine:
+All types here are immutable after construction and own their arrays.
+Every norm is taken by ``_cut_distances``, which adds the terms (absolute
+values, squared in the 2-norm; the inf-norm takes their maximum) one at a
+time in index order: ``norm_eval`` and ``norm_eval_rows`` pass it the
+rows of any array, so distances, violation norms and cut radii
+(``cut_radius``, for both cut modes) have the same bits wherever taken.
+
+A ``RelaxedRegion`` stacks its cuts into per-(norm, mask) arrays once, on
+first use, and three chunked passes over the stacked cuts share that
+routine:
 
 * ``membership_mask``: every (point, cut) pair of a batch of points;
 * ``box_relations``: the (box, cut) pairs that a (cuts, boxes) candidate
@@ -122,25 +128,24 @@ class NormKind(enum.Enum):
 
 
 def norm_eval(norm: NormKind, v) -> float:
-    """Evaluate the given norm of a vector: the one-row ``norm_eval_rows``.
+    """The given norm of a vector (a scalar is one term); ValueError when empty."""
+    return float(norm_eval_rows(norm, v))
 
-    Raises ValueError on an empty vector.
+
+def norm_eval_rows(norm: NormKind, m) -> np.ndarray:
+    """The given norm over the last axis of an array of any shape (a
+    scalar is one term), in the arithmetic of every cut: ``_cut_distances``
+    of the absolute entries, whose terms add in index order whatever the
+    array's memory layout.  Raises ValueError on an empty last axis.
     """
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
+    member(norm, NormKind, "norm")
+    m = np.asarray(m, dtype=float)
+    if m.shape[-1:] == (0,):
         raise ValueError("norm of an empty vector is undefined")
-    return float(norm_eval_rows(norm, v.reshape(1, -1))[0])
-
-
-def norm_eval_rows(norm: NormKind, m: np.ndarray) -> np.ndarray:
-    """Row-wise norm of a 2-D array."""
-    if norm is NormKind.One:
-        return np.sum(np.abs(m), axis=-1)
-    if norm is NormKind.Two:
-        return np.sqrt(np.sum(m * m, axis=-1))
-    if norm is NormKind.Inf:
-        return np.max(np.abs(m), axis=-1)
-    return member(norm, NormKind, "norm")  # raises: not a NormKind
+    if m.ndim <= 1:
+        return _cut_distances(norm, np.abs(m).reshape(-1, 1))[0]
+    # the last axis first, and each of its slices contiguous
+    return _cut_distances(norm, np.abs(m.T, order="C")).T
 
 
 def positive_part(v) -> np.ndarray:
@@ -151,7 +156,7 @@ def positive_part(v) -> np.ndarray:
 def cut_radius(r_value, L: float, image_norm: NormKind) -> float:
     """Radius of the exclusion ball for constraint values ``r_value``:
     norm of the positive part divided by the Lipschitz constant L, which
-    must be finite and positive.
+    must be finite and positive (component cuts: r / L_p, inf-norm, L = 1).
     """
     return norm_eval(image_norm, positive_part(r_value)) / positive(L, "Lipschitz constant L")
 
@@ -471,15 +476,16 @@ def _box_offsets(d: np.ndarray, c: np.ndarray, whi: np.ndarray) -> np.ndarray:
 
 
 def _cut_distances(norm: NormKind, offsets) -> np.ndarray:
-    """Masked norms from ``offsets``: one fresh array of absolute offsets
-    per masked column, in index order, as an iterable or stacked on the
-    first axis (consumed in place).
+    """Norms from ``offsets``: one fresh array of absolute terms per
+    column, in index order, as an iterable or stacked on the first axis
+    (consumed in place).
 
-    Every pass builds each offset as a difference taken first, and the
-    columns are summed one at a time in index order: the bits of
-    ``norm_eval_rows`` on the column-major (rows, columns) array that
-    fancy indexing ``points[:, mask]`` returns, which is what a per-cut
-    loop computes.
+    The columns are summed (or, in the inf-norm, maximized) one at a time
+    in index order, whatever the number of columns and the memory layout:
+    this is lipcut's only norm arithmetic.  The cut passes feed it each
+    offset as a difference taken first; ``norm_eval_rows`` feeds it the
+    absolute entries of any array, so the one-point checks, the per-cut
+    distances and every pass give the same bits.
     """
     acc = None
     for t in offsets:

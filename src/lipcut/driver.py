@@ -16,17 +16,20 @@ The loop per iteration k:
    <= epsilon in approximate mode.
 4. Otherwise a cut is added at the point.  Vector mode uses radius
    ||r_+|| / L, with the constraint's point-dependent constant L(x) as L
-   whenever the constraint carries one (``pointwise_L``); component
-   mode adds ONE cut with the maximal per-component radius
-   max_p r_p(x)_+ / L_p, recording the attaining component and using that
-   component's active-coordinate mask.  When every component has the
-   same mask, or none has one, the maximal-radius ball contains all
-   smaller concentric per-component balls, so the single cut yields the
-   same region as they do.  With different masks each component's ball is
-   a cylinder over its own coordinates, and the single cut is still valid
-   but weaker: it keeps points that another component's cylinder
-   excludes.  In approximate mode the radius is floored at epsilon by
-   default so excluded balls never degenerate.
+   whenever the constraint carries one (``pointwise_L``), and the union
+   of the components' active-coordinate masks; component mode adds ONE
+   cut with the maximal per-component radius max_p r_p(x)_+ / L_p, which
+   is the inf-norm radius of r(x) / L_p at L = 1, recording the first
+   attaining component and using that component's mask.  Both radii come
+   from ``cut_radius``, and the masks from a table built once per run.
+   When every component has the same mask, or none has one, the
+   maximal-radius ball contains all smaller concentric per-component
+   balls, so the single cut yields the same region as they do.  With
+   different masks each component's ball is a cylinder over its own
+   coordinates, and the single cut is still valid but weaker: it keeps
+   points that another component's cylinder excludes.  In approximate
+   mode the radius is floored at epsilon by default so excluded balls
+   never degenerate.
 
 The driver loop is inherently sequential; each run owns its oracle.
 Independent problems may run concurrently.
@@ -44,6 +47,7 @@ from .core import (
     ConstraintSpec,
     Cut,
     NonFiniteValueError,
+    NormKind,
     Problem,
     RelaxedRegion,
     cut_radius,
@@ -161,6 +165,12 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
     trace: list[IterationRecord] = []
     start = config.initial_start if config.initial_start is not None else problem.domain.center
     accept_tol = config.epsilon if config.epsilon > 0 else _EXACT_FEAS_TOL
+    # the cut masks, one per component and then their union for vector
+    # cuts; None, which a mask of no coordinate becomes, selects them all
+    masks = [None] * (constraint.m + 1)
+    if constraint.active_mask is not None:
+        rows = constraint.active_mask + (np.any(constraint.active_mask, axis=0),)
+        masks = [row if row.any() else None for row in rows]
 
     for k in range(config.max_iterations):
         try:
@@ -186,10 +196,10 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
             )
             return SolveOutcome(SolveStatus.Solved, tuple(trace), x, _lower_bound(trace), region)
 
-        radius, component, mask = _cut_geometry(problem, violations, x, config)
+        radius, component = _cut_geometry(constraint, violations, x, config)
         if config.epsilon_floor:
             radius = max(radius, config.epsilon)
-        cut = Cut(x, radius, mask, problem.domain_norm)
+        cut = Cut(x, radius, masks[-1 if component is None else component], problem.domain_norm)
         # the cut's read-only copy of x is the iterate from here on
         trace.append(IterationRecord(
             k, cut.center, result.value, viol_norm, viol_max, radius, component, result.nodes, result.gap,
@@ -205,9 +215,9 @@ def _lower_bound(trace) -> float:
     return trace[-1].objective - trace[-1].oracle_gap if trace else math.inf
 
 
-def _cut_geometry(problem: Problem, violations: np.ndarray, x: np.ndarray, config: DriverConfig):
-    """Radius, attaining component and coordinate mask for the next cut."""
-    constraint = problem.constraint
+def _cut_geometry(constraint: ConstraintSpec, violations: np.ndarray, x: np.ndarray, config: DriverConfig):
+    """Radius and attaining component (None for a vector cut, or when no
+    component attains a positive radius) of the next cut."""
     if config.cut_mode is CutMode.Vector:
         L = constraint.global_L
         if constraint.pointwise_L is not None:
@@ -217,28 +227,10 @@ def _cut_geometry(problem: Problem, violations: np.ndarray, x: np.ndarray, confi
                     f"point-dependent Lipschitz constant pointwise_L at {x} must lie in "
                     f"(0, global_L = {constraint.global_L}], got {L}"
                 )
-        radius = cut_radius(violations, L, constraint.image_norm)
-        mask = _union_mask(constraint, range(constraint.m), problem.domain.dimension)
-        return radius, None, mask
-
-    best_radius, best_component = 0.0, None
-    for p, value in enumerate(violations):
-        if value <= 0:
-            continue
-        radius = value / constraint.component_L[p]
-        if radius > best_radius:
-            best_radius, best_component = radius, p
-    mask = _union_mask(constraint, [best_component], problem.domain.dimension)
-    return best_radius, best_component, mask
-
-
-def _union_mask(constraint: ConstraintSpec, components, dimension: int):
-    if constraint.active_mask is None:
-        return None
-    mask = np.zeros(dimension, dtype=bool)
-    for p in components:
-        mask |= constraint.active_mask[p]
-    return mask if mask.any() else None
+        return cut_radius(violations, L, constraint.image_norm), None
+    scaled = violations / np.asarray(constraint.component_L)
+    radius = cut_radius(scaled, 1.0, NormKind.Inf)
+    return radius, int(np.argmax(scaled)) if radius > 0 else None
 
 
 def normalized_problem(problem: Problem) -> Problem:

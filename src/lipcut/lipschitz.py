@@ -92,7 +92,7 @@ def spectral_norms(jacobians: np.ndarray) -> np.ndarray:
     jacobians = np.asarray(jacobians, dtype=float)
     _, m, n = jacobians.shape
     if m == 1 or n == 1:
-        return np.sqrt(np.einsum("kij,kij->k", jacobians, jacobians))
+        return norm_eval_rows(NormKind.Two, jacobians.reshape(len(jacobians), -1))
     if m == 2 or n == 2:
         pairs = jacobians if n == 2 else np.swapaxes(jacobians, 1, 2)  # (N, k, 2)
         scale = np.abs(pairs).max(axis=(1, 2), initial=0.0)

@@ -1,5 +1,7 @@
-"""Closed-form plane geometry shared by the test modules (independent of
-lipcut, so it can serve as a reference for the solver's iterates)."""
+"""Closed-form plane geometry and reference norms shared by the test
+modules (independent of lipcut, so they can serve as references for the
+solver's iterates and arithmetic).  A norm is named by its value, "1", "2"
+or "inf", or by a member of ``NormKind``."""
 
 import math
 
@@ -16,3 +18,23 @@ def circle_intersections(a, R, b, r):
     u = (b - a) / d
     perp = np.array([-u[1], u[0]])
     return a + l * u + h * perp, a + l * u - h * perp
+
+
+def _kind(norm) -> str:
+    return getattr(norm, "value", norm)
+
+
+def index_order_norm(norm, v) -> float:
+    """The norm of a vector with its terms added one at a time in index order."""
+    kind, acc = _kind(norm), 0.0
+    for t in np.abs(v).tolist():
+        acc = max(acc, t) if kind == "inf" else acc + (t * t if kind == "2" else t)
+    return math.sqrt(acc) if kind == "2" else acc
+
+
+def pairwise_norm(norm, v) -> float:
+    """numpy's norm of a vector: ``np.sum`` adds 8 or more terms pairwise."""
+    kind, v = _kind(norm), np.asarray(v, dtype=float)
+    if kind == "inf":
+        return float(np.max(np.abs(v)))
+    return float(np.sum(np.abs(v))) if kind == "1" else float(np.sqrt(np.sum(v * v)))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lipcut.core import (
@@ -17,9 +17,12 @@ from lipcut.core import (
     RelaxedRegion,
     cut_radius,
     norm_eval,
+    norm_eval_rows,
     positive_part,
     region_membership,
 )
+
+from geometry import index_order_norm, pairwise_norm
 
 
 class TestNormEval:
@@ -54,6 +57,51 @@ class TestNormEval:
                 v = rng.normal(size=3)
                 if np.any(v != 0):
                     assert norm_eval(kind, v) > 0.0
+
+
+# 8 terms whose pairwise sum differs from the index-order one in the 1-norm
+# and in the 2-norm
+PAIRWISE_SPLIT = [-0.5, 0.5, 0.4, -0.7, -0.2, -0.2, 0.3, -0.1]
+
+terms = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestOneSummationOrder:
+    """Every norm adds its terms in index order, whatever the layout of its
+    input: the cut kernel's arithmetic."""
+
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.lists(terms, min_size=n, max_size=n), min_size=1, max_size=4)))
+    @example([PAIRWISE_SPLIT, PAIRWISE_SPLIT[::-1]])
+    def test_layouts_and_one_vector_agree_bit_for_bit(self, rows):
+        m = np.array(rows)
+        for norm in NormKind:
+            expected = [index_order_norm(norm, row) for row in m]
+            assert norm_eval_rows(norm, np.ascontiguousarray(m)).tolist() == expected
+            assert norm_eval_rows(norm, np.asfortranarray(m)).tolist() == expected
+            assert norm_eval_rows(norm, m[:, None, :])[:, 0].tolist() == expected
+            assert [float(norm_eval_rows(norm, row[None, :])[0]) for row in m] == expected
+            assert [norm_eval(norm, row) for row in m] == expected
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(*[st.tuples(terms, terms)] * n)), st.booleans())
+    @example(tuple((x, 0.0) for x in PAIRWISE_SPLIT), True)
+    @example(tuple((x, 0.0) for x in PAIRWISE_SPLIT), False)
+    def test_the_one_point_distance_agrees_with_membership(self, pairs, pairwise_radius):
+        # the radius from either summation order: a point on the boundary
+        # of one is on the boundary, inside or outside in the other
+        x, center = np.array(pairs).T
+        box = BoxDomain(np.full(x.size, -1e3), np.full(x.size, 1e3))
+        for norm in NormKind:
+            radius = (pairwise_norm if pairwise_radius else index_order_norm)(norm, x - center)
+            cut = Cut(center, radius, None, norm)
+            inside = norm_eval(cut.norm, (x - cut.center)[cut.mask]) < cut.radius
+            assert inside is not region_membership(RelaxedRegion(box, (cut,)), x)
+
+    @pytest.mark.parametrize("norm", list(NormKind))
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 3, 0)])
+    def test_an_empty_last_axis_is_refused(self, norm, shape):
+        with pytest.raises(ValueError, match="empty"):
+            norm_eval_rows(norm, np.zeros(shape))
 
 
 class TestNormNames:

@@ -215,11 +215,12 @@ def test_kernel_spans_several_chunks():
 def test_kernel_with_eight_or_more_masked_columns():
     # With 8 or more terms numpy sums the column-major rows of the per-cut
     # loop in index order, but a lone row or a 1-D vector pairwise, so the
-    # old loop's bits depended on the batch size and the old one-point
-    # check differed from it.  The kernel always sums in index order: the
-    # old loop on a batch.  Each radius is that loop's distance to a drawn
-    # point, so a change of summation order moves points across the
-    # boundary.
+    # old loop's bits depended on the batch size.  The kernel always sums
+    # in index order: the old loop on a batch.  lipcut's one-point check,
+    # ``region_membership``, is a one-row kernel call, and ``norm_eval``
+    # passes its terms to the kernel's sum, so neither differs from it.
+    # Each radius is that loop's distance to a drawn point, so a change of
+    # summation order moves points across the boundary.
     rng = np.random.default_rng(23)
     n = 10
     box = BoxDomain(-np.ones(n), np.ones(n))

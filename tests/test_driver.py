@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from lipcut import driver
 from lipcut.core import (
     BoxDomain,
     ConstraintSpec,
@@ -242,6 +245,30 @@ class TestComponentMode:
                       DriverConfig(epsilon=1e-3, max_iterations=2, cut_mode=CutMode.Component))
         cut = outcome.final_region.cuts[0]
         assert cut.mask.tolist() == [True, False]
+
+    @given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 3.0]) | st.floats(-4, 4),
+                 min_size=m, max_size=m),
+        st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]) | st.floats(1e-3, 1e3), min_size=m, max_size=m),
+    )))
+    @example(([0.0, 1.0, 2.0, -math.inf], [1.0, 1.0, 2.0, 1.0]))
+    @example(([-0.0, -math.inf, -1.0], [1.0, 2.0, 4.0]))
+    def test_the_radius_rule_is_the_old_component_loop(self, case):
+        # ties (1 / 1 and 2 / 2), zeros, violations that are all satisfied,
+        # and -inf: the radius bits and the first attaining component of the
+        # loop that component cuts once ran
+        violations, component_L = case
+        best_radius, best_component = 0.0, None
+        for p, value in enumerate(violations):
+            if value <= 0:
+                continue
+            radius = value / component_L[p]
+            if radius > best_radius:
+                best_radius, best_component = radius, p
+        constraint = ConstraintSpec((lambda x: 0.0,) * len(violations), 1.0, component_L=tuple(component_L))
+        config = DriverConfig(cut_mode=CutMode.Component)
+        radius, component = driver._cut_geometry(constraint, np.array(violations), np.zeros(1), config)
+        assert (radius.hex(), component) == (best_radius.hex(), best_component)
 
     def test_component_mode_needs_component_L(self):
         problem = two_component_problem()

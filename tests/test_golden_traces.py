@@ -3,7 +3,8 @@ on every builtin are a contract.  Each case pins the SHA-256 of the CSV
 written by ``lipcut solve --builtin <name> --trace``; the two comp-example
 variants are capped at 25 iterations to keep the suite short.  Two 3-D
 problem files pin the 1- and inf-norm branches, one with an integral x3,
-which no builtin reaches.
+and a 2-D file pins masked cuts in both cut modes, which no builtin
+reaches.
 
 A change that moves one of these hashes changes solver output and must say
 so in CHANGES.md.  The pins were recorded with numpy 2.4 on x86-64; a
@@ -70,4 +71,43 @@ def test_problem_file_trace_bytes_and_exit_code(tmp_path, capsys, name, fields, 
     trace = tmp_path / f"{name}.csv"
     assert main(["solve", "--problem", str(problem), "--oracle-tol", "1e-3", "--trace", str(trace)]) == code
     capsys.readouterr()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+MASKED = """\
+dimension: 2
+bounds: [[0.0, 3.0], [0.0, 3.0]]
+norm: "2"
+image_norm: "2"
+objective: "x1 + x2"
+objective_L: 1.4142135623730951
+constraints:
+  - expr: "cos(3*x1) + 0.3"
+    L: 3
+    mask: [1]
+  - expr: "sin(4*x2) + 0.2"
+    L: 4
+    mask: [2]
+global_L: 5
+epsilon: 0
+"""
+
+# Component cuts are solved after 15 iterations, each component attaining
+# some cut; vector cuts, over the union of the masks, reach the limit.
+GOLDEN_MASKED = [
+    ("component", [], 0, "5edde27a0ff03f8a85fbae5320773435609552bff18458bec92a41870fb13b75"),
+    ("vector", ["--max-iters", "25"], 3, "2b00b06d91fbca7ef29becc9d91e316df2776b5b057474ad41263d2b4a636cf7"),
+]
+
+
+@pytest.mark.parametrize("mode, extra, code, digest", GOLDEN_MASKED, ids=[g[0] for g in GOLDEN_MASKED])
+def test_masked_trace_bytes_and_exit_code(tmp_path, capsys, mode, extra, code, digest):
+    problem = tmp_path / "masked.yaml"
+    problem.write_text(MASKED)
+    trace = tmp_path / f"masked-{mode}.csv"
+    assert main(["solve", "--problem", str(problem), "--mode", mode, "--trace", str(trace)] + extra) == code
+    capsys.readouterr()
+    rows = trace.read_text().splitlines()[1:]
+    if mode == "component":
+        assert len(rows) == 15 and {row.split(",")[7] for row in rows[:-1]} == {"0", "1"}
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest

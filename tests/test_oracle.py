@@ -32,6 +32,8 @@ from lipcut.oracle import (
     _Search,
 )
 
+from geometry import index_order_norm, pairwise_norm
+
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 
@@ -784,6 +786,25 @@ class TestSolveLocal:
         flat = ObjectiveSpec(None, 1.0, batch_evaluator=lambda p: np.zeros(len(p)))
         result = LocalOracle().solve(flat, RelaxedRegion(box, (cut,)), start=(0.0, 0.0))
         assert result.point.tolist() == [0.5 + 1e-9, 0.0]
+
+    @pytest.mark.parametrize("norm", [NormKind.One, NormKind.Two])
+    def test_a_start_on_a_cut_boundary_in_numpys_pairwise_sum(self, norm):
+        # numpy sums 8 or more contiguous terms pairwise; the radius is such
+        # a sum that exceeds the index-order distance of the cut kernel, so
+        # the start lies inside the cut for ``region_membership``.  The
+        # objective |x - start|^2 improves on no probe: the start is the
+        # answer unless the oracle finds it violated and moves it off the cut.
+        rng = np.random.default_rng(9)
+        while True:
+            start, center = rng.uniform(-1, 1, (2, 9))
+            radius = pairwise_norm(norm, start - center)
+            if radius > index_order_norm(norm, start - center):
+                break
+        region = RelaxedRegion(BoxDomain(np.full(9, -2.0), np.full(9, 2.0)), (Cut(center, radius, None, norm),))
+        assert not region_membership(region, start)
+        obj = ObjectiveSpec(None, 1.0, batch_evaluator=lambda p: np.sum((p - start) ** 2, axis=1))
+        result = LocalOracle().solve(obj, region, start=start)
+        assert result.status is OracleStatus.Solved and region_membership(region, result.point)
 
     def test_node_limit_bounds_the_evaluations(self):
         obj = ObjectiveSpec(None, 2.0, batch_evaluator=lambda p: p[:, 0] ** 2)
