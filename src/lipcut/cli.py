@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes for ``solve``: 0 solved, 2 infeasibility certified, 3 iteration
 limit or unresolved (no feasible point found and no certificate), 1 any
-error.  Identical invocations (same flags, same seed) produce
+error, a usage error included (argparse's own code, 2, would read as a
+certificate).  Identical invocations (same flags, same seed) produce
 byte-identical traces and LP files.
 """
 
@@ -32,7 +33,6 @@ from .driver import (
     run,
     trace_to_csv,
 )
-from .expr import EvaluationError
 from .lipschitz import EstimateMethod, labelled_estimate
 from .oracle import GlobalOracle, InfeasibleStartError, LocalOracle, OracleConfig, ResourceLimitError
 from .problems import build, builtin_problems, compile_definition, get_builtin, load_problem_file
@@ -49,13 +49,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError, OSError, EvaluationError, ResourceLimitError, InfeasibleStartError) as exc:
+    except (ValueError, KeyError, OSError, ResourceLimitError, InfeasibleStartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every error does, in every subcommand."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lipcut", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="lipcut", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run the cutting driver")
@@ -67,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace", default=None, help="write the iteration trace CSV here")
     solve.add_argument("--allow-heuristic-L", action="store_true",
                        help="permit sampling-based Lipschitz estimates (unsafe: cuts may cut optima)")
-    solve.add_argument("--lipschitz-method", choices=("grid", "sampling"), default="grid",
+    solve.add_argument("--lipschitz-method", choices=[m.value for m in EstimateMethod], default="grid",
                        help="estimator for constants missing from the problem file")
     solve.add_argument("--oracle-tol", type=float, default=None,
                        help="global oracle tolerance (default 1e-6)")
@@ -86,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate-lipschitz", help="estimate Lipschitz constants")
     _problem_flags(est)
-    est.add_argument("--method", choices=("grid", "sampling"), default="grid")
+    est.add_argument("--method", choices=[m.value for m in EstimateMethod], default="grid")
     est.add_argument("--grid", type=int, default=64)
     est.add_argument("--pairs", type=int, default=10_000)
     est.add_argument("--inflation", type=float, default=0.1)
@@ -124,7 +132,8 @@ def _load(args, cut_mode=None, **build_kwargs):
 
 
 def _cmd_solve(args) -> int:
-    if args.lipschitz_method == "sampling" and not args.allow_heuristic_L:
+    estimator = EstimateMethod(args.lipschitz_method)
+    if estimator is EstimateMethod.SlopeSampling and not args.allow_heuristic_L:
         print("error: sampling-based Lipschitz estimates are heuristic; pass --allow-heuristic-L to accept them",
               file=sys.stderr)
         return _EXIT_ERROR
@@ -138,7 +147,7 @@ def _cmd_solve(args) -> int:
     built = _load(
         args,
         mode,
-        estimator=args.lipschitz_method,
+        estimator=estimator,
         seed=args.seed,
     )
     if any(e.method is EstimateMethod.SlopeSampling for e in built.estimated.values()):
@@ -219,7 +228,7 @@ def _cmd_estimate(args) -> int:
     groups = [(f"constraint {i}", [e]) for i, e in enumerate(exprs, start=1)] + [("vector", exprs)]
     for label, group in groups:
         estimate = labelled_estimate(
-            label, group, box, p, q, args.method,
+            label, group, box, p, q, EstimateMethod(args.method),
             grid_per_dim=args.grid, safety=1.0, pairs=args.pairs, inflation=args.inflation, seed=args.seed,
         )
         extra = f" (L^2 = {estimate.value ** 2:.17g})" if squared else ""
@@ -232,7 +241,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_emit_milp(args) -> int:
     built = _load(args)
     box = built.problem.domain
-    if args.trace and args.norm == "inf" and built.problem.domain_norm is not NormKind.Inf:
+    norm = NormKind.from_string(args.norm)
+    if args.trace and norm is NormKind.Inf and built.problem.domain_norm is not NormKind.Inf:
         # a trace's cuts are balls in the domain norm, and an inf-norm ball
         # of the same radius is larger; a 1-norm ball lies inside it
         print(f"error: the trace's cuts are {built.problem.domain_norm.value}-norm balls, and --norm inf would "
@@ -244,7 +254,7 @@ def _cmd_emit_milp(args) -> int:
     for text in args.cut:
         cuts.append(_parse_cut_flag(text, box.dimension))
     big_m = args.big_m if args.big_m is not None else default_big_M(box, NormKind.One)
-    reformulate = reformulate_1norm if args.norm == "1" else reformulate_infnorm
+    reformulate = reformulate_1norm if norm is NormKind.One else reformulate_infnorm
     systems = [reformulate(center, radius, big_m) for center, radius in cuts]
     objective = _objective_coefficients(built)
     text = export_lp(systems, objective, box)

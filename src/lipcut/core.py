@@ -54,13 +54,25 @@ _CHUNK_ELEMENTS = 1 << 14
 
 
 class NonFiniteValueError(ValueError):
-    """A user function returned NaN, or an infinity where the solver needs a
-    finite number.  ``point`` is the input and ``value`` what came back."""
+    """A user function returned NaN or an infinity: every value the solver
+    reads must be finite.  ``point`` is the input and ``value`` what came
+    back (a constraint's whole row)."""
 
-    def __init__(self, what: str, point, value, allowed: str = "finite"):
+    def __init__(self, what: str, point, value):
         self.point = np.array(point, dtype=float)
         self.value = value
-        super().__init__(f"{what} at {self.point} must be {allowed}, got {value}")
+        super().__init__(f"{what} at {self.point} must be finite, got {value}")
+
+
+def _finite_values(what: str, points, values: np.ndarray) -> np.ndarray:
+    """``values``, one value or row per point, when every entry is finite;
+    otherwise NonFiniteValueError at the first point whose value or row is
+    not.  An empty batch passes."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+        raise NonFiniteValueError(what, points[i], values[i])
+    return values
 
 
 # Checks of inputs: each returns the value the caller stores.
@@ -517,12 +529,13 @@ class ObjectiveSpec:
     None when ``batch_evaluator`` is given) maps one point to its value.
     The solver evaluates through ``evaluate_batch`` only, which calls
     ``batch_evaluator`` when given and loops ``evaluator`` over the rows
-    otherwise.
+    otherwise, and raises NonFiniteValueError at the first NaN or infinite
+    value.
 
     A ``batch_evaluator`` with a true ``checks_finite`` attribute raises on
     every NaN or infinite value itself, as ``lipcut.expr.batch_evaluator``
-    does with an ``EvaluationError`` naming the node; its values are not
-    scanned again.
+    does with an ``EvaluationError`` (a NonFiniteValueError naming the
+    node); its values are not scanned again.
 
     A ``batch_evaluator``'s value for a row must not depend on the other
     rows of its batch, bit for bit, as with ``lipcut.expr``'s elementwise
@@ -547,19 +560,16 @@ class ObjectiveSpec:
         object.__setattr__(self, "_checks_finite", bool(getattr(self.batch_evaluator, "checks_finite", False)))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """(N, n) points -> N values; raises NonFiniteValueError on a NaN
-        or infinite value (``EvaluationError`` from a ``checks_finite``
-        evaluator)."""
+        """(N, n) points -> N values; raises NonFiniteValueError at the
+        first NaN or infinite value (its subclass ``EvaluationError`` from a
+        ``checks_finite`` evaluator)."""
         if self.batch_evaluator is not None:
             values = np.asarray(self.batch_evaluator(points), dtype=float)
             if self._checks_finite:
                 return values
         else:
             values = np.array([self.evaluator(p) for p in points], dtype=float)
-        if not np.isfinite(values).all():
-            i = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise NonFiniteValueError("objective value", points[i], values[i])
-        return values
+        return _finite_values("objective value", points, values)
 
 
 @dataclass(frozen=True)
@@ -570,7 +580,9 @@ class ConstraintSpec:
     tuple when ``batch_components`` is given).  When both are given their
     lengths must match.  The solver evaluates through ``evaluate_batch``
     only, which calls ``batch_components`` when given and loops
-    ``components`` over the rows otherwise.
+    ``components`` over the rows otherwise, and raises NonFiniteValueError
+    at the first point whose row holds a NaN or an infinity, -inf
+    included.
 
     ``global_L`` is a Lipschitz constant of the whole vector map with
     respect to (domain norm, image_norm); ``component_L`` optionally gives
@@ -614,10 +626,14 @@ class ConstraintSpec:
         return len(self.components or self.batch_components)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """(N, n) points -> (N, m) constraint values."""
+        """(N, n) points -> (N, m) constraint values; raises
+        NonFiniteValueError at the first row holding a NaN or an infinity,
+        whichever form computed it."""
         if self.batch_components is not None:
-            return np.stack([np.asarray(c(points), dtype=float) for c in self.batch_components], axis=1)
-        return np.array([[c(p) for c in self.components] for p in points], dtype=float)
+            values = np.stack([np.asarray(c(points), dtype=float) for c in self.batch_components], axis=1)
+        else:
+            values = np.array([[c(p) for c in self.components] for p in points], dtype=float)
+        return _finite_values("constraint values", points, values)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ The loop per iteration k:
    feasible point found, but boxes too narrow to split that no cut
    covers) ends the run with the oracle's lower bound and no certificate.
 2. The constraint vector is evaluated at the returned point, as a
-   one-row ``evaluate_batch`` call.  A NaN or +inf component raises
-   NonFiniteValueError; -inf counts as satisfied.
+   one-row ``evaluate_batch`` call, which raises NonFiniteValueError on a
+   NaN or infinite component.
 3. Acceptance: every component <= 0 in exact mode (violations up to 1e-14
    are treated as zero to avoid degenerate zero-radius cuts), or
    <= epsilon in approximate mode.
@@ -46,7 +46,6 @@ import numpy as np
 from .core import (
     ConstraintSpec,
     Cut,
-    NonFiniteValueError,
     NormKind,
     Problem,
     RelaxedRegion,
@@ -185,8 +184,6 @@ def run(problem: Problem, oracle, config: DriverConfig | None = None) -> SolveOu
 
         x = np.asarray(result.point, dtype=float)
         violations = constraint.evaluate_batch(x[None, :])[0]
-        if not (violations < math.inf).all():  # NaN or +inf: no cut radius
-            raise NonFiniteValueError("constraint values", x, violations, "finite or -inf")
         viol_norm = norm_eval(constraint.image_norm, positive_part(violations))
         viol_max = float(violations.max())
 

@@ -19,9 +19,10 @@ Every node has one evaluator, over numpy columns of an (N, n) point
 array; ``evaluate`` at one point is a one-row call of ``batch_evaluator``.
 Arithmetic is IEEE double with numpy's functions, and a value is an error
 exactly when it is non-finite: a NaN or an infinity at the root raises
-``EvaluationError``, while a non-finite intermediate that ``min``/``max``
-masks (``min(1/x1, 0)`` at x1 = 0) is not an error.  Expr objects are
-immutable; evaluation is reentrant and safe to call concurrently.
+``EvaluationError``, a ``lipcut.core.NonFiniteValueError``, while a
+non-finite intermediate that ``min``/``max`` masks (``min(1/x1, 0)`` at
+x1 = 0) is not an error.  Expr objects are immutable; evaluation is
+reentrant and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import positive_integer
+from .core import NonFiniteValueError, positive_integer
 
 _FUNCTIONS = {"sin", "cos", "tan", "sqrt", "abs", "exp", "log", "min", "max"}
 _VARIADIC = {"min", "max"}
@@ -48,14 +49,18 @@ class ExpressionError(ValueError):
         super().__init__(message)
 
 
-class EvaluationError(ArithmeticError):
+class EvaluationError(NonFiniteValueError):
     """A non-finite value (sqrt of a negative, log of a non-positive value,
-    division by zero, overflow).  ``subexpression`` is the deepest node that
-    is non-finite while its children are finite."""
+    division by zero, overflow) of an expression: a ``NonFiniteValueError``
+    whose ``point`` is the input and ``value`` the expression's value there.
+    ``subexpression`` is the deepest node that is non-finite while its
+    children are finite; the message gives that node's value."""
 
-    def __init__(self, message: str, subexpression: "Expr"):
+    def __init__(self, subexpression: "Expr", point, value, node_value):
         self.subexpression = subexpression
-        super().__init__(f"{message} in '{subexpression}'")
+        self.point = np.array(point, dtype=float)
+        self.value = value
+        ValueError.__init__(self, f"non-finite value {node_value} at {self.point} in '{subexpression}'")
 
 
 class Expr:
@@ -386,7 +391,7 @@ def batch_evaluator(expression: Expr):
                 i = int(np.argmin(finite))
                 row = [c[i:i + 1] for c in cols]
                 node = _locate(expression, row)
-                raise EvaluationError(f"non-finite value {node._eval_batch(row)[0]} at {points[i]}", node)
+                raise EvaluationError(node, points[i], out[i], node._eval_batch(row)[0])
         return out
 
     run.checks_finite = True  # ObjectiveSpec need not scan its values again

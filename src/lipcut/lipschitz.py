@@ -44,15 +44,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BoxDomain, NormKind, finite, member, nonnegative, norm_eval_rows, positive, positive_integer
-from .expr import EvaluationError, batch_evaluator, contains_abs, finite_diff_jacobian_batch
+from .expr import batch_evaluator, contains_abs, finite_diff_jacobian_batch
 
 _ENUM_LIMIT = 14  # sign-enumeration cap: 2^(k-1) vertices
 _VALUE_FLOOR = 1e-12  # reported for a function that reads as constant
 
 
 class EstimateMethod(enum.Enum):
-    JacobianGrid = "jacobian-grid"
-    SlopeSampling = "slope-sampling"
+    """The two estimators, valued by their command-line names."""
+
+    JacobianGrid = "grid"
+    SlopeSampling = "sampling"
 
 
 @dataclass(frozen=True)
@@ -260,33 +262,28 @@ def slope_sampling_estimate(
     return LipschitzEstimate(best * (1.0 + inflation), EstimateMethod.SlopeSampling, 1.0 + inflation, pairs)
 
 
-def estimator_name(method: str) -> str:
-    """``method`` when it names an estimator of ``labelled_estimate``."""
-    if method not in ("grid", "sampling"):
-        raise ValueError(f"estimator must be 'grid' or 'sampling', got {method!r}")
-    return method
-
-
 def labelled_estimate(label: str, exprs, box: BoxDomain, domain_norm: NormKind, image_norm: NormKind,
-                      method: str = "grid", *, grid_per_dim: int = 64, safety: float = 1.05,
-                      pairs: int = 10_000, inflation: float = 0.1, seed: int = 0) -> LipschitzEstimate:
+                      method: EstimateMethod = EstimateMethod.JacobianGrid, *, grid_per_dim: int = 64,
+                      safety: float = 1.05, pairs: int = 10_000, inflation: float = 0.1,
+                      seed: int = 0) -> LipschitzEstimate:
     """The constant of the expressions stacked as one vector function:
-    ``jacobian_sup_bound`` when ``method`` is ``"grid"``, and
-    ``slope_sampling_estimate`` over their stacked batch evaluators when it
-    is ``"sampling"``.  An overflowing slope reads inf without a numpy
-    warning, which ``LipschitzEstimate`` refuses.  A ValueError or
-    ``EvaluationError`` from the estimator is re-raised, its type and
-    attributes kept, with its message prefixed by ``"{label}: "``."""
-    method = estimator_name(method)
+    ``jacobian_sup_bound`` for ``EstimateMethod.JacobianGrid``, and
+    ``slope_sampling_estimate`` over their stacked batch evaluators for
+    ``EstimateMethod.SlopeSampling``; any other ``method`` raises.  An
+    overflowing slope reads inf without a numpy warning, which
+    ``LipschitzEstimate`` refuses.  A ValueError from the estimator, an
+    ``EvaluationError`` included, is re-raised, its type and attributes
+    kept, with its message prefixed by ``"{label}: "``."""
+    member(method, EstimateMethod, "method")
     try:
         with np.errstate(over="ignore"):
-            if method == "grid":
+            if method is EstimateMethod.JacobianGrid:
                 return jacobian_sup_bound(exprs, box, domain_norm, image_norm, grid_per_dim, safety)
             evaluators = [batch_evaluator(e) for e in exprs]
             return slope_sampling_estimate(
                 lambda points: np.stack([e(points) for e in evaluators], axis=1),
                 box, domain_norm, image_norm, pairs, inflation, seed,
             )
-    except (ValueError, EvaluationError) as exc:
+    except ValueError as exc:
         exc.args = (f"{label}: {exc}",)
         raise

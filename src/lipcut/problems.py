@@ -36,10 +36,10 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 import yaml
 
-from .core import BoxDomain, ConstraintSpec, NormKind, ObjectiveSpec, Problem, finite, positive_integer
+from .core import BoxDomain, ConstraintSpec, NormKind, ObjectiveSpec, Problem, finite, member, positive_integer
 from .driver import CutMode
 from .expr import batch_evaluator, parse
-from .lipschitz import LipschitzEstimate, estimator_name, labelled_estimate
+from .lipschitz import EstimateMethod, LipschitzEstimate, labelled_estimate
 
 
 @dataclass(frozen=True)
@@ -198,19 +198,19 @@ def compile_definition(definition: ProblemDefinition):
 
 def build(
     definition: ProblemDefinition,
-    estimator: str = "grid",
+    estimator: EstimateMethod = EstimateMethod.JacobianGrid,
     seed: int = 0,
 ) -> BuiltProblem:
     """Compile a definition to a runnable Problem, estimating any missing
-    Lipschitz constants with the chosen estimator: ``"grid"`` is
+    Lipschitz constants with the chosen estimator: ``JacobianGrid`` is
     ``jacobian_sup_bound`` with its defaults (64 points per dimension,
-    safety 1.05), ``"sampling"`` ``slope_sampling_estimate`` over 10,000
-    pairs from ``seed`` with its default inflation 0.1; any other name
+    safety 1.05), ``SlopeSampling`` ``slope_sampling_estimate`` over 10,000
+    pairs from ``seed`` with its default inflation 0.1; anything else
     raises before any work.  Per-component constants are estimated when
     ``cut_mode`` is component, and otherwise kept only when the file gives
     all of them.  A failed estimate raises with its message prefixed by the
     constant's ``BuiltProblem.estimated`` key (``labelled_estimate``)."""
-    estimator_name(estimator)
+    member(estimator, EstimateMethod, "estimator")
     box, objective_expr, constraint_exprs = compile_definition(definition)
     estimated: dict[str, LipschitzEstimate] = {}
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxDomain, NormKind, positive
+from .core import BoxDomain, NormKind, norm_eval, positive
 
 _SENSES = ("<=", ">=", "=")
 _FEASTOL = 1e-9
@@ -54,12 +54,12 @@ class ReformSystem:
     """One reformulated cut: variable rosters plus linear rows.  Systems
     compare and hash by identity, like ``Cut`` and ``BoxDomain``.
 
+    ``norm`` is the cut's norm, ``NormKind.One`` or ``NormKind.Inf``.
     ``continuous_vars`` lists the given x_i first, then the auxiliaries;
-    y_i and w_i are nonnegative by explicit rows.  ``kind`` is "one" or
-    "inf".
+    y_i and w_i are nonnegative by explicit rows.
     """
 
-    kind: str
+    norm: NormKind
     n: int
     center: np.ndarray
     radius: float
@@ -103,7 +103,7 @@ def reformulate_1norm(center, radius: float, big_M: float) -> ReformSystem:
     rows = [LinearConstraint("sum", tuple((f"y{i}", 1.0) for i in range(1, n + 1)), ">=", radius)]
     rows += _shared_block(center, big_M)
     return ReformSystem(
-        kind="one",
+        norm=NormKind.One,
         n=n,
         center=center,
         radius=radius,
@@ -132,7 +132,7 @@ def reformulate_infnorm(center, radius: float, big_M: float) -> ReformSystem:
         rows.append(LinearConstraint(f"wmax{i}", tuple((w, 1.0) for w in ws) + ((ys[i - 1], -1.0),), ">=", 0.0))
     rows += _shared_block(center, big_M)
     return ReformSystem(
-        kind="inf",
+        norm=NormKind.Inf,
         n=n,
         center=center,
         radius=radius,
@@ -192,7 +192,7 @@ def _selected_assignment(system: ReformSystem, x: np.ndarray) -> tuple:
     branch pinning y_i = a_i - x_i), and for the infinity norm u one-hot at
     the first index of the largest |x_i - a_i|."""
     bits = tuple(1.0 if xi < ai else 0.0 for xi, ai in zip(x, system.center))
-    if system.kind == "inf":
+    if system.norm is NormKind.Inf:
         k = int(np.argmax(np.abs(x - system.center)))
         bits += tuple(1.0 if i == k else 0.0 for i in range(system.n))
     return bits
@@ -293,9 +293,10 @@ def export_lp(systems, objective: dict, box: BoxDomain, two_norm_cuts=()) -> str
     of cut k are named ``cut{k}_{tag}``; auxiliary variables keep their
     bare names for a single system and gain a ``_c{k}`` suffix when
     several systems are exported.  ``two_norm_cuts`` optionally emits
-    2-norm cuts as quadratic rows ``[ x^2 ... ] >= b^2`` (these suit
-    quadratic solvers; there is no exact linear encoding).  Output is
-    deterministic, 17 significant digits.
+    2-norm cuts as quadratic rows ``-2 a.x + [ x^2 ... ] >= b^2 - |a|^2``
+    over the masked coordinates, |a|^2 summed in index order as every
+    lipcut norm is (these suit quadratic solvers; there is no exact linear
+    encoding).  Output is deterministic, 17 significant digits.
     """
     systems = list(systems)
     dims = {s.n for s in systems} | {c.dimension for c in two_norm_cuts}
@@ -326,7 +327,7 @@ def export_lp(systems, objective: dict, box: BoxDomain, two_norm_cuts=()) -> str
         idx = [i for i in range(cut.dimension) if cut.mask[i]]
         lin = [(f"x{i + 1}", -2.0 * cut.center[i]) for i in idx if cut.center[i] != 0.0]
         quad = " + ".join(f"x{i + 1} ^ 2" for i in idx)
-        rhs = cut.radius**2 - float(np.sum(cut.center[idx] ** 2))
+        rhs = cut.radius**2 - norm_eval(NormKind.One, cut.center[idx] ** 2)
         lin_text = (_linear_text(lin) + " + ") if lin else ""
         lines.append(f" cut{k}_ball: {lin_text}[ {quad} ] >= {_num(rhs)}")
     lines.append("Bounds")

@@ -626,22 +626,24 @@ class TestNonFiniteConstraint:
             constraint=ConstraintSpec(components=(lambda x: 1.0, lambda x: math.inf), global_L=1.0),
             domain_norm=NormKind.Two,
         )
-        with pytest.raises(NonFiniteValueError, match="finite or -inf") as info:
+        with pytest.raises(NonFiniteValueError, match=r"^constraint values at \[-1\.\] must be finite") as info:
             run(problem, global_oracle(1e-6), DriverConfig())
         assert info.value.point.tolist() == [-1.0]
         assert info.value.value.tolist() == [1.0, math.inf]
 
     @pytest.mark.parametrize("mode", [CutMode.Vector, CutMode.Component])
-    def test_minus_infinity_is_satisfied(self, mode):
-        # -inf (say log(0) in a problem file) has no positive part: accepted
+    def test_minus_infinity_raises(self, mode):
+        # -inf is no value of a Lipschitz function either: it stops the solve
+        # as a problem file's log(x1) at x1 = 0 does, in both cut modes
         problem = Problem(
             domain=BoxDomain((-1.0,), (1.0,)),
             objective=ObjectiveSpec(lambda x: x[0], 1.0, batch_evaluator=lambda p: p[:, 0]),
             constraint=ConstraintSpec(components=(lambda x: -math.inf,), global_L=1.0, component_L=(1.0,)),
             domain_norm=NormKind.Two,
         )
-        outcome = run(problem, global_oracle(1e-6), DriverConfig(cut_mode=mode, max_iterations=5))
-        assert outcome.status is SolveStatus.Solved and len(outcome.trace) == 1
+        with pytest.raises(NonFiniteValueError, match="must be finite") as info:
+            run(problem, global_oracle(1e-6), DriverConfig(cut_mode=mode, max_iterations=5))
+        assert info.value.point.tolist() == [-1.0] and info.value.value.tolist() == [-math.inf]
 
 
 class TestConstraintEvaluation:

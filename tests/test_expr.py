@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lipcut.core import NonFiniteValueError
 from lipcut.expr import (
     Const,
     EvaluationError,
@@ -195,6 +196,18 @@ class TestBatchEvaluation:
         with pytest.raises(EvaluationError, match=r"at \[-2\.\]") as info:
             batch_evaluator(e)(np.array([[1.0], [-2.0], [-3.0]]))
         assert str(info.value.subexpression) == "sqrt(x1)"
+
+    def test_an_evaluation_error_is_a_non_finite_value_error(self):
+        # one error family: the handlers of NonFiniteValueError and of
+        # ValueError catch it, with the point and the expression's value
+        e = parse("1 + log(x1)", 1)
+        with pytest.raises(NonFiniteValueError) as info:
+            batch_evaluator(e)(np.array([[1.0], [0.0]]))
+        assert isinstance(info.value, EvaluationError) and not isinstance(info.value, ArithmeticError)
+        assert info.value.point.tolist() == [0.0] and info.value.value == -math.inf
+        assert str(info.value) == "non-finite value -inf at [0.] in 'log(x1)'"
+        with pytest.raises(ValueError, match=r"^non-finite value nan at \[-1\.\] in 'sqrt\(x1\)'$"):
+            evaluate(parse("sqrt(x1)", 1), (-1.0,))
 
     def test_masked_intermediate_is_not_an_error(self):
         # 1/x1 is inf at 0, and min masks it: only the value counts

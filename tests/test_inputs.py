@@ -1,9 +1,9 @@
 """One rule for scalar inputs.  Every entry point refuses a boolean, NaN,
 an infinity, a fractional count or a string with a ValueError that names
-the argument, and stores a numpy scalar as a Python float or int.  A norm
-or cut-mode field refuses anything but a member of its enum, its value
-spelled as text included, and a ``ProblemDefinition`` is checked by the
-rules of a problem file whoever builds it.  The rules live in
+the argument, and stores a numpy scalar as a Python float or int.  A norm,
+cut-mode or estimator argument refuses anything but a member of its enum,
+its value spelled as text included, and a ``ProblemDefinition`` is checked
+by the rules of a problem file whoever builds it.  The rules live in
 ``lipcut.core`` and ``ProblemDefinition``; the entry points whose own
 tests already take bad values as a parameter keep those rows there."""
 
@@ -19,7 +19,7 @@ from lipcut.core import BoxDomain, ConstraintSpec, Cut, NormKind, ObjectiveSpec,
 from lipcut.driver import DriverConfig
 from lipcut.expr import parse
 from lipcut.lipschitz import (EstimateMethod, LipschitzEstimate, induced_norm, jacobian_sup_bound,
-                              slope_sampling_estimate)
+                              labelled_estimate, slope_sampling_estimate)
 from lipcut.oracle import GlobalOracle, OracleConfig
 from lipcut.problems import ConstraintDef, ProblemDefinition, build, get_builtin
 
@@ -68,6 +68,9 @@ REFUSALS = {
     "unknown-estimator": (lambda: build(replace(get_builtin("sin-example"), global_L=None), estimator="gird"),
                           "estimator"),
     "unknown-estimator-unused": (lambda: build(get_builtin("sin-example"), estimator="gird"), "estimator"),
+    # an estimator is an EstimateMethod member; its command-line name is text
+    "estimator-text": (lambda: build(get_builtin("sin-example"), estimator="sampling"), "estimator"),
+    "estimate-method-text": (lambda: labelled_estimate("L", [parse("x1", 1)], LINE, TWO, TWO, "grid"), "method"),
     "short-mask-row": (lambda: Problem(BOX, ObjectiveSpec(None, 1.0, batch_evaluator=first),
                                        constraint(active_mask=((True,),))), "active_mask"),
     "cut-norm-text": (lambda: Cut([0.0], 1.0, norm="2"), "norm"),

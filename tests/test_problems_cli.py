@@ -155,7 +155,7 @@ class TestProblemFiles:
         # the objective contains abs: safety doubled
         assert built.estimated["objective_L"].safety_factor == pytest.approx(2.1)
 
-    @pytest.mark.parametrize("estimator", ["grid", "sampling"])
+    @pytest.mark.parametrize("estimator", list(EstimateMethod), ids=lambda m: m.value)
     @pytest.mark.parametrize("key", ["objective_L", "constraint_1_L", "global_L"])
     def test_a_failed_estimate_names_its_constant(self, key, estimator):
         # exp(709*x1) overflows its difference quotients near x1 = 1
@@ -490,11 +490,31 @@ class TestCliSolve:
         assert main(["solve", "--builtin", "sin-example", "--normalize",
                      "--eps", "5e-5"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--builtin", "sin-example", "--mode", "bogus"],
+        ["solve", "--builtin", "sin-example", "--eps", "abc"],
+        ["solve"],
+        ["emit-milp", "--builtin", "sin-example", "--norm", "2", "--out", "cuts.lp"],
+        [],
+    ], ids=["bad-choice", "bad-number", "no-problem", "bad-subcommand-choice", "no-command"])
+    def test_a_usage_error_exits_1_not_the_certificate_code(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "usage: lipcut" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--help"])
+        assert info.value.code == 0
+        assert "--lipschitz-method {grid,sampling}" in capsys.readouterr().out
+
     def test_threads_flag(self, capsys):
-        # the oracle thread pool is gone: argparse rejects the old flag
+        # the oracle thread pool is gone: argparse rejects the old flag, with
+        # the exit code of every error (2 certifies infeasibility)
         with pytest.raises(SystemExit) as info:
             main(["solve", "--builtin", "bad-local", "--threads", "2"])
-        assert info.value.code == 2
+        assert info.value.code == 1
         assert "--threads" in capsys.readouterr().err
 
 

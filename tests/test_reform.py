@@ -18,6 +18,8 @@ from lipcut.reform import (
     verify_by_enumeration,
 )
 
+from geometry import index_order_norm, pairwise_norm
+
 
 class TestSystemShape:
     def test_1norm_counts(self):
@@ -302,6 +304,21 @@ class TestExportLp:
         assert "[ x1 ^ 2 + x2 ^ 2 ]" in text
         rhs = 0.3**2 - (0.5**2 + 0.5**2)
         assert f">= {rhs:.17g}" in text
+
+    def test_quadratic_rhs_sums_the_center_in_index_order(self):
+        # nine coordinates: numpy's sum adds 8 or more terms pairwise, while
+        # the right-hand side adds them in index order, as every norm does
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            center, radius = rng.uniform(-1.0, 1.0, 9), float(rng.uniform(0.5, 2.0))
+            rhs = radius**2 - index_order_norm("1", center**2)
+            if f"{rhs:.17g}" != f"{radius**2 - pairwise_norm('1', center**2):.17g}":
+                break
+        else:
+            pytest.fail("no draw whose two sums give different right-hand sides")
+        box = BoxDomain((-1.0,) * 9, (1.0,) * 9)
+        text = export_lp([], {"x1": 1.0}, box, two_norm_cuts=[Cut(center, radius, norm=NormKind.Two)])
+        assert text.splitlines()[3].endswith(f"] >= {rhs:.17g}")
 
     def test_integral_coordinates_are_listed_as_generals(self):
         box = BoxDomain((0.0, -1.0), (3.0, 1.0), integral=(True, False))

@@ -1,18 +1,21 @@
 """The two forms of a user spec solve alike: one-point callables, which the
 specs loop over the rows of a batch, and batch callables give
-byte-identical traces."""
+byte-identical traces, and a NaN or an infinity stops a solve in either
+form as it does from an expression."""
 
+import math
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipcut.core import ConstraintSpec, NormKind, ObjectiveSpec
+from lipcut.core import BoxDomain, ConstraintSpec, NonFiniteValueError, NormKind, ObjectiveSpec, Problem
 from lipcut.driver import CutMode, DriverConfig, run, trace_to_csv
-from lipcut.expr import batch_evaluator, evaluate
-from lipcut.oracle import GlobalOracle, OracleConfig
+from lipcut.expr import batch_evaluator, evaluate, parse
+from lipcut.oracle import GlobalOracle, LocalOracle, OracleConfig
 from lipcut.problems import build, definition_from_dict
 
 
@@ -99,3 +102,58 @@ def test_a_spec_with_neither_form_is_rejected():
     for batch in (None, ()):
         with pytest.raises(ValueError, match="components or batch_components"):
             ConstraintSpec(components=(), global_L=1.0, batch_components=batch)
+
+
+# each value with an expression that takes it at x1 = 0: log(0) is -inf
+NON_FINITE = {"nan": (math.nan, "log(x1) - log(x1)"), "+inf": (math.inf, "-log(x1)"),
+              "-inf": (-math.inf, "log(x1)")}
+
+
+def spec_callables(form: str, value: float, text: str):
+    """The one-point and batch callables of a function in the given form:
+    ``text`` parsed, or the constant ``value``."""
+    if form == "expression":
+        return None, batch_evaluator(parse(text, 1))
+    if form == "one-point":
+        return (lambda x: value), None
+    return None, (lambda p: np.full(len(p), value))
+
+
+@pytest.mark.parametrize("value, text", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("form", ["expression", "one-point", "batch"])
+@pytest.mark.parametrize("role", ["objective", "constraint"])
+def test_a_non_finite_value_stops_the_solve_in_every_form(role, form, value, text):
+    # the local oracle from x1 = 0 evaluates the objective there first and
+    # returns that point, where the constraint is evaluated next
+    one_point, batch = spec_callables(form, value, text)
+    objective = ObjectiveSpec(None, 1.0, batch_evaluator(parse("x1", 1)))
+    constraint = ConstraintSpec((), 1.0, batch_components=(batch_evaluator(parse("x1 - 1", 1)),))
+    if role == "objective":
+        objective = ObjectiveSpec(one_point, 1.0, batch)
+    else:
+        constraint = ConstraintSpec((one_point,) if one_point else (), 1.0,
+                                    batch_components=(batch,) if batch else None)
+    problem = Problem(BoxDomain((0.0,), (1.0,)), objective, constraint, NormKind.Two)
+    with pytest.raises(NonFiniteValueError, match="at \\[0\\.\\]") as info:
+        run(problem, LocalOracle(), DriverConfig(initial_start=(0.0,)))
+    # the value, or the constraint's one-component row
+    assert info.value.point.tolist() == [0.0] and np.array_equal(np.ravel(info.value.value), [value], equal_nan=True)
+
+
+@pytest.mark.parametrize("form", ["one-point", "batch"])
+def test_the_first_row_with_a_non_finite_value_is_named(form):
+    # rows 1 and 3 are finite; row 2 holds a NaN in its second component
+    def second(x):
+        return math.nan if x[0] == 2.0 else 0.0
+
+    if form == "one-point":
+        constraint = ConstraintSpec((lambda x: x[0], second), 1.0)
+    else:
+        constraint = ConstraintSpec((), 1.0, batch_components=(
+            lambda p: p[:, 0], lambda p: np.array([second(x) for x in p])))
+    points = np.array([[1.0], [2.0], [3.0]])
+    with pytest.raises(NonFiniteValueError, match=r"^constraint values at \[2\.\] must be finite") as info:
+        constraint.evaluate_batch(points)
+    assert info.value.point.tolist() == [2.0]
+    assert np.array_equal(info.value.value, [2.0, math.nan], equal_nan=True)
+    assert constraint.evaluate_batch(points[:0]).size == 0
