@@ -7,10 +7,15 @@ Subcommands:
 * ``estimate-lipschitz``  print Lipschitz-constant estimates
 * ``emit-milp``           write cut reformulations as an LP file
 
+Each reads only what it prints: ``solve`` estimates the missing constants
+it uses, ``bounds`` a missing ``global_L`` for a box-packing bound alone,
+``emit-milp`` none.  Each refuses what ``ProblemDefinition`` refuses.
+
 Exit codes for ``solve``: 0 solved, 2 infeasibility certified, 3 iteration
 limit or unresolved (no feasible point found and no certificate), 1 any
 error, a usage error included (argparse's own code, 2, would read as a
-certificate).  Identical invocations (same flags, same seed) produce
+certificate).  Every refusal is an exception that ``main`` prints as one
+``error: ...`` line.  Identical invocations (same flags, same seed) produce
 byte-identical traces and LP files.
 """
 
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import replace
 
@@ -31,11 +37,13 @@ from .driver import (
     SolveStatus,
     normalized_problem,
     run,
+    trace_columns,
     trace_to_csv,
 )
+from .expr import finite_diff_jacobian
 from .lipschitz import EstimateMethod, labelled_estimate
 from .oracle import GlobalOracle, InfeasibleStartError, LocalOracle, OracleConfig, ResourceLimitError
-from .problems import build, builtin_problems, compile_definition, get_builtin, load_problem_file
+from .problems import ProblemDefinition, build, builtin_problems, compile_definition, get_builtin, load_problem_file
 from .reform import default_big_M, export_lp, reformulate_1norm, reformulate_infnorm
 
 _EXIT_SOLVED = 0
@@ -78,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--lipschitz-method", choices=[m.value for m in EstimateMethod], default="grid",
                        help="estimator for constants missing from the problem file")
     solve.add_argument("--oracle-tol", type=float, default=None,
-                       help="global oracle tolerance (default 1e-6)")
+                       help=f"global oracle tolerance (default {OracleConfig.tolerance:g})")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--start", default=None, help="comma-separated start point (local oracle)")
     solve.add_argument("--normalize", action="store_true",
@@ -120,36 +128,30 @@ def _problem_flags(sub) -> None:
     group.add_argument("--builtin", help="builtin name: " + ", ".join(sorted(builtin_problems())))
 
 
-def _load(args, cut_mode=None, **build_kwargs):
-    definition = get_builtin(args.builtin) if args.builtin else load_problem_file(args.problem)
-    if cut_mode is not None:
-        definition = replace(definition, cut_mode=cut_mode)
-    built = build(definition, **build_kwargs)
-    for label, est in built.estimated.items():
-        print(f"estimated {label} = {est.value:.17g} ({est.method.value}, "
-              f"safety {est.safety_factor:g}, {est.samples_used} samples)")
-    return built
+def _definition(args) -> ProblemDefinition:
+    """The definition that ``--builtin`` or ``--problem`` names, checked."""
+    return get_builtin(args.builtin) if args.builtin else load_problem_file(args.problem)
+
+
+def _print_estimate(label: str, est) -> None:
+    print(f"estimated {label} = {est.value:.17g} ({est.method.value}, "
+          f"safety {est.safety_factor:g}, {est.samples_used} samples)")
 
 
 def _cmd_solve(args) -> int:
     estimator = EstimateMethod(args.lipschitz_method)
     if estimator is EstimateMethod.SlopeSampling and not args.allow_heuristic_L:
-        print("error: sampling-based Lipschitz estimates are heuristic; pass --allow-heuristic-L to accept them",
-              file=sys.stderr)
-        return _EXIT_ERROR
+        raise ValueError("sampling-based Lipschitz estimates are heuristic; pass --allow-heuristic-L to accept them")
     if args.oracle_tol is not None and args.oracle == "local":
-        print("error: --oracle-tol sets the global oracle's tolerance; the local oracle has none", file=sys.stderr)
-        return _EXIT_ERROR
+        raise ValueError("--oracle-tol sets the global oracle's tolerance; the local oracle has none")
     if args.start is not None and args.oracle == "global":
-        print("error: --start sets the local oracle's start point; the global oracle has none", file=sys.stderr)
-        return _EXIT_ERROR
-    mode = CutMode(args.mode) if args.mode else None
-    built = _load(
-        args,
-        mode,
-        estimator=estimator,
-        seed=args.seed,
-    )
+        raise ValueError("--start sets the local oracle's start point; the global oracle has none")
+    definition = _definition(args)
+    if args.mode:
+        definition = replace(definition, cut_mode=CutMode(args.mode))
+    built = build(definition, estimator=estimator, seed=args.seed)
+    for label, est in built.estimated.items():
+        _print_estimate(label, est)
     if any(e.method is EstimateMethod.SlopeSampling for e in built.estimated.values()):
         print("warning: solving with heuristic (sampling-based) Lipschitz constants", file=sys.stderr)
 
@@ -159,9 +161,7 @@ def _cmd_solve(args) -> int:
         oracle = GlobalOracle(oracle_config, problem.domain_norm)
     else:
         oracle = LocalOracle(oracle_config)
-    start = None
-    if args.start is not None:
-        start = np.array([float(v) for v in args.start.split(",")])
+    start = None if args.start is None else np.array([float(v) for v in args.start.split(",")])
     config = DriverConfig(
         epsilon=args.eps if args.eps is not None else built.epsilon,
         max_iterations=args.max_iters if args.max_iters is not None else built.max_iterations,
@@ -191,21 +191,24 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.delta is None and args.eps is None:
-        print("error: bounds needs --delta and/or --eps", file=sys.stderr)
-        return _EXIT_ERROR
-    built = _load(args)
-    problem = built.problem
-    box = problem.domain
+        raise ValueError("bounds needs --delta and/or --eps")
+    definition = _definition(args)
+    box, _, constraints = compile_definition(definition)
     if args.delta is not None:
         if box.integral.all():  # the lattice count, else the box packing
             kind, value = "lattice-count", bounds_mod.lattice_count(box)
         else:
-            kind, value = "box-packing", bounds_mod.box_packing_bound(box, problem.constraint.global_L, args.delta)
+            global_L = definition.global_L
+            if global_L is None:
+                estimate = labelled_estimate("global_L", constraints, box, definition.norm, definition.image_norm)
+                _print_estimate("global_L", estimate)
+                global_L = estimate.value
+            kind, value = "box-packing", bounds_mod.box_packing_bound(box, global_L, args.delta)
         print(f"packing bound ({kind}): {value:.17g}")
-    radius = bounds_mod.box_radius(box, problem.domain_norm)
+    radius = bounds_mod.box_radius(box, definition.norm)
     print(f"radius: {radius:.17g}")
     try:
-        _, asph = bounds_mod.box_radius_asphericity(box, problem.domain_norm)
+        _, asph = bounds_mod.box_radius_asphericity(box, definition.norm)
         print(f"asphericity: {asph:.17g}")
         have_asph = True
     except ValueError:
@@ -221,7 +224,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    definition = get_builtin(args.builtin) if args.builtin else load_problem_file(args.problem)
+    definition = _definition(args)
     box, _, exprs = compile_definition(definition)  # the given constants are neither used nor estimated
     p, q = definition.norm, definition.image_norm
     squared = p is NormKind.Two and q is NormKind.Two
@@ -239,25 +242,20 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_emit_milp(args) -> int:
-    built = _load(args)
-    box = built.problem.domain
+    definition = _definition(args)
+    box, objective, _ = compile_definition(definition)
     norm = NormKind.from_string(args.norm)
-    if args.trace and norm is NormKind.Inf and built.problem.domain_norm is not NormKind.Inf:
+    if args.trace and norm is NormKind.Inf and definition.norm is not NormKind.Inf:
         # a trace's cuts are balls in the domain norm, and an inf-norm ball
         # of the same radius is larger; a 1-norm ball lies inside it
-        print(f"error: the trace's cuts are {built.problem.domain_norm.value}-norm balls, and --norm inf would "
-              "export larger ones that can exclude feasible points; use --norm 1", file=sys.stderr)
-        return _EXIT_ERROR
-    cuts = []
-    if args.trace:
-        cuts.extend(_cuts_from_trace(args.trace, box.dimension))
-    for text in args.cut:
-        cuts.append(_parse_cut_flag(text, box.dimension))
+        raise ValueError(f"the trace's cuts are {definition.norm.value}-norm balls, and --norm inf would "
+                         "export larger ones that can exclude feasible points; use --norm 1")
+    cuts = _cuts_from_trace(args.trace, box.dimension) if args.trace else []
+    cuts += [_parse_cut_flag(text, box.dimension) for text in args.cut]
     big_m = args.big_m if args.big_m is not None else default_big_M(box, NormKind.One)
     reformulate = reformulate_1norm if norm is NormKind.One else reformulate_infnorm
     systems = [reformulate(center, radius, big_m) for center, radius in cuts]
-    objective = _objective_coefficients(built)
-    text = export_lp(systems, objective, box)
+    text = export_lp(systems, _objective_coefficients(objective, box), box)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
     n_cont = sum(len(s.continuous_vars) - s.n for s in systems) + box.dimension
@@ -268,15 +266,18 @@ def _cmd_emit_milp(args) -> int:
 
 
 def _cuts_from_trace(path: str, dimension: int):
-    out = []
+    """The (center, radius) of every cut in a trace CSV, whose header must
+    be the one ``trace_to_csv`` writes for the problem's dimension."""
+    columns = trace_columns(dimension)
     with open(path, "r", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            radius = float(row["radius"])
-            if radius <= 0:
-                continue
-            center = [float(row[f"x{j + 1}"]) for j in range(dimension)]
-            out.append((center, radius))
-    return out
+        header, *rows = list(csv.reader(handle)) or [[]]
+    if header != columns:
+        coordinates = sum(bool(re.fullmatch(r"x[0-9]+", c)) for c in header)
+        raise ValueError(f"trace {path} is {coordinates}-D and the problem {dimension}-D: "
+                         f"a trace of this problem has the header {','.join(columns)}")
+    radius = columns.index("radius")
+    cuts = [([float(v) for v in row[1:dimension + 1]], float(row[radius])) for row in rows]
+    return [(center, r) for center, r in cuts if r > 0]
 
 
 def _parse_cut_flag(text: str, dimension: int):
@@ -291,13 +292,10 @@ def _parse_cut_flag(text: str, dimension: int):
     return center, radius
 
 
-def _objective_coefficients(built) -> dict:
+def _objective_coefficients(objective, box) -> dict:
     """Linear x-coefficients of the objective for the LP header, taken by
     finite differences at the box center (exact for linear objectives)."""
-    from .expr import finite_diff_jacobian
-
-    box = built.problem.domain
-    row = finite_diff_jacobian([built.exprs["objective"]], box.center)[0]
+    row = finite_diff_jacobian([objective], box.center)[0]
     return {f"x{j + 1}": float(row[j]) for j in range(box.dimension) if abs(row[j]) > 1e-12}
 
 

@@ -258,13 +258,18 @@ def normalized_problem(problem: Problem) -> Problem:
 # --------------------------------------------------------------------------
 # trace serialization
 
-def trace_to_csv(trace, dimension: int) -> str:
-    """CSV with header k,x1..xn,f,viol_norm,viol_max,radius,component,
-    oracle_nodes,oracle_gap; 17 significant digits, UNIX newlines."""
-    cols = ["k"] + [f"x{j + 1}" for j in range(dimension)] + [
+def trace_columns(dimension: int) -> list[str]:
+    """The header of a trace CSV over ``dimension`` coordinates."""
+    return ["k"] + [f"x{j + 1}" for j in range(dimension)] + [
         "f", "viol_norm", "viol_max", "radius", "component", "oracle_nodes", "oracle_gap",
     ]
-    lines = [",".join(cols)]
+
+
+def trace_to_csv(trace, dimension: int) -> str:
+    """CSV with header ``trace_columns(dimension)``: k,x1..xn,f,viol_norm,
+    viol_max,radius,component,oracle_nodes,oracle_gap; 17 significant
+    digits, UNIX newlines."""
+    lines = [",".join(trace_columns(dimension))]
     for rec in trace:
         row = [str(rec.k)]
         row += [_fmt(v) for v in rec.point]

@@ -36,8 +36,19 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 import yaml
 
-from .core import BoxDomain, ConstraintSpec, NormKind, ObjectiveSpec, Problem, finite, member, positive_integer
-from .driver import CutMode
+from .core import (
+    BoxDomain,
+    ConstraintSpec,
+    NormKind,
+    ObjectiveSpec,
+    Problem,
+    finite,
+    member,
+    nonnegative,
+    positive,
+    positive_integer,
+)
+from .driver import CutMode, DriverConfig
 from .expr import batch_evaluator, parse
 from .lipschitz import EstimateMethod, LipschitzEstimate, labelled_estimate
 
@@ -54,7 +65,11 @@ class ProblemDefinition:
     """A problem as a file spells it.  Construction reads and checks every
     field, whoever builds the definition: the norms and the cut mode may
     be given as text, a constraint as a mapping with ``ConstraintDef``'s
-    keys, and counts as whole floats; an empty cut mode reads as absent."""
+    keys, and counts as whole floats; an empty cut mode reads as absent.
+    The numbers must also lie in the ranges the solver reads them in:
+    ``objective_L``, ``global_L`` and every constraint ``L`` positive,
+    ``epsilon`` nonnegative and ``max_iterations`` at least 1, whether or
+    not the caller goes on to ``build`` the definition."""
 
     dimension: int
     bounds: tuple
@@ -96,10 +111,12 @@ class ProblemDefinition:
             "cut_mode": CutMode(self.cut_mode) if self.cut_mode else None,
             "norm": _norm(self.norm), "image_norm": _norm(self.image_norm), "objective": str(self.objective),
         }
-        for key, read in (("objective_L", finite), ("global_L", finite), ("epsilon", finite),
-                          ("max_iterations", _integer)):
+        # a value that is not a number is refused by its read, a number out
+        # of range by its rule
+        for key, read, rule in (("objective_L", finite, positive), ("global_L", finite, positive),
+                                ("epsilon", finite, nonnegative), ("max_iterations", _integer, positive_integer)):
             if getattr(self, key) is not None:
-                checked[key] = read(getattr(self, key), key)
+                checked[key] = rule(read(getattr(self, key), key), key)
         for key, value in checked.items():
             object.__setattr__(self, key, value)
 
@@ -122,7 +139,7 @@ def _constraint(entry, p: int, dimension: int) -> ConstraintDef:
     mask = tuple(_integer(i, f"constraint {p} mask entry") for i in mask) if mask else None
     if mask and not all(1 <= i <= dimension for i in mask):
         raise ValueError(f"constraint mask indices out of range: {mask}")
-    L = None if entry.L is None else finite(entry.L, f"constraint {p} L")
+    L = None if entry.L is None else positive(finite(entry.L, f"constraint {p} L"), f"constraint {p} L")
     return ConstraintDef(str(entry.expr), L, mask)
 
 
@@ -266,9 +283,10 @@ def build(
     return BuiltProblem(
         problem=problem,
         exprs={"objective": objective_expr, "constraints": constraint_exprs},
-        epsilon=definition.epsilon if definition.epsilon is not None else 0.0,
-        max_iterations=definition.max_iterations if definition.max_iterations is not None else 100,
-        cut_mode=definition.cut_mode or CutMode.Vector,
+        epsilon=definition.epsilon if definition.epsilon is not None else DriverConfig.epsilon,
+        max_iterations=definition.max_iterations if definition.max_iterations is not None
+        else DriverConfig.max_iterations,
+        cut_mode=definition.cut_mode or DriverConfig.cut_mode,
         estimated=estimated,
     )
 

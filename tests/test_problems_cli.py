@@ -7,10 +7,10 @@ import pytest
 import yaml
 
 from lipcut.cli import main
-from lipcut.core import NormKind
+from lipcut.core import BoxDomain, NormKind
 from lipcut.driver import DriverConfig, run, trace_to_csv
-from lipcut.expr import EvaluationError
-from lipcut.lipschitz import EstimateMethod
+from lipcut.expr import EvaluationError, parse
+from lipcut.lipschitz import EstimateMethod, labelled_estimate
 from lipcut.oracle import GlobalOracle
 from lipcut.problems import (
     ProblemDefinition,
@@ -98,6 +98,33 @@ BAD_NUMBERS = [
 BAD_NUMBER_IDS = ["fractional-max-iterations", "boolean-max-iterations", "boolean-epsilon", "nan-epsilon",
                   "string-objective-L", "string-bound", "inf-bound", "boolean-bound",
                   "nan-constraint-L", "string-constraint-L"]
+
+
+# (key, value, the error message) of a problem file with one number out of
+# the range the solver reads it in; the messages are core's
+OUT_OF_RANGE = [
+    ("objective_L", 0, "objective_L must be finite and positive, got 0.0"),
+    ("objective_L", -1, "objective_L must be finite and positive, got -1.0"),
+    ("constraint L", 0, "constraint 1 L must be finite and positive, got 0.0"),
+    ("global_L", -2, "global_L must be finite and positive, got -2.0"),
+    ("epsilon", -0.5, "epsilon must be finite and nonnegative, got -0.5"),
+    ("max_iterations", 0, "max_iterations must be a positive integer, got 0"),
+]
+OUT_OF_RANGE_IDS = ["zero-objective-L", "negative-objective-L", "zero-constraint-L", "negative-global-L",
+                    "negative-epsilon", "zero-max-iterations"]
+
+# every subcommand, with the flags it needs besides the problem
+SUBCOMMANDS = {
+    "solve": [],
+    "bounds": ["--eps", "0.1"],
+    "estimate-lipschitz": [],
+    "emit-milp": ["--norm", "1", "--out", "cuts.lp"],
+}
+
+# a 1-D file without constants whose objective sqrt(x1) has no value at the
+# default grid's central-difference step to x1 = -1e-6
+SQRT_FILE = {"dimension": 1, "bounds": [[0.0, 1.0]], "norm": "2", "image_norm": "2", "objective": "sqrt(x1)",
+             "constraints": [{"expr": "x1 - 0.5"}]}
 
 
 def bad_number_file(key, value) -> dict:
@@ -229,6 +256,11 @@ class TestProblemFiles:
 
     @pytest.mark.parametrize("key, value, message", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
     def test_a_bad_number_is_refused(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            definition_from_dict(bad_number_file(key, value))
+
+    @pytest.mark.parametrize("key, value, message", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+    def test_a_number_out_of_range_is_refused(self, key, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             definition_from_dict(bad_number_file(key, value))
 
@@ -732,3 +764,84 @@ class TestCliEmitMilp:
         assert main(["emit-milp", "--builtin", "sin-example", "--norm", "1", "--out", str(out_path)] + flags) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("traced, exported", [("comp-example", "infeasible-1d"), ("infeasible-1d", "comp-example")],
+                             ids=["2-D-trace-1-D-problem", "1-D-trace-2-D-problem"])
+    def test_a_trace_of_another_dimension_is_refused(self, tmp_path, capsys, traced, exported):
+        trace, out_path = tmp_path / "t.csv", tmp_path / "cuts.lp"
+        main(["solve", "--builtin", traced, "--max-iters", "3", "--trace", str(trace)])
+        capsys.readouterr()
+        assert main(["emit-milp", "--builtin", exported, "--norm", "1", "--trace", str(trace),
+                     "--out", str(out_path)]) == 1
+        n, m = get_builtin(traced).dimension, get_builtin(exported).dimension
+        header = ",".join(trace_to_csv([], m).splitlines())
+        assert capsys.readouterr().err == (f"error: trace {trace} is {n}-D and the problem {m}-D: "
+                                           f"a trace of this problem has the header {header}\n")
+        assert not out_path.exists()
+
+
+class TestEachSubcommandReadsWhatItPrints:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("key, value, message", BAD_NUMBERS + OUT_OF_RANGE, ids=BAD_NUMBER_IDS + OUT_OF_RANGE_IDS)
+    def test_every_subcommand_refuses_a_malformed_number(self, tmp_path, monkeypatch, capsys, command,
+                                                         key, value, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.yaml").write_text(yaml.safe_dump(bad_number_file(key, value)))
+        assert main([command, "--problem", "bad.yaml"] + SUBCOMMANDS[command]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not (tmp_path / "cuts.lp").exists()
+
+    def test_emit_milp_and_bounds_read_no_constant_of_a_file_without_them(self, tmp_path, capsys):
+        # the objective's constant cannot be estimated, and neither command uses it
+        lp_files = []
+        for name, data in (("sqrt", SQRT_FILE), ("given", dict(SQRT_FILE, objective_L=1))):
+            path, out_path = tmp_path / f"{name}.yaml", tmp_path / f"{name}.lp"
+            path.write_text(yaml.safe_dump(data))
+            assert main(["emit-milp", "--problem", str(path), "--norm", "1", "--cut", "0.25;0.1",
+                         "--out", str(out_path)]) == 0
+            assert main(["bounds", "--problem", str(path), "--eps", "0.1"]) == 0
+            captured = capsys.readouterr()
+            assert "estimated" not in captured.out and captured.err == ""
+            lp_files.append(out_path.read_bytes())
+        assert lp_files[0] == lp_files[1]
+
+    def test_a_box_packing_bound_estimates_global_L_alone(self, tmp_path, capsys):
+        path = tmp_path / "sqrt.yaml"
+        path.write_text(yaml.safe_dump(SQRT_FILE))
+        assert main(["bounds", "--problem", str(path), "--delta", "0.5"]) == 0
+        estimate = labelled_estimate("global_L", [parse("x1 - 0.5", 1)], BoxDomain([0.0], [1.0]),
+                                     NormKind.Two, NormKind.Two)
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("estimated")]
+        assert lines == [f"estimated global_L = {estimate.value:.17g} (grid, safety 1.05, 64 samples)"]
+
+    def test_bounds_and_emit_milp_build_no_solver_problem(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build() called")
+
+        monkeypatch.setattr("lipcut.cli.build", refuse)
+        monkeypatch.setattr("lipcut.problems.build", refuse)
+        estimates = []
+
+        def counted(label, *args, **kwargs):
+            estimates.append(label)
+            return labelled_estimate(label, *args, **kwargs)
+
+        monkeypatch.setattr("lipcut.cli.labelled_estimate", counted)
+        lattice = dict(SQRT_FILE, integral=[True])
+        for name, data in (("sqrt", SQRT_FILE), ("lattice", lattice)):
+            (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(data))
+        runs = [
+            (["bounds", "--problem", str(tmp_path / "sqrt.yaml"), "--eps", "0.1"], []),
+            (["bounds", "--problem", str(tmp_path / "lattice.yaml"), "--delta", "0.5", "--eps", "0.1"], []),
+            (["bounds", "--builtin", "comp-example", "--delta", "0.5", "--eps", "0.1"], []),
+            (["bounds", "--problem", str(tmp_path / "sqrt.yaml"), "--delta", "0.5"], ["global_L"]),
+            (["emit-milp", "--problem", str(tmp_path / "sqrt.yaml"), "--norm", "inf", "--cut", "0.5;0.1",
+              "--out", str(tmp_path / "cuts.lp")], []),
+            (["emit-milp", "--builtin", "sin-example", "--norm", "1", "--out", str(tmp_path / "cuts.lp")], []),
+        ]
+        for argv, labels in runs:
+            estimates.clear()
+            assert main(argv) == 0, argv
+            assert estimates == labels, argv
+        assert capsys.readouterr().err == ""
