@@ -15,8 +15,9 @@ Exit codes for ``solve``: 0 solved, 2 infeasibility certified, 3 iteration
 limit or unresolved (no feasible point found and no certificate), 1 any
 error, a usage error included (argparse's own code, 2, would read as a
 certificate).  Every refusal is an exception that ``main`` prints as one
-``error: ...`` line.  Identical invocations (same flags, same seed) produce
-byte-identical traces and LP files.
+``error: ...`` line, and every warning shown is one ``warning: ...`` line.
+Identical invocations (same flags, same seed) produce byte-identical
+traces and LP files.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import csv
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -55,11 +57,17 @@ _EXIT_UNFINISHED = 3  # iteration limit, or unresolved
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ValueError, KeyError, OSError, ResourceLimitError, InfeasibleStartError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
+    with warnings.catch_warnings():
+        # every warning shown becomes one line; lipcut's own are always
+        # shown, repeats included, and any other follows the caller's
+        # filters, so an error filter still raises numpy's
+        warnings.filterwarnings("always", category=UserWarning, module=r"lipcut\.")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.handler(args)
+        except (ValueError, KeyError, OSError, ResourceLimitError, InfeasibleStartError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _EXIT_ERROR
 
 
 class _Parser(argparse.ArgumentParser):

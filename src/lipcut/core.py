@@ -64,6 +64,14 @@ class NonFiniteValueError(ValueError):
         super().__init__(f"{what} at {self.point} must be finite, got {value}")
 
 
+def _one_per_point(what: str, points, values) -> np.ndarray:
+    """``values`` as floats, when it holds one value per point: shape (N,)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"{what} must have shape ({len(points)},), one per point, got shape {values.shape}")
+    return values
+
+
 def _finite_values(what: str, points, values: np.ndarray) -> np.ndarray:
     """``values``, one value or row per point, when every entry is finite;
     otherwise NonFiniteValueError at the first point whose value or row is
@@ -102,13 +110,29 @@ def positive_integer(value, what: str) -> int:
     return int(value)
 
 
-def finite_vector(value, what: str) -> np.ndarray:
-    """A read-only float copy of ``value``, which must be a 1-D vector of
-    finite real numbers: text and booleans are not numbers here."""
+def _sized(vector: np.ndarray, size: int | None) -> bool:
+    return vector.ndim == 1 and vector.size > 0 and size in (None, vector.size)
+
+
+def finite_vector(value, what: str, size: int | None = None) -> np.ndarray:
+    """A read-only float copy of ``value``, which must be a non-empty 1-D
+    vector of finite real numbers, ``size`` of them when given: text and
+    booleans are not numbers here."""
     vector = np.array(value)
-    if vector.dtype.kind not in "iuf" or vector.ndim != 1 or not np.isfinite(vector).all():
+    if vector.dtype.kind not in "iuf" or not _sized(vector, size) or not np.isfinite(vector).all():
         raise ValueError(f"{what} must be a 1-D vector of finite numbers, got {value!r}")
     vector = vector.astype(float, copy=False)
+    vector.setflags(write=False)
+    return vector
+
+
+def boolean_vector(value, what: str, size: int | None = None) -> np.ndarray:
+    """A read-only copy of ``value``, which must be a non-empty 1-D vector
+    of booleans, ``size`` of them when given: text, numbers and index
+    lists are not masks here."""
+    vector = np.array(value)
+    if vector.dtype != bool or not _sized(vector, size):
+        raise ValueError(f"{what} must be a list of booleans, one per coordinate, got {value!r}")
     vector.setflags(write=False)
     return vector
 
@@ -192,15 +216,8 @@ class BoxDomain:
     integral: np.ndarray
 
     def __init__(self, lower, upper, integral=None):
-        # copies: the arrays are frozen below, and the caller's must not be
-        lower = np.atleast_1d(np.array(lower, dtype=float))
-        upper = np.atleast_1d(np.array(upper, dtype=float))
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ValueError("lower/upper must be 1-D vectors of equal length")
-        if lower.size == 0:
-            raise ValueError("a box needs at least one coordinate")
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise ValueError("box bounds must be finite")
+        lower = finite_vector(lower, "lower")
+        upper = finite_vector(upper, "upper", lower.size)
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
         with np.errstate(over="ignore"):
@@ -208,12 +225,7 @@ class BoxDomain:
         if not np.isfinite(widths).all():
             j = np.argmax(~np.isfinite(widths))
             raise ValueError(f"coordinate {j}: the width of [{lower[j]}, {upper[j]}] overflows")
-        if integral is None:
-            integral = np.zeros(lower.shape, dtype=bool)
-        else:
-            integral = np.atleast_1d(np.array(integral, dtype=bool))
-            if integral.shape != lower.shape:
-                raise ValueError("integral mask length mismatch")
+        integral = boolean_vector([False] * lower.size if integral is None else integral, "integral", lower.size)
         hull_lower, hull_upper = lower, upper
         if integral.any():
             hull_lower = np.where(integral, np.ceil(lower), lower)
@@ -228,7 +240,7 @@ class BoxDomain:
         object.__setattr__(self, "hull_lower", hull_lower)
         object.__setattr__(self, "hull_upper", hull_upper)
         object.__setattr__(self, "_integral_cols", np.flatnonzero(integral))
-        for arr in (lower, upper, integral, widths, hull_lower, hull_upper, self._integral_cols):
+        for arr in (widths, hull_lower, hull_upper, self._integral_cols):
             arr.setflags(write=False)
 
     @property
@@ -246,9 +258,7 @@ class BoxDomain:
         return norm_eval(norm, self.widths)
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.lower.shape:
-            raise ValueError("dimension mismatch")
+        x = finite_vector(x, "x", self.dimension)
         return bool(self.contains_mask(x[None, :])[0])
 
     def contains_mask(self, points: np.ndarray) -> np.ndarray:
@@ -290,25 +300,18 @@ class Cut:
     norm: NormKind
 
     def __init__(self, center, radius: float, mask=None, norm: NormKind = NormKind.Two):
-        # copies: the arrays are frozen below, and the caller's must not be
-        center = np.atleast_1d(np.array(center, dtype=float))
-        if not np.isfinite(center).all():
-            raise ValueError(f"cut center must be finite, got {center}")
+        center = finite_vector(center, "cut center")
         radius = nonnegative(radius, "cut radius")
         if mask is None:
             mask = _full_mask(center.size)
         else:
-            mask = np.atleast_1d(np.array(mask, dtype=bool))
-            if mask.shape != center.shape:
-                raise ValueError("mask length mismatch")
+            mask = boolean_vector(mask, "cut mask", center.size)
             if not mask.any():
                 raise ValueError("cut mask selects no coordinates")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "norm", member(norm, NormKind, "norm"))
-        self.center.setflags(write=False)
-        self.mask.setflags(write=False)
 
     @property
     def dimension(self) -> int:
@@ -515,9 +518,7 @@ def _cut_distances(norm: NormKind, offsets) -> np.ndarray:
 def region_membership(region: RelaxedRegion, x) -> bool:
     """x is in the box (integral coordinates integer within 1e-9) and
     satisfies every cut."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != region.domain.lower.shape:
-        raise ValueError("dimension mismatch")
+    x = finite_vector(x, "x", region.domain.dimension)
     return bool(region.membership_mask(x[None, :])[0])
 
 
@@ -530,7 +531,8 @@ class ObjectiveSpec:
     The solver evaluates through ``evaluate_batch`` only, which calls
     ``batch_evaluator`` when given and loops ``evaluator`` over the rows
     otherwise, and raises NonFiniteValueError at the first NaN or infinite
-    value.
+    value.  A ``batch_evaluator`` whose values do not have shape (N,), such
+    as one scalar, raises ValueError, ``checks_finite`` or not.
 
     A ``batch_evaluator`` with a true ``checks_finite`` attribute raises on
     every NaN or infinite value itself, as ``lipcut.expr.batch_evaluator``
@@ -560,11 +562,12 @@ class ObjectiveSpec:
         object.__setattr__(self, "_checks_finite", bool(getattr(self.batch_evaluator, "checks_finite", False)))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """(N, n) points -> N values; raises NonFiniteValueError at the
-        first NaN or infinite value (its subclass ``EvaluationError`` from a
+        """(N, n) points -> N values; raises ValueError when a batch form
+        returns another shape, and NonFiniteValueError at the first NaN or
+        infinite value (its subclass ``EvaluationError`` from a
         ``checks_finite`` evaluator)."""
         if self.batch_evaluator is not None:
-            values = np.asarray(self.batch_evaluator(points), dtype=float)
+            values = _one_per_point("objective values", points, self.batch_evaluator(points))
             if self._checks_finite:
                 return values
         else:
@@ -582,14 +585,16 @@ class ConstraintSpec:
     only, which calls ``batch_components`` when given and loops
     ``components`` over the rows otherwise, and raises NonFiniteValueError
     at the first point whose row holds a NaN or an infinity, -inf
-    included.
+    included.  A batch component whose values do not have shape (N,)
+    raises ValueError.
 
     ``global_L`` is a Lipschitz constant of the whole vector map with
     respect to (domain norm, image_norm); ``component_L`` optionally gives
     per-component constants; ``pointwise_L`` optionally evaluates a
     point-dependent constant (never exceeding ``global_L``) at one point,
     which the driver's vector cuts use whenever it is given.
-    ``active_mask`` rows mark which coordinates each component depends on.
+    ``active_mask`` rows, one per component, each a 1-D vector of booleans,
+    mark which coordinates each component depends on.
     """
 
     components: tuple
@@ -616,7 +621,7 @@ class ConstraintSpec:
                 raise ValueError("component_L length mismatch")
             object.__setattr__(self, "component_L", comp)
         if self.active_mask is not None:
-            masks = tuple(np.atleast_1d(np.asarray(m, dtype=bool)) for m in self.active_mask)
+            masks = tuple(boolean_vector(m, f"active_mask[{p}]") for p, m in enumerate(self.active_mask))
             if len(masks) != self.m:
                 raise ValueError("active_mask length mismatch")
             object.__setattr__(self, "active_mask", masks)
@@ -626,11 +631,13 @@ class ConstraintSpec:
         return len(self.components or self.batch_components)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """(N, n) points -> (N, m) constraint values; raises
+        """(N, n) points -> (N, m) constraint values; raises ValueError
+        when a batch component returns another shape than (N,), and
         NonFiniteValueError at the first row holding a NaN or an infinity,
         whichever form computed it."""
         if self.batch_components is not None:
-            values = np.stack([np.asarray(c(points), dtype=float) for c in self.batch_components], axis=1)
+            values = np.stack([_one_per_point(f"constraint component {p} values", points, c(points))
+                               for p, c in enumerate(self.batch_components)], axis=1)
         else:
             values = np.array([[c(p) for c in self.components] for p in points], dtype=float)
         return _finite_values("constraint values", points, values)

@@ -570,9 +570,7 @@ class LocalOracle:
         box = region.domain
         if box.integral.any():
             raise ValueError("the local oracle supports continuous domains only")
-        x = finite_vector(start, "start")
-        if x.shape != box.lower.shape:
-            raise ValueError("start dimension mismatch")
+        x = finite_vector(start, "start", box.dimension)
         if np.any(x < box.lower - 1e-12) or np.any(x > box.upper + 1e-12):
             raise ValueError("start must lie within the region's box")
         x = np.clip(x, box.lower, box.upper)

@@ -33,7 +33,6 @@ import numbers
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-import numpy as np
 import yaml
 
 from .core import (
@@ -42,6 +41,7 @@ from .core import (
     NormKind,
     ObjectiveSpec,
     Problem,
+    boolean_vector,
     finite,
     member,
     nonnegative,
@@ -96,11 +96,7 @@ class ProblemDefinition:
             raise ValueError("bounds length does not match dimension")
         integral = self.integral
         if integral is not None:
-            if not isinstance(integral, (list, tuple)) or not all(isinstance(b, (bool, np.bool_)) for b in integral):
-                raise ValueError(f"integral must be a list of booleans, one per coordinate, got {integral!r}")
-            if len(integral) != dimension:
-                raise ValueError("integral length does not match dimension")
-            integral = tuple(integral)
+            integral = tuple(boolean_vector(integral, "integral", dimension).tolist())
         if not isinstance(self.constraints, (list, tuple)):
             raise ValueError("constraints must be a list of mappings with an 'expr' key")
         constraints = tuple(_constraint(entry, p, dimension) for p, entry in enumerate(self.constraints, start=1))
@@ -256,15 +252,9 @@ def build(
 
     masks = None
     if any(c.mask for c in definition.constraints):
-        masks = []
-        for c in definition.constraints:
-            m = np.zeros(definition.dimension, dtype=bool)
-            if c.mask:
-                m[[i - 1 for i in c.mask]] = True
-            else:
-                m[:] = True
-            masks.append(m)
-        masks = tuple(masks)
+        # a constraint without a mask depends on every coordinate
+        coordinates = range(1, definition.dimension + 1)
+        masks = tuple([not c.mask or i in c.mask for i in coordinates] for c in definition.constraints)
 
     constraint = ConstraintSpec(
         components=(),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxDomain, NormKind, norm_eval, positive
+from .core import BoxDomain, NormKind, finite_vector, norm_eval, positive
 
 _SENSES = ("<=", ">=", "=")
 _FEASTOL = 1e-9
@@ -90,10 +90,7 @@ def _shared_block(center: np.ndarray, big_M: float):
 
 
 def _validate(center, radius: float, big_M: float):
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if not np.isfinite(center).all():
-        raise ValueError(f"cut center must be finite, got {center}")
-    return center, positive(radius, "cut radius"), positive(big_M, "big-M")
+    return finite_vector(center, "cut center"), positive(radius, "cut radius"), positive(big_M, "big-M")
 
 
 def reformulate_1norm(center, radius: float, big_M: float) -> ReformSystem:
@@ -168,9 +165,7 @@ def verify_by_enumeration(system: ReformSystem, x) -> bool:
     others; it only makes a norm-feasible x, with a big-M large enough,
     cost one propagation instead of up to 2^(binaries).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != system.n:
-        raise ValueError("point dimension does not match the system")
+    x = finite_vector(x, "x", system.n)
     n_bin = len(system.binary_vars)
     if 2**n_bin > 2**20:
         raise ValueError("dimension too large for enumeration")
@@ -220,7 +215,7 @@ def feasible_interval(system: ReformSystem, x, assignment: dict):
     intervals of the continuous auxiliaries for one binary assignment, or
     None when infeasible.  Used to examine the selected-binary semantics
     (e.g. that any feasible assignment pins y_i = |x_i - a_i|)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = finite_vector(x, "x", system.n)
     fixed = {f"x{i + 1}": float(x[i]) for i in range(system.n)}
     fixed.update({k: float(v) for k, v in assignment.items()})
     return _propagate(system, fixed, [v for v in system.continuous_vars if v not in fixed])

@@ -319,9 +319,9 @@ class TestBoxDomain:
         assert BoxDomain(lower, upper).center.tobytes() == (0.5 * total).tobytes()
 
     def test_empty_box_is_rejected(self):
-        with pytest.raises(ValueError, match="at least one coordinate"):
+        with pytest.raises(ValueError, match="^lower must be a 1-D vector of finite numbers"):
             BoxDomain([], [])
-        with pytest.raises(ValueError, match="at least one coordinate"):
+        with pytest.raises(ValueError, match="^lower must be a 1-D vector of finite numbers"):
             BoxDomain((), (), ())
 
     def test_lattice_hull(self):

@@ -3,9 +3,12 @@ an infinity, a fractional count or a string with a ValueError that names
 the argument, and stores a numpy scalar as a Python float or int.  A norm,
 cut-mode or estimator argument refuses anything but a member of its enum,
 its value spelled as text included, and a ``ProblemDefinition`` is checked
-by the rules of a problem file whoever builds it.  The rules live in
-``lipcut.core`` and ``ProblemDefinition``; the entry points whose own
-tests already take bad values as a parameter keep those rows there."""
+by the rules of a problem file whoever builds it.  A coordinate vector
+must be a 1-D vector of finite numbers and a mask a 1-D vector of
+booleans, one entry per coordinate: text, booleans as numbers, numbers
+or indices as a mask, a scalar and a 2-D array are refused.  The rules
+live in ``lipcut.core`` and ``ProblemDefinition``; the entry points whose
+own tests already take bad values as a parameter keep those rows there."""
 
 import math
 import re
@@ -15,17 +18,20 @@ import numpy as np
 import pytest
 
 from lipcut.bounds import ball_packing_bound, box_packing_bound, complexity_lower, complexity_upper
-from lipcut.core import BoxDomain, ConstraintSpec, Cut, NormKind, ObjectiveSpec, Problem, cut_radius
+from lipcut.core import (BoxDomain, ConstraintSpec, Cut, NormKind, ObjectiveSpec, Problem, RelaxedRegion, cut_radius,
+                         region_membership)
 from lipcut.driver import DriverConfig
 from lipcut.expr import parse
 from lipcut.lipschitz import (EstimateMethod, LipschitzEstimate, induced_norm, jacobian_sup_bound,
                               labelled_estimate, slope_sampling_estimate)
-from lipcut.oracle import GlobalOracle, OracleConfig
+from lipcut.oracle import GlobalOracle, LocalOracle, OracleConfig
 from lipcut.problems import ConstraintDef, ProblemDefinition, build, get_builtin
+from lipcut.reform import feasible_interval, reformulate_1norm, reformulate_infnorm, verify_by_enumeration
 
 BOX = BoxDomain((0.0, 0.0), (1.0, 1.0))
 LINE = BoxDomain((0.0,), (1.0,))
 TWO = NormKind.Two
+SYSTEM = reformulate_1norm((0.0, 0.0), 1.0, 4.0)
 
 
 def first(points):
@@ -87,6 +93,31 @@ REFUSALS = {
                                        "constraint mask indices"),
     "definition-no-constraints": (lambda: definition(constraints=()), "a problem needs"),
     "definition-mask-zero-scalar": (lambda: definition(constraints=({"expr": "x1", "mask": 0},)), "constraint 1 mask"),
+    # coordinate vectors and masks
+    "box-lower-text": (lambda: BoxDomain(("0", "0"), ("1", "1")), "lower"),
+    "box-lower-scalar": (lambda: BoxDomain(0.0, 1.0), "lower"),
+    "box-lower-2d": (lambda: BoxDomain(((0.0, 0.0),), ((1.0, 1.0),)), "lower"),
+    "box-upper-bool": (lambda: BoxDomain((0.0, 0.0), (True, True)), "upper"),
+    "box-upper-short": (lambda: BoxDomain((0.0, 0.0), (1.0,)), "upper"),
+    "box-integral-text": (lambda: BoxDomain((0.0, 0.0), (1.0, 1.0), integral=["false", "false"]), "integral"),
+    "box-integral-int": (lambda: BoxDomain((0.0, 0.0), (1.0, 1.0), integral=[0, 1]), "integral"),
+    "cut-center-text": (lambda: Cut(("0", "0"), 0.5), "cut center"),
+    "cut-center-scalar": (lambda: Cut(0.0, 0.5), "cut center"),
+    "cut-mask-index": (lambda: Cut((0.0, 0.0, 0.0), 0.5, mask=(1, 2, 3)), "cut mask"),
+    "cut-mask-short": (lambda: Cut((0.0, 0.0), 0.5, mask=(True,)), "cut mask"),
+    "active-mask-index": (lambda: constraint(active_mask=((1, 2),)), "active_mask[0]"),
+    "active-mask-text": (lambda: constraint(active_mask=(["false", "false"],)), "active_mask[0]"),
+    "definition-integral-short": (lambda: definition(integral=(True,)), "integral must be a list"),
+    "reform-center-text": (lambda: reformulate_1norm(("0", "0"), 1.0, 4.0), "cut center"),
+    "reform-center-scalar": (lambda: reformulate_infnorm(0.0, 1.0, 4.0), "cut center"),
+    "verify-x-nan": (lambda: verify_by_enumeration(SYSTEM, (math.nan, 0.0)), "x"),
+    "verify-x-long": (lambda: verify_by_enumeration(SYSTEM, (0.0, 0.0, 0.0)), "x"),
+    "interval-x-short": (lambda: feasible_interval(SYSTEM, (0.0,), {}), "x"),
+    "membership-x-text-bool": (lambda: region_membership(RelaxedRegion(BOX), ("0.5", True)), "x"),
+    "membership-x-nan": (lambda: region_membership(RelaxedRegion(BOX), (math.nan, 0.5)), "x"),
+    "contains-x-2d": (lambda: BOX.contains(((0.5, 0.5),)), "x"),
+    "local-start-short": (lambda: LocalOracle().solve(ObjectiveSpec(None, 1.0, batch_evaluator=first),
+                                                      RelaxedRegion(BOX), start=(0.5,)), "start must be a 1-D vector"),
 }
 
 

@@ -636,6 +636,10 @@ class TestCliBounds:
         assert captured.out == ""
         assert captured.err == "error: coordinate 0: the width of [-1e+308, 1e+308] overflows\n"
 
+    def test_a_packing_bound_outside_its_regime_warns_on_one_line(self, capsys):
+        assert main(["bounds", "--builtin", "bad-local", "--delta", "1"]) == 0
+        assert capsys.readouterr().err == "warning: packing bound derived for delta/L < 1, got 1.0\n"
+
     def test_overflowing_lattice_count(self, tmp_path, capsys):
         # 1e330 lattice points; the radius, about 8.7e109, is still finite
         data = dict(SIN_FILE, dimension=3, bounds=[[0.0, 1e110]] * 3, integral=[True] * 3)
@@ -682,11 +686,11 @@ class TestCliEstimate:
         data["constraints"] = [{"expr": "0*x1 - 1", "L": 1.0}]
         path = tmp_path / "const.yaml"
         path.write_text(yaml.safe_dump(data))
-        with pytest.warns(UserWarning):
-            code = main(["estimate-lipschitz", "--problem", str(path),
-                         "--method", "sampling", "--pairs", "50"])
+        code = main(["estimate-lipschitz", "--problem", str(path), "--method", "sampling", "--pairs", "50"])
         assert code == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        # one line per floored estimate, constraint 1's and the vector's
+        assert err == "warning: all sampled slopes are zero (constant function?); reporting floor\n" * 2
         line = [l for l in out.splitlines() if l.startswith("constraint 1")][0]
         assert float(line.split("L = ")[1].split(" ")[0]) == pytest.approx(1e-12)
 
@@ -754,7 +758,7 @@ class TestCliEmitMilp:
                      "--cut", "garbage", "--out", str(tmp_path / "x.lp")]) == 1
 
     @pytest.mark.parametrize("flags, message", [
-        (["--cut", "nan,0;1"], "cut center must be finite"),
+        (["--cut", "nan,0;1"], "cut center must be a 1-D vector of finite numbers, got [nan, 0.0]\n"),
         (["--cut", "0,0;nan"], "cut radius must be finite and positive"),
         (["--cut", "0,0;inf"], "cut radius must be finite and positive"),
         (["--cut", "0,0;1", "--big-M", "inf"], "big-M must be finite and positive"),

@@ -51,8 +51,8 @@ class TestSystemShape:
 
     @pytest.mark.parametrize("reformulate", [reformulate_1norm, reformulate_infnorm])
     @pytest.mark.parametrize("center, radius, big_M, message", [
-        ((math.nan, 0.0), 1.0, 4.0, "cut center must be finite"),
-        ((0.0, math.inf), 1.0, 4.0, "cut center must be finite"),
+        ((math.nan, 0.0), 1.0, 4.0, "cut center must be a 1-D vector of finite numbers"),
+        ((0.0, math.inf), 1.0, 4.0, "cut center must be a 1-D vector of finite numbers"),
         ((0.0, 0.0), math.nan, 4.0, "cut radius must be finite and positive"),
         ((0.0, 0.0), math.inf, 4.0, "cut radius must be finite and positive"),
         ((0.0, 0.0), 1.0, math.inf, "big-M must be finite and positive"),

@@ -157,3 +157,36 @@ def test_the_first_row_with_a_non_finite_value_is_named(form):
     assert info.value.point.tolist() == [2.0]
     assert np.array_equal(info.value.value, [2.0, math.nan], equal_nan=True)
     assert constraint.evaluate_batch(points[:0]).size == 0
+
+
+def _first_row_only(points):
+    """A mistyped batch objective: the first row's value alone."""
+    return points[0, 0] + 2 * points[0, 1]
+
+
+def _first_row_only_checked(points):
+    return _first_row_only(points)
+
+
+_first_row_only_checked.checks_finite = True
+
+
+@pytest.mark.parametrize("role, evaluator", [("objective", _first_row_only), ("objective", _first_row_only_checked),
+                                             ("constraint component 0", _first_row_only)],
+                         ids=["objective", "objective-checks-finite", "constraint"])
+def test_a_batch_value_that_is_not_one_per_point_is_refused(role, evaluator):
+    # numpy broadcast the objective's one value to every row, and the
+    # solve ended solved at (-0.4375, -0.125), whose value is -0.6875; the
+    # minimum of x1 + 2*x2 over the disc is -sqrt(5)/2
+    def linear(points):
+        return points[:, 0] + 2 * points[:, 1]
+
+    def disc(points):
+        return points[:, 0] ** 2 + points[:, 1] ** 2 - 0.25
+
+    objective = ObjectiveSpec(None, 3.0, batch_evaluator=evaluator if role == "objective" else linear)
+    constraint = ConstraintSpec((), 3.0, batch_components=(disc if role == "objective" else evaluator,))
+    problem = Problem(BoxDomain((-1.0, -1.0), (1.0, 1.0)), objective, constraint, NormKind.Two)
+    message = rf"^{role} values must have shape \(\d+,\), one per point, got shape \(\)$"
+    with pytest.raises(ValueError, match=message):
+        run(problem, GlobalOracle(OracleConfig(), NormKind.Two), DriverConfig())
