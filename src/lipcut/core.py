@@ -522,17 +522,22 @@ def region_membership(region: RelaxedRegion, x) -> bool:
     return bool(region.membership_mask(x[None, :])[0])
 
 
+def _over_rows(fn):
+    """A one-point function as a batch callable: its values at the rows."""
+    return lambda points: np.array([fn(p) for p in points], dtype=float)
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Black-box objective with a Lipschitz constant valid for the chosen
     domain norm, given in one of two forms: ``batch_evaluator`` maps an
     (N, n) array to N values, the one-point ``evaluator`` (which may be
-    None when ``batch_evaluator`` is given) maps one point to its value.
-    The solver evaluates through ``evaluate_batch`` only, which calls
-    ``batch_evaluator`` when given and loops ``evaluator`` over the rows
-    otherwise, and raises NonFiniteValueError at the first NaN or infinite
-    value.  A ``batch_evaluator`` whose values do not have shape (N,), such
-    as one scalar, raises ValueError, ``checks_finite`` or not.
+    None when ``batch_evaluator`` is given) maps one point to its value and
+    is wrapped as a batch callable at construction.  The solver evaluates
+    through ``evaluate_batch`` only, which calls that one callable in
+    either form and raises ValueError when its values do not have shape
+    (N,), ``checks_finite`` or not, and NonFiniteValueError at the first
+    NaN or infinite value.
 
     A ``batch_evaluator`` with a true ``checks_finite`` attribute raises on
     every NaN or infinite value itself, as ``lipcut.expr.batch_evaluator``
@@ -559,20 +564,17 @@ class ObjectiveSpec:
         if self.evaluator is None and self.batch_evaluator is None:
             raise ValueError("objective needs an evaluator or a batch_evaluator")
         object.__setattr__(self, "lipschitz_f", positive(self.lipschitz_f, "lipschitz_f"))
-        object.__setattr__(self, "_checks_finite", bool(getattr(self.batch_evaluator, "checks_finite", False)))
+        batch = self.batch_evaluator if self.batch_evaluator is not None else _over_rows(self.evaluator)
+        object.__setattr__(self, "_batch", batch)
+        object.__setattr__(self, "_checks_finite", bool(getattr(batch, "checks_finite", False)))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """(N, n) points -> N values; raises ValueError when a batch form
-        returns another shape, and NonFiniteValueError at the first NaN or
+        """(N, n) points -> N values; raises ValueError when the values
+        have another shape, and NonFiniteValueError at the first NaN or
         infinite value (its subclass ``EvaluationError`` from a
         ``checks_finite`` evaluator)."""
-        if self.batch_evaluator is not None:
-            values = _one_per_point("objective values", points, self.batch_evaluator(points))
-            if self._checks_finite:
-                return values
-        else:
-            values = np.array([self.evaluator(p) for p in points], dtype=float)
-        return _finite_values("objective value", points, values)
+        values = _one_per_point("objective values", points, self._batch(points))
+        return values if self._checks_finite else _finite_values("objective value", points, values)
 
 
 @dataclass(frozen=True)
@@ -581,12 +583,12 @@ class ConstraintSpec:
     of two forms: ``batch_components``, m callables each mapping an (N, n)
     array to N values, or ``components``, m one-point callables (an empty
     tuple when ``batch_components`` is given).  When both are given their
-    lengths must match.  The solver evaluates through ``evaluate_batch``
-    only, which calls ``batch_components`` when given and loops
-    ``components`` over the rows otherwise, and raises NonFiniteValueError
-    at the first point whose row holds a NaN or an infinity, -inf
-    included.  A batch component whose values do not have shape (N,)
-    raises ValueError.
+    lengths must match; one-point components are wrapped as batch
+    callables at construction.  The solver evaluates through
+    ``evaluate_batch`` only, which calls those callables in either form and
+    raises ValueError when a component's values do not have shape (N,),
+    and NonFiniteValueError at the first point whose row holds a NaN or an
+    infinity, -inf included.
 
     ``global_L`` is a Lipschitz constant of the whole vector map with
     respect to (domain norm, image_norm); ``component_L`` optionally gives
@@ -607,12 +609,16 @@ class ConstraintSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
+        batch = tuple(map(_over_rows, self.components))
         if self.batch_components is not None:
-            object.__setattr__(self, "batch_components", tuple(self.batch_components))
-            if self.components and len(self.batch_components) != len(self.components):
+            batch = tuple(self.batch_components)
+            object.__setattr__(self, "batch_components", batch)
+            if self.components and len(batch) != len(self.components):
                 raise ValueError("batch_components length mismatch")
-        if not (self.components or self.batch_components):
+        if not batch:
             raise ValueError("constraint needs components or batch_components")
+        object.__setattr__(self, "_batch", batch)
+        object.__setattr__(self, "m", len(batch))
         object.__setattr__(self, "global_L", positive(self.global_L, "global_L"))
         member(self.image_norm, NormKind, "image_norm")
         if self.component_L is not None:
@@ -626,20 +632,12 @@ class ConstraintSpec:
                 raise ValueError("active_mask length mismatch")
             object.__setattr__(self, "active_mask", masks)
 
-    @property
-    def m(self) -> int:
-        return len(self.components or self.batch_components)
-
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """(N, n) points -> (N, m) constraint values; raises ValueError
-        when a batch component returns another shape than (N,), and
-        NonFiniteValueError at the first row holding a NaN or an infinity,
-        whichever form computed it."""
-        if self.batch_components is not None:
-            values = np.stack([_one_per_point(f"constraint component {p} values", points, c(points))
-                               for p, c in enumerate(self.batch_components)], axis=1)
-        else:
-            values = np.array([[c(p) for c in self.components] for p in points], dtype=float)
+        when a component's values have another shape than (N,), and
+        NonFiniteValueError at the first row holding a NaN or an infinity."""
+        values = np.stack([_one_per_point(f"constraint component {p} values", points, c(points))
+                           for p, c in enumerate(self._batch)], axis=1)
         return _finite_values("constraint values", points, values)
 
 

@@ -244,13 +244,11 @@ def normalized_problem(problem: Problem) -> Problem:
 
     constraint = replace(
         old,
-        components=tuple(scaled(c) for c in old.components),
+        components=(),
         global_L=old.global_L * scale,
         component_L=tuple(v * scale for v in old.component_L) if old.component_L is not None else None,
         pointwise_L=scaled(old.pointwise_L) if old.pointwise_L is not None else None,
-        batch_components=tuple(scaled(c) for c in old.batch_components)
-        if old.batch_components is not None
-        else None,
+        batch_components=tuple(scaled(c) for c in old._batch),
     )
     return replace(problem, constraint=constraint)
 

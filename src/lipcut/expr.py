@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NonFiniteValueError, positive_integer
+from .core import NonFiniteValueError, finite_vector, positive_integer
 
 _FUNCTIONS = {"sin", "cos", "tan", "sqrt", "abs", "exp", "log", "min", "max"}
 _VARIADIC = {"min", "max"}
@@ -114,7 +114,10 @@ class Var(Expr):
     index: int  # zero-based
 
     def _eval_batch(self, cols):
-        return cols[self.index]
+        try:
+            return cols[self.index]
+        except IndexError:
+            raise ValueError(f"too few coordinates for x{self.index + 1}: got {len(cols)}") from None
 
     def _fmt(self, parent=0):
         return f"x{self.index + 1}"
@@ -365,12 +368,14 @@ def parse(text: str, dimension: int) -> Expr:
 
 
 def evaluate(expression: Expr, x) -> float:
-    """The value at one point: a one-row call of ``batch_evaluator``."""
-    return float(batch_evaluator(expression)(np.asarray(x, dtype=float)[None, :])[0])
+    """The value at one point ``x``, a 1-D vector of finite numbers: a
+    one-row call of ``batch_evaluator``, which ignores extra coordinates."""
+    return float(batch_evaluator(expression)(finite_vector(x, "x")[None, :])[0])
 
 
 def batch_evaluator(expression: Expr):
-    """Compile to a vectorized evaluator over an (N, n) point array.
+    """Compile to a vectorized evaluator over an (N, n) point array with a
+    column for each variable (more are ignored, fewer raise ValueError).
 
     numpy produces NaN/inf where a value is undefined or overflows.  On the
     first non-finite row a locate pass over that row alone finds the node
@@ -419,9 +424,10 @@ def finite_diff_jacobian(exprs, x) -> np.ndarray:
     one-row case of ``finite_diff_jacobian_batch``.
 
     Entry (q, j) = (e_q(x + h u_j) - e_q(x - h u_j)) / (2 h) with the step
-    h = ``_FD_STEP`` = 1e-6.  Evaluation errors propagate.
+    h = ``_FD_STEP`` = 1e-6.  Evaluation errors propagate.  ``x`` is a 1-D
+    vector of finite numbers, as in ``evaluate``.
     """
-    return finite_diff_jacobian_batch(exprs, np.asarray(x, dtype=float)[None, :])[0]
+    return finite_diff_jacobian_batch(exprs, finite_vector(x, "x")[None, :])[0]
 
 
 def finite_diff_jacobian_batch(exprs, points: np.ndarray) -> np.ndarray:

@@ -231,7 +231,7 @@ def slope_sampling_estimate(
     multiplied by (1 + inflation).
 
     ``evaluator`` maps an (N, n) array of points to N values or to (N, m)
-    rows.
+    rows; values of any other shape raise ValueError.
 
     This is a lower estimate of the true constant (before inflation it
     equals the largest observed slope), so it is heuristic.  A constant
@@ -251,9 +251,13 @@ def slope_sampling_estimate(
                 raise ValueError("could not draw a non-degenerate point pair in 100 tries")
             ys[i] = _sample_points(rng, box, 1)[0]
 
-    rx = np.asarray(evaluator(xs), dtype=float).reshape(pairs, -1)
-    ry = np.asarray(evaluator(ys), dtype=float).reshape(pairs, -1)
-    num = norm_eval_rows(image_norm, rx - ry)
+    def rows(points) -> np.ndarray:
+        values = np.asarray(evaluator(points), dtype=float)
+        if values.ndim not in (1, 2) or len(values) != pairs:
+            raise ValueError(f"evaluator values must have shape ({pairs},) or ({pairs}, m), got shape {values.shape}")
+        return values.reshape(pairs, -1)
+
+    num = norm_eval_rows(image_norm, rows(xs) - rows(ys))
     den = norm_eval_rows(domain_norm, xs - ys)
     best = float((num / den).max())
     if best <= 0.0:

@@ -93,22 +93,23 @@ def _validate(center, radius: float, big_M: float):
     return finite_vector(center, "cut center"), positive(radius, "cut radius"), positive(big_M, "big-M")
 
 
+def _names(prefix: str, n: int) -> tuple:
+    return tuple(f"{prefix}{i}" for i in range(1, n + 1))
+
+
+def _system(norm: NormKind, center, radius: float, big_M: float, rows: list, aux=(), binaries=()) -> ReformSystem:
+    """The cut's system: continuous x, y and ``aux``, binaries z and
+    ``binaries``, and the ``rows`` followed by the shared y/z block."""
+    n = center.size
+    return ReformSystem(norm, n, center, radius, big_M, _names("x", n) + _names("y", n) + aux,
+                        _names("z", n) + binaries, tuple(rows + _shared_block(center, big_M)))
+
+
 def reformulate_1norm(center, radius: float, big_M: float) -> ReformSystem:
     """sum_i |x_i - a_i| >= b as 5n+1 linear rows over n binaries."""
     center, radius, big_M = _validate(center, radius, big_M)
-    n = center.size
-    rows = [LinearConstraint("sum", tuple((f"y{i}", 1.0) for i in range(1, n + 1)), ">=", radius)]
-    rows += _shared_block(center, big_M)
-    return ReformSystem(
-        norm=NormKind.One,
-        n=n,
-        center=center,
-        radius=radius,
-        big_M=big_M,
-        continuous_vars=tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"y{i}" for i in range(1, n + 1)),
-        binary_vars=tuple(f"z{i}" for i in range(1, n + 1)),
-        linear_constraints=tuple(rows),
-    )
+    rows = [LinearConstraint("sum", tuple((y, 1.0) for y in _names("y", center.size)), ">=", radius)]
+    return _system(NormKind.One, center, radius, big_M, rows)
 
 
 def reformulate_infnorm(center, radius: float, big_M: float) -> ReformSystem:
@@ -116,28 +117,16 @@ def reformulate_infnorm(center, radius: float, big_M: float) -> ReformSystem:
     out the maximal |x_i - a_i| (9n+2 rows over 2n binaries)."""
     center, radius, big_M = _validate(center, radius, big_M)
     n = center.size
-    ys = [f"y{i}" for i in range(1, n + 1)]
-    ws = [f"w{i}" for i in range(1, n + 1)]
-    us = [f"u{i}" for i in range(1, n + 1)]
+    ys, ws, us = _names("y", n), _names("w", n), _names("u", n)
     rows = [LinearConstraint("wsum", tuple((w, 1.0) for w in ws), ">=", radius)]
-    for i in range(1, n + 1):
-        rows.append(LinearConstraint(f"wub{i}", ((ws[i - 1], 1.0), (ys[i - 1], -1.0), (us[i - 1], big_M)), "<=", big_M))
-        rows.append(LinearConstraint(f"wpos{i}", ((ws[i - 1], 1.0),), ">=", 0.0))
-        rows.append(LinearConstraint(f"wcap{i}", ((ws[i - 1], 1.0), (us[i - 1], -big_M)), "<=", 0.0))
+    for i, (y, w, u) in enumerate(zip(ys, ws, us), start=1):
+        rows.append(LinearConstraint(f"wub{i}", ((w, 1.0), (y, -1.0), (u, big_M)), "<=", big_M))
+        rows.append(LinearConstraint(f"wpos{i}", ((w, 1.0),), ">=", 0.0))
+        rows.append(LinearConstraint(f"wcap{i}", ((w, 1.0), (u, -big_M)), "<=", 0.0))
     rows.append(LinearConstraint("usum", tuple((u, 1.0) for u in us), "=", 1.0))
-    for i in range(1, n + 1):
-        rows.append(LinearConstraint(f"wmax{i}", tuple((w, 1.0) for w in ws) + ((ys[i - 1], -1.0),), ">=", 0.0))
-    rows += _shared_block(center, big_M)
-    return ReformSystem(
-        norm=NormKind.Inf,
-        n=n,
-        center=center,
-        radius=radius,
-        big_M=big_M,
-        continuous_vars=tuple(f"x{i}" for i in range(1, n + 1)) + tuple(ys) + tuple(ws),
-        binary_vars=tuple(f"z{i}" for i in range(1, n + 1)) + tuple(us),
-        linear_constraints=tuple(rows),
-    )
+    for i, y in enumerate(ys, start=1):
+        rows.append(LinearConstraint(f"wmax{i}", tuple((w, 1.0) for w in ws) + ((y, -1.0),), ">=", 0.0))
+    return _system(NormKind.Inf, center, radius, big_M, rows, aux=ws, binaries=us)
 
 
 def default_big_M(box: BoxDomain, norm: NormKind) -> float:
@@ -197,16 +186,14 @@ def _tighten(lo: dict, hi: dict, var: str, coef: float, bound: float, lower: boo
     if not math.isfinite(bound):
         return False
     # coef * var >= bound (lower) or <= bound (upper)
+    value = bound / coef
     if (coef > 0) == lower:
-        value = bound / coef
         if value > lo[var] + _FEASTOL:
             lo[var] = value
             return True
-    else:
-        value = bound / coef
-        if value < hi[var] - _FEASTOL:
-            hi[var] = value
-            return True
+    elif value < hi[var] - _FEASTOL:
+        hi[var] = value
+        return True
     return False
 
 

@@ -27,6 +27,8 @@ class TestParseEval:
     def test_linear_objective(self):
         e = parse("x1 + 4*x2", 2)
         assert evaluate(e, (1.0, 0.5)) == pytest.approx(3.0)
+        # an extra coordinate is ignored, as batch_evaluator ignores an extra column
+        assert evaluate(e, (1.0, 0.5, 7.0)) == pytest.approx(3.0)
 
     def test_component_constraint(self):
         e = parse("cos(6*x1)/2 - x2 + 1.8", 2)
@@ -139,6 +141,7 @@ class TestFiniteDiffJacobian:
         e = parse("x1", 2)
         row = finite_diff_jacobian([e], (0.7, -0.3))[0]
         assert row == pytest.approx([1.0, 0.0], abs=1e-10)
+        assert finite_diff_jacobian([e], (0.7, -0.3, 5.0))[0] == pytest.approx([1.0, 0.0, 0.0], abs=1e-10)
 
     def test_square(self):
         e = parse("x1^2", 1)

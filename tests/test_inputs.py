@@ -21,7 +21,7 @@ from lipcut.bounds import ball_packing_bound, box_packing_bound, complexity_lowe
 from lipcut.core import (BoxDomain, ConstraintSpec, Cut, NormKind, ObjectiveSpec, Problem, RelaxedRegion, cut_radius,
                          region_membership)
 from lipcut.driver import DriverConfig
-from lipcut.expr import parse
+from lipcut.expr import evaluate, finite_diff_jacobian, parse
 from lipcut.lipschitz import (EstimateMethod, LipschitzEstimate, induced_norm, jacobian_sup_bound,
                               labelled_estimate, slope_sampling_estimate)
 from lipcut.oracle import GlobalOracle, LocalOracle, OracleConfig
@@ -118,6 +118,13 @@ REFUSALS = {
     "contains-x-2d": (lambda: BOX.contains(((0.5, 0.5),)), "x"),
     "local-start-short": (lambda: LocalOracle().solve(ObjectiveSpec(None, 1.0, batch_evaluator=first),
                                                       RelaxedRegion(BOX), start=(0.5,)), "start must be a 1-D vector"),
+    "evaluate-x-text-bool": (lambda: evaluate(parse("x1 + x2", 2), ("0.5", True)), "x must be a 1-D vector"),
+    "evaluate-x-scalar": (lambda: evaluate(parse("x1 + x2", 2), 0.5), "x must be a 1-D vector"),
+    "evaluate-x-short": (lambda: evaluate(parse("x1 + x2", 2), (0.5,)), "too few coordinates for x2:"),
+    "jacobian-x-text": (lambda: finite_diff_jacobian([parse("x1", 1)], ("0.5",)), "x must be a 1-D vector"),
+    "jacobian-x-scalar": (lambda: finite_diff_jacobian([parse("x1", 1)], 0.5), "x must be a 1-D vector"),
+    "jacobian-x-short": (lambda: finite_diff_jacobian([parse("x1", 2), parse("x2", 2)], (0.5,)),
+                         "too few coordinates for x2:"),
 }
 
 

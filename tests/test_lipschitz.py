@@ -279,6 +279,19 @@ class TestSlopeSampling:
             )
         assert est.value == 1e-12
 
+    def test_values_must_be_one_value_or_one_row_per_point(self):
+        # 2N values were read as (N, 2) rows, pairing each point's value
+        # with another point's: L read 69,327.6 where x1 reads 1.1
+        box = BoxDomain((0.0,), (1.0,))
+        stacked = lambda p: np.concatenate([p[:, 0], 100 * p[:, 0]])
+        with pytest.raises(ValueError, match=r"^evaluator values must have shape \(100,\) or \(100, m\), "
+                                             r"got shape \(200,\)$"):
+            slope_sampling_estimate(stacked, box, NormKind.Two, NormKind.Two, pairs=100)
+        with pytest.raises(ValueError, match=r"got shape \(100, 1, 1\)$"):
+            slope_sampling_estimate(lambda p: p[:, :, None], box, NormKind.Two, NormKind.Two, pairs=100)
+        assert slope_sampling_estimate(lambda p: p[:, 0], box, NormKind.Two, NormKind.Two, pairs=100).value \
+            == pytest.approx(1.1)
+
     def test_sin_example_bounded_by_true_constant(self):
         box = BoxDomain((-1.0, -1.0), (1.0, 1.0))
         est = slope_sampling_estimate(

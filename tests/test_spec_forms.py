@@ -171,22 +171,41 @@ def _first_row_only_checked(points):
 _first_row_only_checked.checks_finite = True
 
 
-@pytest.mark.parametrize("role, evaluator", [("objective", _first_row_only), ("objective", _first_row_only_checked),
-                                             ("constraint component 0", _first_row_only)],
-                         ids=["objective", "objective-checks-finite", "constraint"])
-def test_a_batch_value_that_is_not_one_per_point_is_refused(role, evaluator):
-    # numpy broadcast the objective's one value to every row, and the
+def _the_point(x):
+    """A mistyped one-point function: the point itself, not one value."""
+    return x
+
+
+@pytest.mark.parametrize("role, form, function, shape", [
+    ("objective", "batch", _first_row_only, r"\(\)"),
+    ("objective", "batch", _first_row_only_checked, r"\(\)"),
+    ("constraint component 0", "batch", _first_row_only, r"\(\)"),
+    ("objective", "one-point", _the_point, r"\(\d+, 2\)"),
+    ("constraint component 0", "one-point", _the_point, r"\(\d+, 2\)"),
+], ids=["objective", "objective-checks-finite", "constraint", "one-point-objective", "one-point-constraint"])
+def test_a_batch_value_that_is_not_one_per_point_is_refused(role, form, function, shape):
+    # numpy broadcast the batch objective's one value to every row, and the
     # solve ended solved at (-0.4375, -0.125), whose value is -0.6875; the
-    # minimum of x1 + 2*x2 over the disc is -sqrt(5)/2
+    # minimum of x1 + 2*x2 over the disc is -sqrt(5)/2.  A one-point
+    # function that returns the point gave (N, 2) objective values that
+    # passed every check, and (N, 1, 2) constraint values
     def linear(points):
         return points[:, 0] + 2 * points[:, 1]
 
     def disc(points):
         return points[:, 0] ** 2 + points[:, 1] ** 2 - 0.25
 
-    objective = ObjectiveSpec(None, 3.0, batch_evaluator=evaluator if role == "objective" else linear)
-    constraint = ConstraintSpec((), 3.0, batch_components=(disc if role == "objective" else evaluator,))
+    one_point, batch = (function, None) if form == "one-point" else (None, function)
+    if role == "objective":
+        objective = spec = ObjectiveSpec(one_point, 3.0, batch_evaluator=batch)
+        constraint = ConstraintSpec((), 3.0, batch_components=(disc,))
+    else:
+        objective = ObjectiveSpec(None, 3.0, batch_evaluator=linear)
+        constraint = spec = ConstraintSpec((one_point,) if one_point else (), 3.0,
+                                           batch_components=(batch,) if batch else None)
     problem = Problem(BoxDomain((-1.0, -1.0), (1.0, 1.0)), objective, constraint, NormKind.Two)
-    message = rf"^{role} values must have shape \(\d+,\), one per point, got shape \(\)$"
+    message = rf"^{role} values must have shape \(\d+,\), one per point, got shape {shape}$"
+    with pytest.raises(ValueError, match=message):
+        spec.evaluate_batch(np.zeros((3, 2)))
     with pytest.raises(ValueError, match=message):
         run(problem, GlobalOracle(OracleConfig(), NormKind.Two), DriverConfig())
