@@ -21,10 +21,12 @@ routine:
   cannot grow and rounding is monotone), and a cut that misses the
   parent's widened box can neither exclude the child, touch it nor hold
   its center.  The answers are those of a pass over every cut;
-* ``touching_membership``: membership of the (boxes, slots, n) points
+* ``touching_membership``: membership of the (n, boxes, slots) points
   drawn from boxes, a (boxes, slots) mask, each point tested only against
-  the cuts that touch its box.  The branch and bound tests the points it
-  harvests this way; every other cut is provably satisfied there.
+  the cuts that touch its box, one column at a time, and against the
+  domain only where the caller says a box's points may leave it.  The
+  branch and bound tests the points it harvests this way; every other cut
+  is provably satisfied there.
 
 The last two walk the candidate (cut, box) pairs in cut-major order
 through one routine, which numbers the pairs, dispatches them by group
@@ -446,17 +448,25 @@ class RelaxedRegion:
             hits[pairs[below[2]]] = True
         return flags[0], touching, flags[1]
 
-    def touching_membership(self, points: np.ndarray, touching: np.ndarray) -> np.ndarray:
-        """The (N, slots) ``membership_mask`` of the (N, slots, n) points
+    def touching_membership(self, points: np.ndarray, touching: np.ndarray, may_leave: np.ndarray) -> np.ndarray:
+        """The (N, slots) ``membership_mask`` of the (n, N, slots) points
         drawn from N boxes, testing each point only against the stacked
-        cuts that touch its box: ``touching`` is ``box_relations``'s (K, N)
-        answer for those boxes.  The answer is exact for points in their
-        box widened by ``box_relations``'s margin."""
-        count, slots, n = points.shape
-        out = self.domain.contains_mask(points.reshape(-1, n)).reshape(count, slots)
+        cuts that touch its box (``touching``, ``box_relations``'s (K, N)
+        answer for those boxes) and against the domain only when the (N,)
+        ``may_leave`` marks its box: the caller knows that the points of
+        every other box lie in the domain.  The answer is exact for points
+        in their box widened by ``box_relations``'s margin.  The pairs are
+        walked one column at a time, a ``take`` of the boxes' (N, slots)
+        plane of that column per chunk."""
+        n, count, slots = points.shape
+        out = np.ones((count, slots), dtype=bool)
+        if may_leave.any():
+            out[may_leave] = self.domain.contains_mask(points[:, may_leave].reshape(n, -1).T).reshape(-1, slots)
+        columns = np.arange(n)
         for norm, cols, centers, radii, k, boxes, _ in self._candidate_pairs(touching, slots):
-            d = points.take(boxes, axis=0)[..., cols].transpose(2, 0, 1) - centers.take(k, axis=1)[:, :, None]
-            pair, slot = np.nonzero(_cut_distances(norm, np.abs(d, out=d)) < radii.take(k)[:, None])
+            dist = _cut_distances(norm, (_plane_offsets(points[j], boxes, c.take(k))
+                                         for j, c in zip(columns[cols], centers)))
+            pair, slot = np.nonzero(dist < radii.take(k)[:, None])
             out[boxes[pair], slot] = False
         return out
 
@@ -475,6 +485,14 @@ class RelaxedRegion:
             for s in range(a, b, step):
                 e = min(s + step, b)
                 yield norm, cols, centers, radii, cut[s:e] - start, box[s:e], pairs[s:e]
+
+
+def _plane_offsets(plane: np.ndarray, boxes: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|p - c| for the rows ``boxes`` of one column's (N, slots) ``plane``
+    of points and the pairs' cut centers ``c`` in that column."""
+    d = plane.take(boxes, axis=0)
+    d -= c[:, None]
+    return np.abs(d, out=d)
 
 
 def _box_offsets(d: np.ndarray, c: np.ndarray, whi: np.ndarray) -> np.ndarray:

@@ -41,11 +41,14 @@ prunes their harvest as it would a pass of their own.  Every later box is
 given only the cuts that touch the wave box it descends from: it
 lies inside that box, so a cut that misses that box (widened by the
 pass's margin) misses it too, and the answers are those of a pass over
-every cut.  The harvest lays out the snapped centers, corners and Halton
-samples of the live boxes whose bound is below the incumbent minus tol as
-(boxes, slots, n), tests them only against the cuts that touch their box
-(every other cut provably holds for them), evaluates the feasible ones,
-and keeps each box's least (value, point, slot): slot order is tie order.
+every cut.  The harvest builds the snapped centers, corners and Halton
+samples of the live boxes whose bound is below the incumbent minus tol
+once, as one (n, boxes, slots) array in the layout of the cut walk (the
+samples only for boxes whose center is infeasible), tests them only
+against the cuts that touch their box (every other cut provably holds for
+them) and against the domain only for boxes whose points may leave it,
+evaluates the feasible ones, and keeps each box's least (value, point,
+slot): slot order is tie order.
 
 Replay.  Each measured quantity depends only on its box, and the
 objective's value for a row does not depend on the other rows of its
@@ -99,7 +102,6 @@ _BATCH_BOXES = 128
 _BOX_MIN_WIDTH = 1e-10  # edges narrower than this are not split
 _MAX_SAMPLES = 32
 _CORNER_DIM_LIMIT = 5
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # ``_Batch.kid`` markers: no splittable edge; children not measured yet
 _LEAF = -2
 _UNMEASURED = -1
@@ -160,13 +162,23 @@ class InfeasibleStartError(RuntimeError):
     Distinct from a certified infeasibility of the region."""
 
 
+def _primes(count: int) -> list:
+    """The first ``count`` primes, in order."""
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 @functools.lru_cache(maxsize=None)
 def _halton(dim: int) -> np.ndarray:
     """The first ``_MAX_SAMPLES`` points of the Halton sequence in [0, 1)^dim,
-    read-only and built once per dimension."""
+    coordinate j in the (j + 1)-th prime base, read-only and built once per
+    dimension."""
     out = np.empty((_MAX_SAMPLES, dim))
-    for j in range(dim):
-        base = _PRIMES[j % len(_PRIMES)]
+    for j, base in enumerate(_primes(dim)):
         for i in range(_MAX_SAMPLES):
             f, value, k = 1.0, 0.0, i + 1
             while k > 0:
@@ -454,23 +466,18 @@ class _Search:
     def harvest(self, los, his, snapped, f_centers, center_ok, touching, bounds=None):
         """Each box's best feasible point among its (snapped) center, its
         corners (n <= 5), and its Halton samples when its center is
-        infeasible: slots 0, 1..2^n and the last 32 of a (boxes, slots, n)
-        array, the samples only when some center is infeasible.  Points are
-        tested only against the cuts that touch their box (``touching``).
-        Given the boxes' lower ``bounds``, box 0 is the root: its points
-        are evaluated first, and a later box whose bound is not below the
-        root's least value minus tol has none.  Returns the boxes that have
-        one, ascending, and for each the point's kind (0 center, 1 corner,
-        2 sample), value and the point: the least (value, point, slot).
-        Slot order is the tie order."""
+        infeasible: the slots of ``draw``'s (n, boxes, slots) array.  Points
+        are tested only against the cuts that touch their box
+        (``touching``), and against the domain only when they may leave
+        it.  Given the boxes' lower ``bounds``, box 0 is the root: its
+        points are evaluated first, and a later box whose bound is not below
+        the root's least value minus tol has none.  Returns the boxes that
+        have one, ascending, and for each the point's kind (0 center, 1
+        corner, 2 sample), value and the point: the least (value, point,
+        slot).  Slot order is the tie order."""
         samples_from = 1 + len(self.corner_pattern)  # after the center and the corners
-        bad = ~center_ok
-        slots = samples_from + (_MAX_SAMPLES if bad.any() else 0)
-        pts = snapped[:, None, :].repeat(slots, axis=1)
-        pts[:, 1:samples_from] = self.spread(self.corner_pattern, los, his)
-        if slots > samples_from:
-            pts[bad, samples_from:] = self.spread(self.samples, los[bad], his[bad])
-        valid = self.region.touching_membership(pts, touching)
+        pts, may_leave = self.draw(los, his, snapped, ~center_ok)
+        valid = self.region.touching_membership(pts, touching, may_leave)
         valid[:, 0] &= center_ok
         valid[center_ok, samples_from:] = False
         values = np.full(valid.shape, np.inf)
@@ -480,13 +487,13 @@ class _Search:
         fresh = valid & (values == np.inf)
         if bounds is not None:
             if fresh[0].any():
-                values[0, fresh[0]] = self.objective.evaluate_batch(pts[0, fresh[0]])
+                values[0, fresh[0]] = self.objective.evaluate_batch(pts[:, 0, fresh[0]].T)
             fresh[0] = False
             pruned = ~(bounds < values[0].min() - self.config.tolerance)
             pruned[0] = False
             values[pruned], fresh[pruned] = np.inf, False
         if fresh.any():
-            values[fresh] = self.objective.evaluate_batch(pts[fresh])
+            values[fresh] = self.objective.evaluate_batch(pts[:, fresh].T)
         least = values.min(axis=1)
         boxes = np.flatnonzero(least < np.inf)
         tied = values[boxes] == least[boxes, None]
@@ -494,18 +501,50 @@ class _Search:
         if tied.sum() > boxes.size:
             # the least point, then the least slot: each box's first in a stable sort
             rows, cols = np.nonzero(tied)
-            order = np.lexsort(tuple(pts[boxes[rows], cols].T[::-1]) + (rows,))
+            order = np.lexsort(tuple(pts[::-1, boxes[rows], cols]) + (rows,))
             slot = cols[order[np.diff(rows[order], prepend=-1) > 0]]
         kind = np.minimum(slot, 1) + (slot >= samples_from)
-        return boxes.tolist(), kind.tolist(), values[boxes, slot].tolist(), pts[boxes, slot]
+        return boxes.tolist(), kind.tolist(), values[boxes, slot].tolist(), pts[:, boxes, slot].T
 
-    def spread(self, pattern, los, his) -> np.ndarray:
-        """The (boxes, points, n) points lo + pattern * (hi - lo) of each
-        box, with integral coordinates snapped into the box."""
-        # laid out (n, boxes, points) so that numpy loops run along the
-        # pattern, then transposed
-        lo, span = los.T[:, :, None], (his - los).T[:, :, None]
-        return self.snap((lo + pattern.T[:, None, :] * span).transpose(1, 2, 0))
+    def draw(self, los, his, snapped, bad):
+        """The harvest's points of the boxes [los, his], built once as one
+        (n, boxes, slots) array, the layout of the cut walk: slot 0 the
+        snapped center, slots 1..2^n the corners (n <= 5), then, when some
+        box is ``bad``, 32 slots holding the Halton samples of the bad
+        boxes and zeros for the rest.  Integral rows are rounded as
+        ``snap`` rounds them.
+
+        Also returns the (boxes,) mask of the boxes whose points may leave
+        the domain: those whose upper corner lo + (hi - lo), computed as
+        ``spread`` computes it, lies past the domain's lattice hull, or
+        whose lo or snapped center lies outside it (the center
+        0.5 * lo + 0.5 * hi of a box with subnormal bounds can round out of
+        [lo, hi]).  Every other point lies in the domain: rounding is
+        monotone, so a drawn coordinate lies in [lo, that corner], and
+        rounding to an integer is monotone too, so a drawn integral
+        coordinate lies in the hull's integers [lo, round(corner)]."""
+        n, count = self.n, len(los)
+        samples_from = 1 + len(self.corner_pattern)
+        slots = samples_from + (_MAX_SAMPLES if bad.any() else 0)
+        pts = np.zeros((n, count, slots))
+        lo, span = los.T, (his - los).T
+        pts[:, :, 0] = snapped.T
+        pts[:, :, 1:samples_from] = self.spread(self.corner_pattern, lo, span)
+        if slots > samples_from:
+            pts[:, bad, samples_from:] = self.spread(self.samples, lo[:, bad], span[:, bad])
+        if self.has_integral:
+            rows = np.flatnonzero(self.integral)
+            pts[rows] = np.round(pts[rows])
+        may_leave = ((np.maximum(los + (his - los), snapped) > self.box.hull_upper)
+                     | (np.minimum(los, snapped) < self.box.hull_lower)).any(axis=1)
+        return pts, may_leave
+
+    @staticmethod
+    def spread(pattern, lo, span) -> np.ndarray:
+        """The (n, boxes, points) points lo + pattern * span of each box,
+        from the (n, boxes) lower bounds ``lo`` and widths ``span`` and the
+        (points, n) ``pattern``: numpy loops run along the pattern."""
+        return lo[:, :, None] + pattern.T[:, None, :] * span[:, :, None]
 
 
 class GlobalOracle:

@@ -259,23 +259,29 @@ def box_excluded(region, los, his):
 
 def harvested(region, los, his):
     """The lattice hulls of the boxes [los, his] (ceil/floor on integral
-    columns) without the empty ones, their snapped centers, and the
-    (boxes, slots, n) points the branch and bound draws from them, built by
-    its own code: the snapped center, the corners and the Halton samples
-    of every box."""
+    columns) without the empty ones, their snapped centers, the
+    (n, boxes, slots) points the branch and bound draws from them and the
+    boxes whose points may leave the domain, built by its own code
+    (``_Search.draw``): the snapped center, the corners and the Halton
+    samples of every box."""
     s = _Search(None, region, OracleConfig(), NormKind.Two)
     integral = region.domain.integral
     los, his = np.where(integral, np.ceil(los), los), np.where(integral, np.floor(his), his)
     nonempty = (los <= his).all(axis=1)
     los, his = los[nonempty], his[nonempty]
     snapped = s.snap(0.5 * (los + his))
-    slots = (snapped[:, None], s.spread(s.corner_pattern, los, his), s.spread(s.samples, los, his))
-    return los, his, snapped, np.concatenate(slots, axis=1)
+    points, may_leave = s.draw(los, his, snapped, np.ones(len(los), dtype=bool))
+    return los, his, snapped, points, may_leave
+
+
+def rows(points):
+    """The (n, boxes, slots) points as (boxes * slots, n) rows, box-major."""
+    return points.reshape(len(points), -1).T
 
 
 def dense_membership(region, points):
-    """``membership_mask`` of the (boxes, slots, n) points, as (boxes, slots)."""
-    return region.membership_mask(points.reshape(-1, region.domain.dimension)).reshape(points.shape[:2])
+    """``membership_mask`` of the (n, boxes, slots) points, as (boxes, slots)."""
+    return region.membership_mask(rows(points)).reshape(points.shape[1:])
 
 
 def magnitudes():
@@ -342,7 +348,7 @@ def box_cases(draw):
     """Sub-boxes of a domain (``sub_boxes``) and cuts about the points the
     branch and bound harvests from them."""
     box, los, his = draw(sub_boxes())
-    points = harvested(RelaxedRegion(box), los, his)[3].reshape(-1, box.dimension)
+    points = rows(harvested(RelaxedRegion(box), los, his)[3])
     return RelaxedRegion(box, cuts_about(draw, box, points)), los, his
 
 
@@ -350,14 +356,14 @@ def box_cases(draw):
 @given(case=box_cases())
 def test_box_pass_and_touching_pairs_match_the_dense_kernel(case):
     region, los, his = case
-    los, his, snapped, points = harvested(region, los, his)
+    los, his, snapped, points, may_leave = harvested(region, los, his)
     excluded, touching, mid_violated = region.box_relations(los, his, snapped, every_cut(region, len(los)))
     assert np.array_equal(excluded, box_excluded(region, los, his))
     assert np.array_equal(excluded, ref_excluded_mask(region, los, his))
     live = ~excluded
     dense = dense_membership(region, points)
-    assert np.array_equal(dense.ravel(), ref_membership_mask(region, points.reshape(-1, region.domain.dimension)))
-    assert np.array_equal(region.touching_membership(points, touching)[live], dense[live])
+    assert np.array_equal(dense.ravel(), ref_membership_mask(region, rows(points)))
+    assert np.array_equal(region.touching_membership(points, touching, may_leave)[live], dense[live])
     # snapped centers (slot 0) lie in the domain: the box pass decides them alone
     assert np.array_equal(~mid_violated[live], dense[live, 0])
 
@@ -369,12 +375,12 @@ def test_overshooting_corner_stays_rejected():
     # makes the cut touch the box, so the corner is still tested.
     hi = 1.5 * 2.0 ** -53
     region = RelaxedRegion(BoxDomain((-1.0,), (1.0,)), (Cut((3e-16,), 1e-16),))
-    los, his, snapped, points = harvested(region, np.array([[-1.0]]), np.array([[hi]]))
-    corner = points[0, 2]  # slot 0 is the center, slots 1 and 2 the corners
+    los, his, snapped, points, may_leave = harvested(region, np.array([[-1.0]]), np.array([[hi]]))
+    corner = points[:, 0, 2]  # slot 0 is the center, slots 1 and 2 the corners
     assert corner[0] == 2.0 ** -52 > hi
     excluded, touching, _ = region.box_relations(los, his, snapped, every_cut(region, len(los)))
     assert not excluded[0] and touching[0, 0]
-    ok = region.touching_membership(points, touching)
+    ok = region.touching_membership(points, touching, may_leave)
     assert not region.membership_mask(corner[None])[0] and not ok[0, 2]
     assert np.array_equal(ok, dense_membership(region, points))
 
@@ -406,7 +412,7 @@ def inheritance_cases(draw):
     box, los, his = draw(sub_boxes())
     bare = RelaxedRegion(box)
     dlos, dhis, *_ = descendants(bare, los, his, every_cut(bare, len(los)))
-    points = np.vstack([harvested(bare, lo, hi)[3].reshape(-1, box.dimension)
+    points = np.vstack([rows(harvested(bare, lo, hi)[3])
                         for lo, hi in ((los, his), (dlos, dhis))])
     return RelaxedRegion(box, cuts_about(draw, box, points)), los, his
 
@@ -435,7 +441,7 @@ def test_children_tested_against_their_parents_touching_cuts_match_every_cut(cas
         assert np.array_equal(mine, every)
     # and what the branch and bound then harvests from the live descendants
     # gets the dense kernel's answer
-    points = harvested(region, dlos, dhis)[3]
+    *_, points, may_leave = harvested(region, dlos, dhis)
     live = ~inherited[0]
-    ok = region.touching_membership(points, inherited[1])
+    ok = region.touching_membership(points, inherited[1], may_leave)
     assert np.array_equal(ok[live], dense_membership(region, points)[live])

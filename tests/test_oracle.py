@@ -544,18 +544,32 @@ def test_admit_takes_the_least_value_point_and_kind(offers):
     assert search.best_point.tobytes() == point.tobytes()
 
 
+def radical_inverse(i: int, base: int) -> float:
+    """The i-th term (i >= 1) of the van der Corput sequence in ``base``."""
+    f, value = 1.0, 0.0
+    while i > 0:
+        f /= base
+        value += f * (i % base)
+        i //= base
+    return value
+
+
 def halton_point(i: int, dim: int) -> np.ndarray:
     """The i-th point (i >= 1) of the Halton sequence in [0, 1)^dim, one
     prime base per coordinate."""
-    out = []
-    for base in (2, 3, 5, 7, 11, 13)[:dim]:
-        f, value, k = 1.0, 0.0, i
-        while k > 0:
-            f /= base
-            value += f * (k % base)
-            k //= base
-        out.append(value)
-    return np.array(out)
+    return np.array([radical_inverse(i, base) for base in (2, 3, 5, 7, 11, 13)[:dim]])
+
+
+def test_halton_gives_each_coordinate_its_own_prime_base():
+    # past 12 dimensions too: no two sample columns are equal, so the
+    # samples of a box do not lie on a plane u_j = u_{j+12}
+    dim = 30
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:dim]
+    samples = oracle._halton(dim)
+    for j, base in enumerate(primes):
+        assert samples[:, j].tolist() == [radical_inverse(i, base) for i in range(1, 33)]
+    assert len({column.tobytes() for column in samples.T}) == dim
+    assert oracle._halton(13)[:, 12].tolist() != oracle._halton(13)[:, 0].tolist()
 
 
 def reference_harvest(region, objective, los, his):
@@ -667,6 +681,153 @@ def test_harvest_matches_a_point_by_point_reference(case):
     assert np.array(values, dtype=float).tobytes() == np.array([e[2] for e in expected], dtype=float).tobytes()
     n = region.domain.dimension
     assert np.asarray(points).tobytes() == np.array([e[3] for e in expected]).reshape(-1, n).tobytes()
+
+
+def row_major_harvest(search, los, his, snapped, f_centers, center_ok, bounds=None):
+    """``_Search.harvest`` as it was before the column-major layout: one
+    (boxes, slots, n) array holding the snapped center in every slot, the
+    corners and the infeasible-center boxes' samples spread box-major and
+    snapped, every point tested against the domain and every cut
+    (``membership_mask``); the same masks, evaluations and ties."""
+    n = search.n
+    samples_from = 1 + len(search.corner_pattern)
+
+    def spread(pattern, los, his):
+        lo, span = los.T[:, :, None], (his - los).T[:, :, None]
+        return search.snap((lo + pattern.T[:, None, :] * span).transpose(1, 2, 0))
+
+    bad = ~center_ok
+    slots = samples_from + (32 if bad.any() else 0)
+    pts = snapped[:, None, :].repeat(slots, axis=1)
+    pts[:, 1:samples_from] = spread(search.corner_pattern, los, his)
+    if slots > samples_from:
+        pts[bad, samples_from:] = spread(search.samples, los[bad], his[bad])
+    valid = search.region.membership_mask(pts.reshape(-1, n)).reshape(len(los), slots)
+    valid[:, 0] &= center_ok
+    valid[center_ok, samples_from:] = False
+    values = np.full(valid.shape, np.inf)
+    if not search.has_integral:
+        values[:, 0] = np.where(valid[:, 0], f_centers, np.inf)
+    fresh = valid & (values == np.inf)
+    if bounds is not None:
+        if fresh[0].any():
+            values[0, fresh[0]] = search.objective.evaluate_batch(pts[0, fresh[0]])
+        fresh[0] = False
+        pruned = ~(bounds < values[0].min() - search.config.tolerance)
+        pruned[0] = False
+        values[pruned], fresh[pruned] = np.inf, False
+    if fresh.any():
+        values[fresh] = search.objective.evaluate_batch(pts[fresh])
+    least = values.min(axis=1)
+    boxes = np.flatnonzero(least < np.inf)
+    tied = values[boxes] == least[boxes, None]
+    slot = tied.argmax(axis=1)
+    if tied.sum() > boxes.size:
+        rows, cols = np.nonzero(tied)
+        order = np.lexsort(tuple(pts[boxes[rows], cols].T[::-1]) + (rows,))
+        slot = cols[order[np.diff(rows[order], prepend=-1) > 0]]
+    kind = np.minimum(slot, 1) + (slot >= samples_from)
+    return boxes.tolist(), kind.tolist(), values[boxes, slot].tolist(), pts[boxes, slot]
+
+
+# Continuous bounds: the box [-1, 1.5 * 2^-53] has the upper corner
+# -1 + (1.5 * 2^-53 + 1) = 2^-52, past its upper bound, and so do many
+# boxes of mixed magnitudes; the subnormal bound +-2^-1074 gives the
+# degenerate box [b, b] the center 0.5 * b + 0.5 * b = +-0.0, on the wrong
+# side of b.
+OVERSHOOTING_BOUNDS = ((-1.0, 1.5 * 2.0 ** -53), (-3.0, 0.1), (0.1, 0.7), (-2.0 ** -1074, -2.0 ** -1074),
+                       (2.0 ** -1074, 2.0 ** -1074), (-0.5, 0.0))
+
+
+@st.composite
+def layout_cases(draw):
+    """Boxes of a 1-4 dim domain as the branch and bound makes them, some
+    integral columns, continuous bounds whose boxes' upper corners round
+    past the domain's upper bound (``OVERSHOOTING_BOUNDS`` or mixed
+    magnitudes), many boxes sharing the domain's upper face; 0-6 cuts of
+    all three norms with masks, centered on points of the boxes so that
+    some centers are feasible and some are not; an objective with slopes
+    -1, 0 and 1 per column, or a step; and, half the time, the root as box
+    0 with drawn lower bounds for the others."""
+    n = draw(st.integers(1, 4))
+    integral = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    magnitude = st.builds(lambda sign, m, e: sign * m * 2.0 ** e, st.sampled_from((-1.0, 1.0)),
+                          st.floats(1.0, 2.0), st.integers(-60, 3))
+    lower, upper = [], []
+    for j in range(n):
+        if integral[j]:
+            a = draw(st.integers(-3, 2))
+            a, b = float(a), float(a + draw(st.integers(0, 3)))
+        else:
+            a, b = draw(st.sampled_from(OVERSHOOTING_BOUNDS) | st.tuples(magnitude, magnitude).map(sorted))
+        lower.append(a)
+        upper.append(b)
+    box = BoxDomain(lower, upper, integral)
+    fractions = st.sampled_from((0.0, 0.5, 1.0, 1.0)) | st.floats(0.0, 1.0)
+    root = draw(st.booleans())
+    los, his = ([box.hull_lower], [box.hull_upper]) if root else ([], [])
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = [], []
+        for j in range(n):
+            if integral[j]:
+                a, b = (draw(st.integers(int(box.hull_lower[j]), int(box.hull_upper[j]))) for _ in range(2))
+            else:
+                a, b = (min(box.lower[j] + draw(fractions) * box.widths[j], box.upper[j]) for _ in range(2))
+            lo.append(float(min(a, b)))
+            hi.append(float(max(a, b)))
+        los.append(lo)
+        his.append(hi)
+    los, his = np.array(los, dtype=float), np.array(his, dtype=float)
+    cuts = []
+    for _ in range(draw(st.integers(0, 6))):
+        mask = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+        i = draw(st.integers(0, len(los) - 1))
+        anchor = los[i] + np.array(draw(st.lists(fractions, min_size=n, max_size=n))) * (his[i] - los[i])
+        scale = max(float(box.widths.max()), 1e-300)
+        radius = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)) | st.floats(0.0, 1.5)) * scale
+        cuts.append(Cut(anchor, radius, mask, draw(st.sampled_from(list(NormKind)))))
+    slope = np.array(draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=n, max_size=n)))
+    evaluator = draw(st.sampled_from((
+        lambda p: sum(p[:, j] * slope[j] for j in range(n)),  # each row's value is the same in any batch
+        lambda p: np.floor(3.0 * p[:, 0]),
+    )))
+    bounds = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=len(los), max_size=len(los)))) if root else None
+    return RelaxedRegion(box, tuple(cuts)), evaluator, los, his, bounds
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=layout_cases())
+def test_harvest_matches_the_row_major_harvest(case):
+    # the same offers, bit for bit, and the same points evaluated in the
+    # same batches, whether or not a point leaves the domain
+    region, evaluator, los, his, bounds = case
+    calls = []
+
+    def recorded(p):
+        calls.append(np.array(p).tobytes())
+        return evaluator(p)
+
+    search = _Search(ObjectiveSpec(None, 1.0, batch_evaluator=recorded), region, OracleConfig(tolerance=1e-3),
+                     NormKind.Two)
+    centers = 0.5 * los + 0.5 * his  # as ``measure`` computes them
+    snapped = search.snap(centers)
+    every_cut = np.ones((region.stacked_cuts, len(los)), dtype=bool)
+    dead, touching, mid_violated = region.box_relations(los, his, snapped, every_cut)
+    if bounds is not None and dead[0]:
+        bounds = None  # the root is harvested only when it is live
+    live = ~dead
+    los, his, snapped, centers = los[live], his[live], snapped[live], centers[live]
+    bounds = None if bounds is None else bounds[live]
+    if not len(los):
+        return
+    f_centers = evaluator(centers)
+    got = search.harvest(los, his, snapped, f_centers, ~mid_violated[live], touching[:, live], bounds)
+    got_calls, calls[:] = calls[:], []
+    want = row_major_harvest(search, los, his, snapped, f_centers, ~mid_violated[live], bounds)
+    assert got[:2] == want[:2]
+    assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+    assert np.asarray(got[3]).tobytes() == np.asarray(want[3]).tobytes()
+    assert got_calls == calls
 
 
 def nan_above_03() -> tuple:
